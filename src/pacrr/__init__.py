@@ -5,6 +5,7 @@ from .corpus import (EmbeddingTable, IdfTable, JudgmentSet, Query, RunRanking,
                      load_embeddings, load_qrels, load_queries, load_run)
 from .evaluation import (err_at_k, merge_grades, ndcg_at_k, pair_accuracy,
                          rerank_run)
+from .heap import pin_malloc_thresholds
 from .model import (PacrrConfig, PacrrParams, Scorer, init_params, load_params,
                     save_params, score, score_gradients)
 from .simmat import (DistilledInput, SimilarityMatrix, build_sim_matrix,
@@ -12,6 +13,8 @@ from .simmat import (DistilledInput, SimilarityMatrix, build_sim_matrix,
 from .training import Triple, build_groups, sample_triple, sweep, train
 
 __version__ = "0.1.0"
+
+pin_malloc_thresholds()
 
 __all__ = [
     "EmbeddingTable", "IdfTable", "JudgmentSet", "Query", "RunRanking",

@@ -18,7 +18,7 @@ from .config import RunConfig, load_run_config, write_run_config
 from .corpus import (compute_idf, load_corpus, load_embeddings, load_qrels,
                      load_queries, load_run, save_run)
 from .errors import ConfigError, DataError
-from .model import Scorer, gradcheck_report, load_params
+from .model import Scorer, gradcheck_report, load_params, write_atomic
 from .training import train
 
 logger = logging.getLogger(__name__)
@@ -63,7 +63,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
         k=cfg.k, g_max=cfg.g_max,
     )
     best = out_dir / "best.pacrr"
-    best.write_bytes((out_dir / state.best_checkpoint_path).read_bytes())
+    write_atomic(best, (out_dir / state.best_checkpoint_path).read_bytes())
     print(f"best iteration {state.best_iteration} "
           f"(validation ERR@{cfg.k} {state.best_err:.4f}); checkpoint: {best}")
     return 0

@@ -43,6 +43,11 @@ class RunConfig:
     # optional raw-grade remapping, e.g. "-1:0,5:4"
     grade_map: str | None = None
 
+    def __post_init__(self):
+        for key in ("iterations", "batches_per_iteration"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+
     def pacrr_config(self) -> PacrrConfig:
         try:
             return PacrrConfig(

@@ -92,9 +92,22 @@ class EmbeddingTable:
 
     dim: int
     vectors: dict[str, np.ndarray]
+    _units: dict[str, np.ndarray | None] = field(default_factory=dict, init=False,
+                                                 repr=False)
 
     def get(self, token: str):
         return self.vectors.get(token)
+
+    def unit(self, token: str):
+        """The token's vector scaled to unit length, or None when the token
+        has no vector or a zero one; memoised, so bounded by the vocabulary."""
+        if token not in self._units:
+            vec = self.vectors.get(token)
+            if vec is None:
+                return None
+            norm = float(np.linalg.norm(vec))
+            self._units[token] = vec / norm if norm > 0.0 else None
+        return self._units[token]
 
     def __len__(self):
         return len(self.vectors)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass, fields
@@ -154,7 +155,6 @@ def default_grid(mode: str, l_q: int, *, learning_rate: float = 0.001,
 
 @dataclass
 class ScoreCache:
-    query_len: int
     conv_caches: dict[int, neural.Conv2dCache]
     filter_args: dict[int, np.ndarray]
     kmax_srcs: dict[int, np.ndarray]  # key 1 = unigram matrix
@@ -186,7 +186,10 @@ def score(params: PacrrParams, config: PacrrConfig, distilled: DistilledInput,
     kmax_widths: dict[int, int] = {}
     signals: dict[int, np.ndarray] = {}
 
-    km1, src1 = neural.kmax_per_row(unigram.astype(dtype), config.n_s)
+    # Only the real query rows are scored: rows >= t_len are zero padding
+    # that the recurrence never reads, and same padding with query stride 1
+    # puts (n-1)//2 zero rows on top whatever the row count.
+    km1, src1 = neural.kmax_per_row(unigram[:t_len].astype(dtype), config.n_s)
     signals[1] = km1
     kmax_srcs[1] = src1
     kmax_widths[1] = config.l_d
@@ -197,7 +200,7 @@ def score(params: PacrrParams, config: PacrrConfig, distilled: DistilledInput,
             raise ValueError(f"distilled input lacks the n={n} matrix")
         stride = (1, n) if config.mode == KWINDOW else (1, 1)
         conv_out, ccache = neural.conv2d(
-            matrix.astype(dtype),
+            matrix[:t_len].astype(dtype),
             params[f"conv{n}_kernels"].value,
             params[f"conv{n}_bias"].value,
             stride,
@@ -215,14 +218,13 @@ def score(params: PacrrParams, config: PacrrConfig, distilled: DistilledInput,
     idf_norm = neural.softmax(idf_vector)
     d = config.rnn_input_dim
     xs = np.empty((t_len, d), dtype=dtype)
-    xs[:, : d - 1] = salient[:t_len].reshape(t_len, config.l_g * config.n_s)
+    xs[:, : d - 1] = salient.reshape(t_len, config.l_g * config.n_s)
     xs[:, d - 1] = idf_norm
 
     rel, rnn_cache = neural.recurrent_sequence(
         xs, params["rnn_w"].value, params["rnn_u"].value, params["rnn_b"].value
     )
     cache = ScoreCache(
-        query_len=t_len,
         conv_caches=conv_caches,
         filter_args=filter_args,
         kmax_srcs=kmax_srcs,
@@ -241,15 +243,12 @@ def score_gradients(params: PacrrParams, config: PacrrConfig, cache: ScoreCache,
     )
     grads = {"rnn_w": d_w, "rnn_u": d_u, "rnn_b": d_b}
 
-    t_len = cache.query_len
     n_s = config.n_s
     for n in conv_sizes(config):
-        offset = (n - 1) * n_s
-        d_km = np.zeros((config.l_q, n_s), dtype=np.float64)
-        d_km[:t_len] = d_xs[:, offset : offset + n_s]
+        d_km = d_xs[:, (n - 1) * n_s : n * n_s]
         d_pooled = neural.kmax_per_row_backward(d_km, cache.kmax_srcs[n], cache.kmax_widths[n])
         d_conv = neural.max_over_filters_backward(d_pooled, cache.filter_args[n], config.n_f)
-        _, d_kernels, d_bias = neural.conv2d_backward(
+        d_kernels, d_bias = neural.conv2d_backward(
             d_conv, cache.conv_caches[n], params[f"conv{n}_kernels"].value
         )
         grads[f"conv{n}_kernels"] = d_kernels
@@ -298,8 +297,22 @@ def save_params(params: PacrrParams, config: PacrrConfig, path) -> None:
         blobs.append(data)
     chunks.extend(blobs)
     body = b"".join(chunks)
-    payload = body + struct.pack("<I", zlib.crc32(body))
-    Path(path).write_bytes(payload)
+    write_atomic(path, body + struct.pack("<I", zlib.crc32(body)))
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write through a temp file in the same directory and `os.replace`, so
+    the path holds either its old bytes or all of the new ones."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("wb") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_params(path) -> tuple[PacrrParams, PacrrConfig]:
@@ -469,23 +482,22 @@ def check_op_gradients(seed: int = 0, h: float = 1e-5) -> dict[str, neural.GradC
     rng = np.random.default_rng(seed)
     results: dict[str, neural.GradCheckResult] = {}
 
-    # conv2d: inputs, kernels, and bias of a strided same-padded layer.
+    # conv2d: kernels and bias of a strided same-padded layer (its input is
+    # never trained, so it has no input gradient).
     x = rng.uniform(-1.0, 1.0, (4, 9))
     kernels = rng.uniform(-0.8, 0.8, (3, 2, 2))
     bias = rng.uniform(-0.2, 0.2, 3)
     d_out = rng.uniform(-1.0, 1.0, (3, 4, 5))
 
     def conv_f(flat):
-        xs = flat[: x.size].reshape(x.shape)
-        ks = flat[x.size : x.size + kernels.size].reshape(kernels.shape)
-        bs = flat[x.size + kernels.size :]
-        out, cache = neural.conv2d(xs, ks, bs, stride=(1, 2))
+        ks = flat[: kernels.size].reshape(kernels.shape)
+        out, cache = neural.conv2d(x, ks, flat[kernels.size :], stride=(1, 2))
         return float(np.sum(out * d_out)), cache.mask.tobytes()
 
     out, cache = neural.conv2d(x, kernels, bias, stride=(1, 2))
-    d_x, d_k, d_b = neural.conv2d_backward(d_out, cache, kernels)
-    flat0 = np.concatenate([x.ravel(), kernels.ravel(), bias])
-    analytic = np.concatenate([d_x.ravel(), d_k.ravel(), d_b])
+    d_k, d_b = neural.conv2d_backward(d_out, cache, kernels)
+    flat0 = np.concatenate([kernels.ravel(), bias])
+    analytic = np.concatenate([d_k.ravel(), d_b])
     results["conv2d"] = neural.gradient_check(conv_f, flat0, analytic, h=h)
 
     # max_over_filters

@@ -2,10 +2,10 @@
 
 Each forward function returns (output, cache); the matching *_backward
 function consumes the cache plus the upstream gradient and produces exact
-gradients for inputs and parameters. The piecewise-linear ops (rectification,
-max pooling, hinge) are differentiable away from ties and kinks; crossings
-are detected via op "signatures" so `gradient_check` can skip those
-coordinates.
+gradients for inputs and parameters (parameters only for conv2d, whose input
+is never trained). The piecewise-linear ops (rectification, max pooling,
+hinge) are differentiable away from ties and kinks; crossings are detected
+via op "signatures" so `gradient_check` can skip those coordinates.
 """
 
 from __future__ import annotations
@@ -52,14 +52,8 @@ def _same_pad(size: int, kernel: int, stride: int) -> tuple[int, int, int]:
 
 @dataclass
 class Conv2dCache:
-    in_shape: tuple[int, int]
-    padded_shape: tuple[int, int]
-    pad_top: int
-    pad_left: int
-    stride: tuple[int, int]
     cols: np.ndarray  # (out_h*out_w, n*n) im2col patches
     mask: np.ndarray  # (out_h*out_w, n_f) rectifier activity
-    out_shape: tuple[int, int, int]
     has_bias: bool
 
 
@@ -92,38 +86,23 @@ def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray | None = None,
         pre = pre + bias
     mask = pre > 0.0
     out = (pre * mask).T.reshape(n_f, out_h, out_w)
-    cache = Conv2dCache(
-        in_shape=(H, W),
-        padded_shape=padded.shape,
-        pad_top=pad_top,
-        pad_left=pad_left,
-        stride=stride,
-        cols=cols,
-        mask=mask,
-        out_shape=(n_f, out_h, out_w),
-        has_bias=bias is not None,
-    )
-    return out, cache
+    return out, Conv2dCache(cols=cols, mask=mask, has_bias=bias is not None)
 
 
 def conv2d_backward(d_out: np.ndarray, cache: Conv2dCache, kernels: np.ndarray):
-    """Gradients w.r.t. (input, kernels, bias) given d(loss)/d(output)."""
+    """Gradients w.r.t. (kernels, bias) given d(loss)/d(output).
+
+    No input gradient is formed: the conv inputs are fixed features. Only
+    output cells with a non-zero gradient enter the sums; after filter-max
+    and k-max routing those are a few per query row.
+    """
     n_f, n, _ = kernels.shape
-    _, out_h, out_w = cache.out_shape
-    s_q, s_d = cache.stride
-    d_pre = d_out.reshape(n_f, out_h * out_w).T * cache.mask
-    d_kernels = (d_pre.T @ cache.cols).reshape(n_f, n, n)
+    d_cells = d_out.reshape(n_f, -1)
+    live = np.flatnonzero(d_cells.any(axis=0))
+    d_pre = d_cells[:, live].T * cache.mask[live]
+    d_kernels = (d_pre.T @ cache.cols[live]).reshape(n_f, n, n)
     d_bias = d_pre.sum(axis=0) if cache.has_bias else None
-    d_cols = (d_pre @ kernels.reshape(n_f, n * n)).reshape(out_h, out_w, n, n)
-    d_padded = np.zeros(cache.padded_shape, dtype=d_out.dtype)
-    rows = s_q * np.arange(out_h)
-    cols = s_d * np.arange(out_w)
-    for ki in range(n):
-        for kj in range(n):
-            d_padded[np.ix_(rows + ki, cols + kj)] += d_cols[:, :, ki, kj]
-    H, W = cache.in_shape
-    d_x = d_padded[cache.pad_top : cache.pad_top + H, cache.pad_left : cache.pad_left + W]
-    return d_x, d_kernels, d_bias
+    return d_kernels, d_bias
 
 
 # ---------------------------------------------------------------------------

@@ -61,16 +61,11 @@ def build_sim_matrix(query: Query, doc: TokenizedDocument, emb: EmbeddingTable) 
         return SimilarityMatrix(query.query_id, doc.doc_id, sim)
 
     def unit_rows(tokens):
+        units = [emb.unit(tok) for tok in tokens]
+        has = np.array([u is not None for u in units], dtype=bool)
         mat = np.zeros((len(tokens), emb.dim), dtype=np.float64)
-        has = np.zeros(len(tokens), dtype=bool)
-        for i, tok in enumerate(tokens):
-            vec = emb.get(tok)
-            if vec is None:
-                continue
-            norm = float(np.linalg.norm(vec))
-            if norm > 0.0:
-                mat[i] = vec / norm
-                has[i] = True
+        if has.any():
+            mat[has] = np.stack([u for u in units if u is not None])
         return mat, has
 
     q_mat, q_has = unit_rows(query.tokens)

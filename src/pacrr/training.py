@@ -98,13 +98,14 @@ class IterationLog:
     val_err: float
     val_ndcg: float
     checkpoint_path: str
+    k: int  # metric cutoff, part of the val_err/val_ndcg key names
 
     def to_record(self) -> dict:
         return {
             "iteration": self.iteration,
             "mean_loss": self.mean_loss,
-            "val_err20": self.val_err,
-            "val_ndcg20": self.val_ndcg,
+            f"val_err{self.k}": self.val_err,
+            f"val_ndcg{self.k}": self.val_ndcg,
             "checkpoint_path": self.checkpoint_path,
         }
 
@@ -144,12 +145,19 @@ def train(config: PacrrConfig, docs, queries, qrels: JudgmentSet,
     checkpoint with the highest validation ERR@k is returned. Checkpoint
     paths in the log are relative to `out_dir`.
     """
+    if iterations < 1 or batches_per_iteration < 1:
+        raise ValueError("iterations and batches_per_iteration must be >= 1")
     out_dir = Path(out_dir)
     ckpt_dir = out_dir / "checkpoints"
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     missing_runs = [qid for qid in val_query_ids if qid not in val_runs]
     if missing_runs:
         raise DataError(f"validation run missing queries: {missing_runs}")
+    known = {q.query_id for q in queries}
+    for role, ids in (("training", train_query_ids), ("validation", val_query_ids)):
+        absent = [qid for qid in ids if qid not in known]
+        if absent:
+            raise DataError(f"{role} query ids missing from the query file: {absent}")
     val_runs = {qid: val_runs[qid] for qid in val_query_ids}
 
     params = init_params(config)
@@ -189,6 +197,7 @@ def train(config: PacrrConfig, docs, queries, qrels: JudgmentSet,
                 val_err=val_err,
                 val_ndcg=val_ndcg,
                 checkpoint_path=ckpt_rel,
+                k=k,
             )
             state.logs.append(entry)
             log_file.write(json.dumps(entry.to_record(), sort_keys=True) + "\n")

@@ -1,12 +1,16 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is written with plain Python loops, deliberately sharing no
-code with the library paths it checks.
+The oracles are written with plain Python loops, deliberately sharing no code
+with the library paths they check. The dense references at the end do the
+full work that an optimised library path skips (padding rows, dead cells,
+repeated normalisation), so a test can require equal results.
 """
 
 import math
 
 import numpy as np
+
+from pacrr import neural
 
 
 def kmax_oracle(row, k):
@@ -54,3 +58,75 @@ def err_oracle(grades, k, g_max):
             stop *= 1.0 - (2.0 ** gi - 1.0) / 2.0 ** g_max
         total += rel * stop / r
     return total
+
+
+def dense_conv_param_grads(d_out, cols, mask):
+    """Kernel and bias gradients of a rectified conv summed over every output
+    cell: d_pre.T @ cols with d_pre = d_out (as cells x filters) * mask."""
+    n_f = d_out.shape[0]
+    d_pre = d_out.reshape(n_f, -1).T * mask
+    return (d_pre.T @ cols).reshape(n_f, -1), d_pre.sum(axis=0)
+
+
+def all_rows_score(params, config, distilled, idf_vector):
+    """rel and the parameter gradients of rel for the PACRR pipeline run over
+    all l_q rows of the distilled input, padding rows included, with the
+    pooling routes undone by loops and dense conv gradient sums."""
+    dtype = params["rnn_w"].value.dtype
+    t_len, n_s = distilled.query_len, config.n_s
+    signals = [neural.kmax_per_row(distilled.per_n[1].astype(dtype), n_s)[0]]
+    routes = []
+    for n in range(2, config.l_g + 1):
+        stride = (1, n) if config.mode == "kwindow" else (1, 1)
+        out, cache = neural.conv2d(distilled.per_n[n].astype(dtype),
+                                   params[f"conv{n}_kernels"].value,
+                                   params[f"conv{n}_bias"].value, stride)
+        pooled, arg = neural.max_over_filters(out)
+        km, src = neural.kmax_per_row(pooled, n_s)
+        signals.append(km)
+        routes.append((n, out.shape, cache, arg, src))
+    salient = np.stack(signals, axis=1)[:t_len].reshape(t_len, config.l_g * n_s)
+    xs = np.column_stack([salient, neural.softmax(idf_vector)]).astype(dtype)
+    w, u = params["rnn_w"].value, params["rnn_u"].value
+    rel, rnn_cache = neural.recurrent_sequence(xs, w, u, params["rnn_b"].value)
+    d_xs, d_w, d_u, d_b = neural.recurrent_backward(1.0, rnn_cache, w, u)
+    grads = {"rnn_w": d_w, "rnn_u": d_u, "rnn_b": d_b}
+    for n, shape, cache, arg, src in routes:
+        d_conv = np.zeros(shape)
+        for r in range(t_len):
+            for j in range(n_s):
+                c = src[r, j]
+                if c >= 0:
+                    d_conv[arg[r, c], r, c] += d_xs[r, (n - 1) * n_s + j]
+        d_k, d_bias = dense_conv_param_grads(d_conv, cache.cols, cache.mask)
+        grads[f"conv{n}_kernels"] = d_k.reshape(params[f"conv{n}_kernels"].value.shape)
+        grads[f"conv{n}_bias"] = d_bias
+    return float(rel), grads
+
+
+def per_pair_sim_matrix(q_tokens, d_tokens, emb):
+    """Cosine-similarity matrix that normalises every embedding afresh."""
+    sim = np.zeros((len(q_tokens), len(d_tokens)))
+    if not d_tokens:
+        return sim
+
+    def unit_rows(tokens):
+        mat = np.zeros((len(tokens), emb.dim))
+        has = np.zeros(len(tokens), dtype=bool)
+        for i, tok in enumerate(tokens):
+            vec = emb.vectors.get(tok)
+            if vec is not None and float(np.linalg.norm(vec)) > 0.0:
+                mat[i] = vec / float(np.linalg.norm(vec))
+                has[i] = True
+        return mat, has
+
+    q_mat, q_has = unit_rows(q_tokens)
+    d_mat, d_has = unit_rows(d_tokens)
+    sim = np.clip(q_mat @ d_mat.T, -1.0, 1.0)
+    sim[~q_has, :] = 0.0
+    sim[:, ~d_has] = 0.0
+    for i, q_tok in enumerate(q_tokens):
+        for j, d_tok in enumerate(d_tokens):
+            if q_tok == d_tok:
+                sim[i, j] = 1.0
+    return sim

@@ -38,6 +38,13 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(grade_map="oops").parsed_grade_map()
 
+    @pytest.mark.parametrize("key", ["iterations", "batches_per_iteration"])
+    def test_empty_schedule_rejected(self, tmp_path, key):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = 0\n")
+        with pytest.raises(ConfigError, match=key):
+            load_run_config(path)
+
     def test_missing_config_file(self):
         with pytest.raises(ConfigError, match="not found"):
             load_run_config("no/such/file.cfg")
@@ -129,6 +136,35 @@ class TestCliCommands:
         bad = tmp_path / "bad.cfg"
         write_run_config(cfg, bad)
         assert main(["--config", str(bad), "train"]) == 1
+
+    def test_zero_iterations_is_config_error(self, synth_dir, tmp_path, capsys):
+        text = (synth_dir / "config.txt").read_text()
+        bad = tmp_path / "zero.cfg"
+        bad.write_text(text.replace("iterations = 2", "iterations = 0"))
+        assert main(["--config", str(bad), "train"]) == 1
+        assert "iterations must be >= 1" in capsys.readouterr().err
+
+    def test_missing_train_query_is_data_error(self, synth_dir, tmp_path, capsys):
+        cfg = load_run_config(synth_dir / "config.txt")
+        qids = tmp_path / "train_qids.txt"
+        qids.write_text("no-such-query\n")
+        cfg.train_qids = str(qids)
+        cfg.out_dir = str(tmp_path / "out")
+        bad = tmp_path / "bad3.cfg"
+        write_run_config(cfg, bad)
+        assert main(["--config", str(bad), "train"]) == 2
+        assert "no-such-query" in capsys.readouterr().err
+
+    def test_train_leaves_no_temp_files(self, synth_dir, tmp_path):
+        cfg = load_run_config(synth_dir / "config.txt")
+        cfg.out_dir = str(tmp_path / "out")
+        path = tmp_path / "run.cfg"
+        write_run_config(cfg, path)
+        assert main(["--config", str(path), "train"]) == 0
+        written = sorted(p.relative_to(tmp_path / "out").as_posix()
+                         for p in (tmp_path / "out").rglob("*") if p.is_file())
+        assert written == ["best.pacrr", "checkpoints/iter_0001.pacrr",
+                           "checkpoints/iter_0002.pacrr", "training_log.jsonl"]
 
     def test_corrupt_data_is_data_error(self, synth_dir, tmp_path):
         cfg = load_run_config(synth_dir / "config.txt")

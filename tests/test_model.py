@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import all_rows_score
 from pacrr.corpus import EmbeddingTable, IdfTable, Query, TokenizedDocument
 from pacrr.errors import CheckpointError
 from pacrr.model import (PacrrConfig, Scorer, check_pipeline_gradients,
@@ -142,6 +143,30 @@ class TestScoreGradients:
             assert result.max_rel_error < 1e-4, mode
 
 
+class TestRealRowsOnly:
+    @pytest.mark.parametrize("mode", ["firstk", "kwindow"])
+    @pytest.mark.parametrize("query_len", [1, 4, 8])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_all_rows_reference(self, mode, query_len, dtype):
+        # Nonzero biases make the padding rows' conv outputs nonzero too.
+        config = PacrrConfig(l_q=8, l_d=30, l_g=3, n_f=5, n_s=2, mode=mode, seed=query_len)
+        rng = np.random.default_rng(query_len)
+        params = init_params(config, dtype=dtype)
+        for group in params:
+            group.value[...] = rng.uniform(-0.6, 0.6, group.value.shape)
+        distilled = random_distilled(config, rng, query_len=query_len, doc_len=41)
+        idf = rng.uniform(0.1, 3.0, query_len)
+        rel, cache = score(params, config, distilled, idf)
+        grads = score_gradients(params, config, cache, 1.0)
+        ref_rel, ref_grads = all_rows_score(params, config, distilled, idf)
+        assert rel == ref_rel
+        assert set(grads) == set(ref_grads)
+        for name, grad in grads.items():
+            assert name.startswith("rnn") or np.any(grad != 0.0), name
+            np.testing.assert_allclose(grad, ref_grads[name], rtol=1e-12, atol=1e-15,
+                                       err_msg=name)
+
+
 class TestPipelineInvariants:
     def test_firstk_ignores_tokens_beyond_l_d(self):
         rng = np.random.default_rng(6)
@@ -191,6 +216,21 @@ class TestCheckpoint:
         path2 = tmp_path / "model2.pacrr"
         save_params(loaded, loaded_config, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_failed_save_keeps_old_file_and_no_temp(self, tmp_path, monkeypatch):
+        config = tiny_config()
+        path = tmp_path / "model.pacrr"
+        save_params(init_params(config), config, path)
+        old = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("pacrr.model.os.replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_params(init_params(tiny_config(seed=7)), config, path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["model.pacrr"]
 
     def test_bad_magic(self, tmp_path):
         config = tiny_config()

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from helpers import kmax_oracle
-from pacrr.neural import (GradCheckResult, ParamGroup, conv2d, gradient_check,
-                          hinge_gradients, hinge_loss, kmax_per_row,
+from helpers import dense_conv_param_grads, kmax_oracle
+from pacrr.neural import (GradCheckResult, ParamGroup, conv2d, conv2d_backward,
+                          gradient_check, hinge_gradients, hinge_loss, kmax_per_row,
                           max_over_filters, recurrent_sequence, sgd_step,
                           softmax)
 
@@ -30,6 +30,20 @@ class TestConv2d:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             conv2d(np.zeros((0, 3)), np.ones((1, 2, 2)))
+
+    @pytest.mark.parametrize("density", [1.0, 0.05, 0.0])
+    def test_param_gradients_equal_dense_sums(self, density):
+        # Dead cells are skipped; the sums must not change.
+        rng = np.random.default_rng(17)
+        kernels = rng.uniform(-1, 1, (4, 3, 3))
+        out, cache = conv2d(rng.uniform(-1, 1, (6, 20)), kernels, rng.uniform(-0.5, 0.5, 4),
+                            stride=(1, 3))
+        d_out = rng.uniform(-1, 1, out.shape) * (rng.random(out.shape) < density)
+        d_k, d_b = conv2d_backward(d_out, cache, kernels)
+        ref_k, ref_b = dense_conv_param_grads(d_out, cache.cols, cache.mask)
+        np.testing.assert_allclose(d_k.reshape(4, -1), ref_k, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(d_b, ref_b, rtol=1e-12, atol=1e-15)
+        assert (d_k.any() and d_b.any()) == (density > 0.0)
 
 
 class TestMaxOverFilters:

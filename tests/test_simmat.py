@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import kwindow_oracle
+from helpers import kwindow_oracle, per_pair_sim_matrix
 from pacrr.corpus import EmbeddingTable, Query, TokenizedDocument
 from pacrr.simmat import (FIRSTK, KWINDOW, SimilarityMatrix, build_sim_matrix,
                           distill, distill_firstk, distill_kwindow)
@@ -45,6 +45,24 @@ class TestBuildSimMatrix:
         sim = build_sim_matrix(Query("q", ("a", "b")), TokenizedDocument("d", ()),
                                table(a=[1.0]))
         assert sim.values.shape == (2, 0)
+
+    def test_memoised_units_match_per_pair_normalisation(self):
+        rng = np.random.default_rng(8)
+        vecs = {f"t{i}": rng.standard_normal(6) * rng.uniform(0.1, 5.0) for i in range(30)}
+        vecs["t0"] = np.zeros(6)
+        emb = EmbeddingTable(dim=6, vectors=vecs)
+        # t0 has a zero vector and o* have none; shared tokens hit the
+        # exact-match override, and repeats hit the memo.
+        pool = [f"t{i}" for i in range(30)] + ["o1", "o2"]
+        queries = [("t0", "o1", "t3"), ("o2",), tuple(rng.choice(pool, 5))]
+        docs = [tuple(rng.choice(pool, size)) for size in (1, 7, 60)] + [()]
+        for q in queries:
+            for d in docs + docs:
+                got = build_sim_matrix(Query("q", q), TokenizedDocument("d", d), emb).values
+                want = per_pair_sim_matrix(q, d, emb)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+        assert emb.unit("t0") is None and emb.unit("o1") is None
 
     def test_values_in_range(self):
         rng = np.random.default_rng(5)

@@ -121,12 +121,12 @@ def tiny_config(**overrides):
     return PacrrConfig(**kwargs)
 
 
-def run_training(data, idf, out_dir, config=None, iterations=2, batches=4):
+def run_training(data, idf, out_dir, config=None, iterations=2, batches=4, **kwargs):
     return train(
         config or tiny_config(), data.docs, data.queries, data.qrels,
         data.train_query_ids, data.val_query_ids, data.runs,
         data.embeddings, idf, iterations=iterations,
-        batches_per_iteration=batches, out_dir=out_dir,
+        batches_per_iteration=batches, out_dir=out_dir, **kwargs,
     )
 
 
@@ -142,6 +142,30 @@ class TestTrain:
                                "checkpoint_path"}
         for log in state.logs:
             assert (tmp_path / log.checkpoint_path).exists()
+
+    def test_log_keys_follow_k(self, small_synth, tmp_path):
+        data, idf = small_synth
+        run_training(data, idf, tmp_path, iterations=1, batches=1, k=10)
+        record = json.loads((tmp_path / "training_log.jsonl").read_text().splitlines()[0])
+        assert set(record) == {"iteration", "mean_loss", "val_err10", "val_ndcg10",
+                               "checkpoint_path"}
+
+    @pytest.mark.parametrize("iterations, batches", [(0, 1), (1, 0)])
+    def test_empty_schedule_rejected(self, small_synth, tmp_path, iterations, batches):
+        data, idf = small_synth
+        with pytest.raises(ValueError, match="must be >= 1"):
+            run_training(data, idf, tmp_path, iterations=iterations, batches=batches)
+
+    @pytest.mark.parametrize("role", ["training", "validation"])
+    def test_missing_query_ids_rejected(self, small_synth, tmp_path, role):
+        data, idf = small_synth
+        qid = (data.train_query_ids if role == "training" else data.val_query_ids)[0]
+        queries = [q for q in data.queries if q.query_id != qid]
+        with pytest.raises(DataError, match=rf"{role} query ids .*'{qid}'"):
+            train(tiny_config(), data.docs, queries, data.qrels,
+                  data.train_query_ids, data.val_query_ids, data.runs,
+                  data.embeddings, idf, iterations=1,
+                  batches_per_iteration=1, out_dir=tmp_path)
 
     def test_best_selection_is_argmax(self, small_synth, tmp_path):
         data, idf = small_synth
