@@ -21,8 +21,6 @@ from .errors import ConfigError, DataError
 from .model import Scorer, gradcheck_report, load_params, write_atomic
 from .training import train
 
-logger = logging.getLogger(__name__)
-
 GRADCHECK_THRESHOLD = 1e-4
 
 
@@ -33,7 +31,7 @@ def _read_qid_list(path) -> list[str]:
 def _load_scoring_inputs(cfg: RunConfig):
     cfg.require_paths("corpus", "queries", "embeddings")
     docs = load_corpus(cfg.corpus)
-    queries = load_queries(cfg.queries, max_len=cfg.l_q)
+    queries = load_queries(cfg.queries)
     embeddings = load_embeddings(cfg.embeddings)
     idf = compute_idf(docs)
     return docs, queries, embeddings, idf
@@ -48,6 +46,7 @@ def _build_scorer(cfg: RunConfig, checkpoint):
 def cmd_train(cfg: RunConfig, args) -> int:
     cfg.require_paths("corpus", "queries", "qrels", "embeddings", "run",
                       "train_qids", "val_qids")
+    model_config = cfg.pacrr_config()
     docs, queries, embeddings, idf = _load_scoring_inputs(cfg)
     qrels = load_qrels(cfg.qrels, cfg.parsed_grade_map())
     runs = load_run(cfg.run)
@@ -57,7 +56,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     params, state = train(
-        cfg.pacrr_config(), docs, queries, qrels, train_qids, val_qids, runs,
+        model_config, docs, queries, qrels, train_qids, val_qids, runs,
         embeddings, idf, iterations=cfg.iterations,
         batches_per_iteration=cfg.batches_per_iteration, out_dir=out_dir,
         k=cfg.k, g_max=cfg.g_max,
@@ -76,20 +75,13 @@ def cmd_score(cfg: RunConfig, args) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "scores.jsonl"
-    skipped = 0
+    scores = scorer.score_runs({qid: run.doc_ids() for qid, run in runs.items()})
     with out_path.open("w", encoding="utf-8") as f:
-        for qid in sorted(runs):
-            if qid not in scorer.queries:
-                logger.warning("query %s not in the query file; skipping", qid)
-                continue
-            scores, missing = scorer.score_docs(qid, runs[qid].doc_ids())
-            skipped += len(missing)
+        for qid, per_query in scores.items():
             for did, _, _ in runs[qid].entries:
-                if did in scores:
+                if did in per_query:
                     f.write(json.dumps(
-                        {"query_id": qid, "doc_id": did, "score": scores[did]}) + "\n")
-    if skipped:
-        logger.warning("skipped %d documents missing from the corpus", skipped)
+                        {"query_id": qid, "doc_id": did, "score": per_query[did]}) + "\n")
     print(f"wrote {out_path}")
     return 0
 
@@ -104,21 +96,14 @@ def cmd_rerank(cfg: RunConfig, args) -> int:
 
     before = {}
     after = {}
-    skipped = 0
-    for qid in sorted(runs):
-        if qid not in scorer.queries:
-            logger.warning("query %s not in the query file; skipping", qid)
-            continue
+    scores = scorer.score_runs({qid: run.doc_ids() for qid, run in runs.items()})
+    for qid, per_query in scores.items():
         run = runs[qid]
-        scores, missing = scorer.score_docs(qid, run.doc_ids())
-        skipped += len(missing)
         # Both metric passes cover the same judged-and-scored documents, so
         # a constant scorer reproduces the original metrics exactly.
-        identity = {did: -rank for did, rank, _ in run.entries if did in scores}
+        identity = {did: -rank for did, rank, _ in run.entries if did in per_query}
         before[qid] = evaluation.rerank_run(run, identity, qrels)
-        after[qid] = evaluation.rerank_run(run, scores, qrels)
-    if skipped:
-        logger.warning("skipped %d documents missing from the corpus", skipped)
+        after[qid] = evaluation.rerank_run(run, per_query, qrels)
 
     run_path = out_dir / "reranked_run.txt"
     save_run(after, run_path, tag=cfg.run_tag)
@@ -157,17 +142,8 @@ def cmd_pairacc(cfg: RunConfig, args) -> int:
     cfg.require_paths("qrels")
     scorer = _build_scorer(cfg, args.checkpoint)
     qrels = load_qrels(cfg.qrels, cfg.parsed_grade_map())
-    scores: dict[str, dict[str, float]] = {}
-    skipped = 0
-    for qid in sorted(scorer.queries):
-        judged = qrels.for_query(qid)
-        if not judged:
-            continue
-        per_query, missing = scorer.score_docs(qid, sorted(judged))
-        skipped += len(missing)
-        scores[qid] = per_query
-    if skipped:
-        logger.warning("skipped %d judged documents missing from the corpus", skipped)
+    scores = scorer.score_runs(
+        {qid: sorted(qrels.for_query(qid)) for qid in qrels.query_ids()})
     report = evaluation.pair_accuracy(scores, qrels)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -301,6 +277,10 @@ def main(argv=None) -> int:
     except (DataError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
+    except FloatingPointError as exc:
+        print(f"config error: training diverged ({exc}); lower learning_rate",
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -7,7 +7,6 @@ structures are treated as immutable once built.
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -15,8 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-
-logger = logging.getLogger(__name__)
 
 # Canonical graded-judgment scale (TREC Web Track naming).
 CANONICAL_GRADES = {-2: "Junk", 0: "NRel", 1: "Rel", 2: "HRel", 3: "Key", 4: "Nav"}
@@ -161,8 +158,8 @@ def load_corpus(path) -> list[TokenizedDocument]:
     return docs
 
 
-def load_queries(path, max_len: int | None = None) -> list[Query]:
-    """Load queries; ones longer than max_len are truncated with a warning."""
+def load_queries(path) -> list[Query]:
+    """Load queries whole; `Scorer` truncates them to the model's l_q."""
     queries = []
     seen = set()
     for lineno, query_id, tokens in _read_jsonl(path, "query_id"):
@@ -171,12 +168,6 @@ def load_queries(path, max_len: int | None = None) -> list[Query]:
         if not tokens:
             raise DataError(f"{path}:{lineno}: query {query_id!r} has no tokens")
         seen.add(query_id)
-        if max_len is not None and len(tokens) > max_len:
-            logger.warning(
-                "query %s has %d tokens; truncating to the first %d",
-                query_id, len(tokens), max_len,
-            )
-            tokens = tokens[:max_len]
         queries.append(Query(query_id, tokens))
     return queries
 

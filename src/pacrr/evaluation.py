@@ -113,12 +113,12 @@ class MetricReport:
         return records
 
 
-def run_metrics(run: RunRanking, qrels: JudgmentSet, k: int = 20, g_max: int = 4,
-                unjudged_grade: int = 0) -> QueryMetrics:
+def run_metrics(run: RunRanking, qrels: JudgmentSet, k: int = 20,
+                g_max: int = 4) -> QueryMetrics:
     """ERR@k and nDCG@k of one ranked list; unjudged documents score as
-    `unjudged_grade`."""
+    grade 0."""
     judged = qrels.for_query(run.query_id)
-    grades = [judged.get(doc_id, unjudged_grade) for doc_id in run.doc_ids()]
+    grades = [judged.get(doc_id, 0) for doc_id in run.doc_ids()]
     return QueryMetrics(
         query_id=run.query_id,
         err=err_at_k(grades, k, g_max),

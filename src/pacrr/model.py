@@ -1,6 +1,7 @@
 """The relevance-scoring pipeline and its trainable parameters.
 
-A distilled l_q x l_d input is scored as:
+A distilled query_len x l_d input (one row per real query term, at most
+l_q of them) is scored as:
 
     per n in 2..l_g: conv2d (n x n kernels, rectified) -> max over filters
     k-max per query row (n_s strongest signals) on each result and on the
@@ -63,6 +64,8 @@ class PacrrConfig:
             raise ValueError("l_d must be >= l_g")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
     @property
     def rnn_input_dim(self) -> int:
@@ -167,18 +170,17 @@ def score(params: PacrrParams, config: PacrrConfig, distilled: DistilledInput,
           idf_vector) -> tuple[float, ScoreCache]:
     """Relevance of one (query, document) pair; returns (rel, cache)."""
     idf_vector = np.asarray(idf_vector, dtype=np.float64)
+    if distilled.mode != config.mode:
+        raise ValueError(f"distilled mode {distilled.mode!r} != config mode {config.mode!r}")
     t_len = distilled.query_len
     if t_len < 1 or t_len > config.l_q:
         raise ValueError(f"query length {t_len} outside 1..{config.l_q}")
+    if any(getattr(distilled.per_n.get(n), "shape", None) != (t_len, config.l_d)
+           for n in range(1, config.l_g + 1)):
+        raise ValueError("distilled input does not match config dimensions")
     if idf_vector.shape != (t_len,):
         raise ValueError("idf vector length must equal the query length")
-    if distilled.mode != config.mode:
-        raise ValueError(f"distilled mode {distilled.mode!r} != config mode {config.mode!r}")
     dtype = params["rnn_w"].value.dtype
-
-    unigram = distilled.per_n.get(1)
-    if unigram is None or unigram.shape != (config.l_q, config.l_d):
-        raise ValueError("distilled input does not match config dimensions")
 
     conv_caches: dict[int, neural.Conv2dCache] = {}
     filter_args: dict[int, np.ndarray] = {}
@@ -186,21 +188,15 @@ def score(params: PacrrParams, config: PacrrConfig, distilled: DistilledInput,
     kmax_widths: dict[int, int] = {}
     signals: dict[int, np.ndarray] = {}
 
-    # Only the real query rows are scored: rows >= t_len are zero padding
-    # that the recurrence never reads, and same padding with query stride 1
-    # puts (n-1)//2 zero rows on top whatever the row count.
-    km1, src1 = neural.kmax_per_row(unigram[:t_len].astype(dtype), config.n_s)
+    km1, src1 = neural.kmax_per_row(distilled.per_n[1], config.n_s)
     signals[1] = km1
     kmax_srcs[1] = src1
     kmax_widths[1] = config.l_d
 
     for n in conv_sizes(config):
-        matrix = distilled.per_n.get(n)
-        if matrix is None:
-            raise ValueError(f"distilled input lacks the n={n} matrix")
         stride = (1, n) if config.mode == KWINDOW else (1, 1)
         conv_out, ccache = neural.conv2d(
-            matrix[:t_len].astype(dtype),
+            distilled.per_n[n],
             params[f"conv{n}_kernels"].value,
             params[f"conv{n}_bias"].value,
             stride,
@@ -366,9 +362,11 @@ def load_params(path) -> tuple[PacrrParams, PacrrConfig]:
 class Scorer:
     """Shared state for scoring many (query, document) pairs with one model.
 
-    Distilled inputs and per-query IDF vectors are cached; scoring is
-    read-only over the parameters, so training may interleave updates with
-    fresh scoring passes.
+    Queries are truncated here, and only here, to the model's l_q: the
+    checkpoint's when scoring, the run config's when training. Distilled
+    inputs and per-query IDF vectors are cached; scoring is read-only over
+    the parameters, so training may interleave updates with fresh scoring
+    passes.
     """
 
     def __init__(self, config: PacrrConfig, params: PacrrParams,
@@ -378,18 +376,17 @@ class Scorer:
         self.embeddings = embeddings
         self.idf = idf
         self.queries: dict[str, Query] = {}
+        truncated: list[str] = []
         for q in queries:
-            tokens = q.tokens[: config.l_q]
-            if len(tokens) < len(q.tokens):
-                logger.warning("query %s truncated from %d to %d tokens",
-                               q.query_id, len(q.tokens), config.l_q)
-            self.queries[q.query_id] = Query(q.query_id, tokens)
+            if len(q.tokens) > config.l_q:
+                truncated.append(q.query_id)
+            self.queries[q.query_id] = Query(q.query_id, q.tokens[: config.l_q])
+        if truncated:
+            logger.warning("truncated %d queries to l_q=%d tokens: %s",
+                           len(truncated), config.l_q, " ".join(truncated))
         self.docs: dict[str, TokenizedDocument] = {d.doc_id: d for d in docs}
         self._distilled: dict[tuple[str, str], DistilledInput] = {}
         self._idf_vecs: dict[str, np.ndarray] = {}
-
-    def has_doc(self, doc_id: str) -> bool:
-        return doc_id in self.docs
 
     def idf_vector(self, query_id: str) -> np.ndarray:
         vec = self._idf_vecs.get(query_id)
@@ -404,8 +401,7 @@ class Scorer:
         cached = self._distilled.get(key)
         if cached is None:
             sim = build_sim_matrix(self.queries[query_id], self.docs[doc_id], self.embeddings)
-            cached = distill(sim, self.config.mode, self.config.l_q, self.config.l_d,
-                             self.config.l_g)
+            cached = distill(sim, self.config.mode, self.config.l_d, self.config.l_g)
             self._distilled[key] = cached
         return cached
 
@@ -427,6 +423,26 @@ class Scorer:
             else:
                 missing.append(did)
         return scores, missing
+
+    def score_runs(self, doc_ids_by_query) -> dict[str, dict[str, float]]:
+        """{query id: {doc id: score}} for the given documents of each query.
+
+        Query ids not in the query file and documents not in the corpus are
+        skipped, with one warning that counts both.
+        """
+        scores: dict[str, dict[str, float]] = {}
+        unknown = 0
+        missing = 0
+        for qid in sorted(doc_ids_by_query):
+            if qid not in self.queries:
+                unknown += 1
+                continue
+            scores[qid], absent = self.score_docs(qid, doc_ids_by_query[qid])
+            missing += len(absent)
+        if unknown or missing:
+            logger.warning("skipped %d query ids not in the query file and %d "
+                           "documents not in the corpus", unknown, missing)
+        return scores
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +473,7 @@ def check_pipeline_gradients(config: PacrrConfig, seed: int = 0,
     query_len = min(3, config.l_q)
     doc_len = config.l_d + 5
     sim = SimilarityMatrix("q", "d", rng.uniform(-1.0, 1.0, (query_len, doc_len)))
-    distilled = distill(sim, config.mode, config.l_q, config.l_d, config.l_g)
+    distilled = distill(sim, config.mode, config.l_d, config.l_g)
     idf_vec = rng.uniform(0.5, 3.0, query_len)
 
     groups = list(params)

@@ -54,14 +54,13 @@ def _same_pad(size: int, kernel: int, stride: int) -> tuple[int, int, int]:
 class Conv2dCache:
     cols: np.ndarray  # (out_h*out_w, n*n) im2col patches
     mask: np.ndarray  # (out_h*out_w, n_f) rectifier activity
-    has_bias: bool
 
 
-def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray | None = None,
+def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
            stride: tuple[int, int] = (1, 1)):
     """Same-padded 2-D cross-correlation with n_f square kernels, rectified.
 
-    x: (H, W); kernels: (n_f, n, n); bias: (n_f,) or None; stride (s_q, s_d).
+    x: (H, W); kernels: (n_f, n, n); bias: (n_f,); stride (s_q, s_d).
     Output shape (n_f, ceil(H/s_q), ceil(W/s_d)).
     """
     H, W = x.shape
@@ -81,12 +80,10 @@ def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray | None = None,
     padded[pad_top : pad_top + H, pad_left : pad_left + W] = x
     windows = sliding_window_view(padded, (n, n))[::s_q, ::s_d][:out_h, :out_w]
     cols = windows.reshape(out_h * out_w, n * n)
-    pre = cols @ kernels.reshape(n_f, n * n).T
-    if bias is not None:
-        pre = pre + bias
+    pre = cols @ kernels.reshape(n_f, n * n).T + bias
     mask = pre > 0.0
     out = (pre * mask).T.reshape(n_f, out_h, out_w)
-    return out, Conv2dCache(cols=cols, mask=mask, has_bias=bias is not None)
+    return out, Conv2dCache(cols=cols, mask=mask)
 
 
 def conv2d_backward(d_out: np.ndarray, cache: Conv2dCache, kernels: np.ndarray):
@@ -101,8 +98,7 @@ def conv2d_backward(d_out: np.ndarray, cache: Conv2dCache, kernels: np.ndarray):
     live = np.flatnonzero(d_cells.any(axis=0))
     d_pre = d_cells[:, live].T * cache.mask[live]
     d_kernels = (d_pre.T @ cache.cols[live]).reshape(n_f, n, n)
-    d_bias = d_pre.sum(axis=0) if cache.has_bias else None
-    return d_kernels, d_bias
+    return d_kernels, d_pre.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -268,14 +264,24 @@ def hinge_gradients(rel_pos: float, rel_neg: float) -> tuple[float, float]:
 
 
 def sgd_step(groups, learning_rate: float) -> None:
-    """In-place SGD update `value -= lr * grad`; gradients are then zeroed."""
+    """In-place SGD update `value -= lr * grad`; gradients are then zeroed.
+
+    Raises FloatingPointError, before touching the group, when a gradient
+    or an updated value would be non-finite.
+    """
     if learning_rate <= 0.0:
         raise ValueError("learning_rate must be positive")
-    for group in groups:
-        if not np.isfinite(group.grad).all():
-            raise FloatingPointError(f"non-finite gradient in parameter group {group.name!r}")
-        group.value -= learning_rate * group.grad
-        group.grad[...] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for group in groups:
+            if not np.isfinite(group.grad).all():
+                raise FloatingPointError(f"non-finite gradient in parameter group "
+                                         f"{group.name!r} at learning_rate {learning_rate}")
+            updated = group.value - learning_rate * group.grad
+            if not np.isfinite(updated).all():
+                raise FloatingPointError(f"non-finite update to parameter group "
+                                         f"{group.name!r} at learning_rate {learning_rate}")
+            group.value[...] = updated
+            group.grad[...] = 0.0
 
 
 # ---------------------------------------------------------------------------

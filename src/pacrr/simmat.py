@@ -1,7 +1,7 @@
 """Query-document cosine-similarity matrices and fixed-size distillation.
 
 Raw matrices are |q| x |d|; the two distillation strategies reduce them to
-unified l_q x l_d inputs: `firstk` truncates/pads the document axis, while
+|q| x l_d model inputs: `firstk` truncates/pads the document axis, while
 `kwindow` keeps only the highest-scoring disjoint n-term windows.
 """
 
@@ -35,18 +35,20 @@ class SimilarityMatrix:
 
 @dataclass
 class DistilledInput:
-    """Unified l_q x l_d inputs, one matrix per n-gram size.
+    """query_len x l_d inputs, one matrix per n-gram size.
 
     Under firstk every per_n entry is the same matrix object; under kwindow
-    each n has its own window-selected matrix. Rows >= query_len are zero
-    padding.
+    each n has its own window-selected matrix.
     """
 
     query_id: str
     doc_id: str
     mode: str
     per_n: dict[int, np.ndarray]
-    query_len: int
+
+    @property
+    def query_len(self) -> int:
+        return self.per_n[1].shape[0]
 
 
 def build_sim_matrix(query: Query, doc: TokenizedDocument, emb: EmbeddingTable) -> SimilarityMatrix:
@@ -97,7 +99,6 @@ def distill_firstk(sim: SimilarityMatrix, l_q: int, l_d: int, l_g: int = 1) -> D
         doc_id=sim.doc_id,
         mode=FIRSTK,
         per_n={n: out for n in range(1, l_g + 1)},
-        query_len=sim.rows,
     )
 
 
@@ -132,11 +133,18 @@ def distill_kwindow(sim: SimilarityMatrix, n: int, l_q: int, l_d: int) -> np.nda
     return out
 
 
-def distill(sim: SimilarityMatrix, mode: str, l_q: int, l_d: int, l_g: int) -> DistilledInput:
-    """Distill one similarity matrix for all n-gram sizes 1..l_g."""
+def distill(sim: SimilarityMatrix, mode: str, l_d: int, l_g: int) -> DistilledInput:
+    """Distill one similarity matrix for all n-gram sizes 1..l_g.
+
+    Only the sim.rows real query rows are kept, as float32: the model's
+    input dtype, so the cast is made once here and never per score.
+    """
     if mode == FIRSTK:
-        return distill_firstk(sim, l_q, l_d, l_g)
-    if mode == KWINDOW:
-        per_n = {n: distill_kwindow(sim, n, l_q, l_d) for n in range(1, l_g + 1)}
-        return DistilledInput(sim.query_id, sim.doc_id, KWINDOW, per_n, sim.rows)
-    raise ValueError(f"unknown distillation mode {mode!r}")
+        matrix = distill_firstk(sim, sim.rows, l_d).per_n[1].astype(np.float32)
+        per_n = {n: matrix for n in range(1, l_g + 1)}
+    elif mode == KWINDOW:
+        per_n = {n: distill_kwindow(sim, n, sim.rows, l_d).astype(np.float32)
+                 for n in range(1, l_g + 1)}
+    else:
+        raise ValueError(f"unknown distillation mode {mode!r}")
+    return DistilledInput(sim.query_id, sim.doc_id, mode, per_n)

@@ -121,14 +121,9 @@ class TrainState:
 
 def _validation_metrics(scorer: Scorer, val_runs: dict[str, RunRanking],
                         qrels: JudgmentSet, k: int, g_max: int):
-    reranked = {}
-    for qid in sorted(val_runs):
-        run = val_runs[qid]
-        scores, missing = scorer.score_docs(qid, run.doc_ids())
-        if missing:
-            logger.warning("query %s: %d run documents missing from the corpus",
-                           qid, len(missing))
-        reranked[qid] = evaluation.rerank_run(run, scores, qrels)
+    scores = scorer.score_runs({qid: run.doc_ids() for qid, run in val_runs.items()})
+    reranked = {qid: evaluation.rerank_run(val_runs[qid], per_query, qrels)
+                for qid, per_query in scores.items()}
     report = evaluation.report_for_runs(reranked, qrels, k, g_max)
     return report.mean_err, report.mean_ndcg
 
@@ -136,8 +131,8 @@ def _validation_metrics(scorer: Scorer, val_runs: dict[str, RunRanking],
 def train(config: PacrrConfig, docs, queries, qrels: JudgmentSet,
           train_query_ids, val_query_ids, val_runs: dict[str, RunRanking],
           embeddings, idf, *, iterations: int = 150,
-          batches_per_iteration: int = 64, out_dir, k: int = 20, g_max: int = 4,
-          log_name: str = "training_log.jsonl") -> tuple[PacrrParams, TrainState]:
+          batches_per_iteration: int = 64, out_dir, k: int = 20,
+          g_max: int = 4) -> tuple[PacrrParams, TrainState]:
     """Mini-batch max-margin training with per-iteration validation.
 
     Each iteration runs `batches_per_iteration` batches of BATCH_SIZE sampled
@@ -167,7 +162,7 @@ def train(config: PacrrConfig, docs, queries, qrels: JudgmentSet,
     state = TrainState()
     grad_scale = 1.0 / BATCH_SIZE
 
-    with (out_dir / log_name).open("w", encoding="utf-8") as log_file:
+    with (out_dir / "training_log.jsonl").open("w", encoding="utf-8") as log_file:
         for iteration in range(1, iterations + 1):
             batch_losses = []
             for _ in range(batches_per_iteration):

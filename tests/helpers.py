@@ -70,15 +70,21 @@ def dense_conv_param_grads(d_out, cols, mask):
 
 def all_rows_score(params, config, distilled, idf_vector):
     """rel and the parameter gradients of rel for the PACRR pipeline run over
-    all l_q rows of the distilled input, padding rows included, with the
+    all l_q rows, the distilled real rows zero-padded to l_q, with the
     pooling routes undone by loops and dense conv gradient sums."""
     dtype = params["rnn_w"].value.dtype
     t_len, n_s = distilled.query_len, config.n_s
-    signals = [neural.kmax_per_row(distilled.per_n[1].astype(dtype), n_s)[0]]
+
+    def padded(n):
+        out = np.zeros((config.l_q, config.l_d), dtype=dtype)
+        out[:t_len] = distilled.per_n[n]
+        return out
+
+    signals = [neural.kmax_per_row(padded(1), n_s)[0]]
     routes = []
     for n in range(2, config.l_g + 1):
         stride = (1, n) if config.mode == "kwindow" else (1, 1)
-        out, cache = neural.conv2d(distilled.per_n[n].astype(dtype),
+        out, cache = neural.conv2d(padded(n),
                                    params[f"conv{n}_kernels"].value,
                                    params[f"conv{n}_bias"].value, stride)
         pooled, arg = neural.max_over_filters(out)

@@ -166,6 +166,73 @@ class TestCliCommands:
         assert written == ["best.pacrr", "checkpoints/iter_0001.pacrr",
                            "checkpoints/iter_0002.pacrr", "training_log.jsonl"]
 
+    @pytest.mark.parametrize("rate", ["0", "-1", "nan", "inf"])
+    def test_bad_learning_rate_is_config_error(self, synth_dir, tmp_path, capsys, rate):
+        cfg = load_run_config(synth_dir / "config.txt")
+        cfg.out_dir = str(tmp_path / "out")
+        path = tmp_path / "lr.cfg"
+        write_run_config(cfg, path)
+        path.write_text(path.read_text().replace("learning_rate = 0.05",
+                                                 f"learning_rate = {rate}"))
+        assert main(["--config", str(path), "train"]) == 1
+        assert "learning_rate must be finite and > 0" in capsys.readouterr().err
+
+    def test_diverging_training_is_config_error(self, synth_dir, tmp_path, capsys):
+        cfg = load_run_config(synth_dir / "config.txt")
+        cfg.out_dir = str(tmp_path / "out")
+        cfg.learning_rate = 1e300
+        path = tmp_path / "diverge.cfg"
+        write_run_config(cfg, path)
+        assert main(["--config", str(path), "train"]) == 1
+        err = capsys.readouterr().err
+        assert "parameter group '" in err and "learning_rate" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "best.pacrr").exists()
+
+    def test_rerank_uses_the_checkpoint_l_q(self, synth_dir, tmp_path):
+        # A config l_q below the checkpoint's must not truncate the queries.
+        from pacrr.model import init_params, save_params
+
+        cfg = load_run_config(synth_dir / "config.txt")
+        checkpoint = tmp_path / "init.pacrr"
+        save_params(init_params(cfg.pacrr_config()), cfg.pacrr_config(), checkpoint)
+        written = []
+        for l_q in (cfg.l_q, 2):
+            cfg.l_q = l_q
+            path = tmp_path / f"lq{l_q}.cfg"
+            write_run_config(cfg, path)
+            out = tmp_path / f"rr{l_q}"
+            assert main(["--config", str(path), "--out", str(out), "rerank",
+                         "--checkpoint", str(checkpoint)]) == 0
+            written.append((out / "reranked_run.txt").read_bytes())
+        assert written[0] == written[1]
+
+    def test_score_skips_unknown_query_and_doc_in_one_warning(self, synth_dir, tmp_path,
+                                                              caplog):
+        from pacrr.corpus import load_run
+        from pacrr.model import init_params, save_params
+
+        cfg = load_run_config(synth_dir / "config.txt")
+        checkpoint = tmp_path / "init.pacrr"
+        save_params(init_params(cfg.pacrr_config()), cfg.pacrr_config(), checkpoint)
+        runs = load_run(cfg.run)
+        qid = sorted(runs)[0]
+        run = tmp_path / "run.txt"
+        run.write_text((synth_dir / "run.txt").read_text()
+                       + f"{qid} Q0 no-such-doc 1000 -9.0 t\nno-such-query Q0 d 1 1.0 t\n")
+        cfg.run = str(run)
+        path = tmp_path / "score.cfg"
+        write_run_config(cfg, path)
+        with caplog.at_level("WARNING"):
+            assert main(["--config", str(path), "--out", str(tmp_path / "sc"), "score",
+                         "--checkpoint", str(checkpoint)]) == 0
+        skips = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
+        assert skips == ["skipped 1 query ids not in the query file and 1 documents "
+                         "not in the corpus"]
+        scored = [json.loads(line) for line in
+                  (tmp_path / "sc" / "scores.jsonl").read_text().splitlines()]
+        assert len(scored) == sum(len(r.entries) for r in runs.values())
+
     def test_corrupt_data_is_data_error(self, synth_dir, tmp_path):
         cfg = load_run_config(synth_dir / "config.txt")
         broken = tmp_path / "broken.jsonl"

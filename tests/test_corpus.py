@@ -43,13 +43,6 @@ class TestLoadCorpus:
 
 
 class TestLoadQueries:
-    def test_truncates_long_queries(self, tmp_path, caplog):
-        path = write(tmp_path, "q.jsonl", '{"query_id":"q1","tokens":["a","b","c"]}\n')
-        with caplog.at_level("WARNING"):
-            queries = load_queries(path, max_len=2)
-        assert queries[0].tokens == ("a", "b")
-        assert any("truncat" in rec.message for rec in caplog.records)
-
     def test_empty_query_rejected(self, tmp_path):
         path = write(tmp_path, "q.jsonl", '{"query_id":"q1","tokens":[]}\n')
         with pytest.raises(DataError, match="no tokens"):

@@ -21,7 +21,7 @@ def tiny_config(**overrides):
 def random_distilled(config, rng, query_len=3, doc_len=None):
     doc_len = doc_len if doc_len is not None else config.l_d + 7
     sim = SimilarityMatrix("q", "d", rng.uniform(-1, 1, (query_len, doc_len)))
-    return distill(sim, config.mode, config.l_q, config.l_d, config.l_g)
+    return distill(sim, config.mode, config.l_d, config.l_g)
 
 
 class TestConfig:
@@ -32,6 +32,11 @@ class TestConfig:
             PacrrConfig(l_q=4, l_d=2, l_g=3)
         with pytest.raises(ValueError):
             PacrrConfig(l_q=4, l_d=12, mode="bogus")
+
+    @pytest.mark.parametrize("learning_rate", [0.0, -1.0, float("nan"), float("inf")])
+    def test_learning_rate_finite_and_positive(self, learning_rate):
+        with pytest.raises(ValueError, match="learning_rate"):
+            PacrrConfig(l_q=4, l_d=12, learning_rate=learning_rate)
 
     def test_rnn_input_dim(self):
         assert PacrrConfig(l_q=4, l_d=12, l_g=4, n_s=2).rnn_input_dim == 9
@@ -73,7 +78,7 @@ class TestScore:
         for name in ("rnn_w", "rnn_u", "rnn_b"):
             params[name].value[...] = 0.0
         sim = SimilarityMatrix("q", "d", np.zeros((2, 5)))
-        distilled = distill(sim, config.mode, config.l_q, config.l_d, config.l_g)
+        distilled = distill(sim, config.mode, config.l_d, config.l_g)
         rel, _ = score(params, config, distilled, np.array([1.0, 2.0]))
         assert rel == 0.0
 
@@ -197,7 +202,7 @@ class TestPipelineInvariants:
         idf = np.array([1.0, 2.0])
         rels = []
         for sim in (sim_1, sim_2):
-            distilled = distill(sim, "kwindow", config.l_q, config.l_d, config.l_g)
+            distilled = distill(sim, "kwindow", config.l_d, config.l_g)
             rels.append(score(params, config, distilled, idf)[0])
         assert rels[0] == rels[1]
 
@@ -278,6 +283,22 @@ class TestScorer:
         assert set(scores) == {"d1", "d2"}
         assert missing == ["nope"]
 
+    def test_score_runs_skips_unknown_queries_and_docs_in_one_warning(self, caplog):
+        scorer = self._fixtures(tiny_config())
+        with caplog.at_level("WARNING", logger="pacrr.model"):
+            scores = scorer.score_runs({"q1": ["d1", "nope", "d2"], "q-unknown": ["d1"]})
+        assert scores == {"q1": {"d1": scorer.score("q1", "d1"),
+                                 "d2": scorer.score("q1", "d2")}}
+        [record] = caplog.records
+        assert "1 query ids not in the query file" in record.getMessage()
+        assert "1 documents not in the corpus" in record.getMessage()
+
+    def test_score_runs_quiet_when_nothing_skipped(self, caplog):
+        scorer = self._fixtures(tiny_config())
+        with caplog.at_level("WARNING", logger="pacrr.model"):
+            assert set(scorer.score_runs({"q1": ["d2"]})["q1"]) == {"d2"}
+        assert not caplog.records
+
     def test_query_truncated_to_l_q(self):
         config = tiny_config()
         rng = np.random.default_rng(11)
@@ -288,3 +309,16 @@ class TestScorer:
                         [TokenizedDocument("d", ("t0",))], emb, idf)
         assert len(scorer.queries["q"].tokens) == config.l_q
         assert np.isfinite(scorer.score("q", "d"))
+
+    def test_truncation_warned_once_with_ids(self, caplog):
+        config = tiny_config()
+        queries = [Query("long-a", tuple(f"t{i}" for i in range(9))),
+                   Query("fits", ("t0", "t1")),
+                   Query("long-b", tuple(f"t{i}" for i in range(5)))]
+        with caplog.at_level("WARNING", logger="pacrr.model"):
+            scorer = Scorer(config, init_params(config), queries, [],
+                            EmbeddingTable(dim=4, vectors={}),
+                            IdfTable(doc_count=1, df={}, values={}))
+        [record] = caplog.records
+        assert record.getMessage() == "truncated 2 queries to l_q=4 tokens: long-a long-b"
+        assert [len(scorer.queries[q].tokens) for q in ("long-a", "fits", "long-b")] == [4, 2, 4]

@@ -12,15 +12,15 @@ from pacrr.neural import (GradCheckResult, ParamGroup, conv2d, conv2d_backward,
 
 class TestConv2d:
     def test_identity_kernel_with_rectification(self):
-        out, _ = conv2d(np.array([[2.0, -3.0]]), np.ones((1, 1, 1)))
+        out, _ = conv2d(np.array([[2.0, -3.0]]), np.ones((1, 1, 1)), np.zeros(1))
         np.testing.assert_array_equal(out[0], [[2.0, 0.0]])
 
     def test_hand_cross_correlation(self):
-        out, _ = conv2d(np.array([[1.0, 2.0], [3.0, 4.0]]), np.ones((1, 2, 2)))
+        out, _ = conv2d(np.array([[1.0, 2.0], [3.0, 4.0]]), np.ones((1, 2, 2)), np.zeros(1))
         assert out[0, 0, 0] == 10.0
 
     def test_strided_output_width(self):
-        out, _ = conv2d(np.zeros((3, 6)), np.ones((2, 2, 2)), stride=(1, 2))
+        out, _ = conv2d(np.zeros((3, 6)), np.ones((2, 2, 2)), np.zeros(2), stride=(1, 2))
         assert out.shape == (2, 3, 3)
 
     def test_bias_added_before_rectification(self):
@@ -29,7 +29,7 @@ class TestConv2d:
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            conv2d(np.zeros((0, 3)), np.ones((1, 2, 2)))
+            conv2d(np.zeros((0, 3)), np.ones((1, 2, 2)), np.zeros(1))
 
     @pytest.mark.parametrize("density", [1.0, 0.05, 0.0])
     def test_param_gradients_equal_dense_sums(self, density):
@@ -191,6 +191,15 @@ class TestSgdStep:
     def test_nonpositive_learning_rate(self):
         with pytest.raises(ValueError):
             sgd_step([], 0.0)
+
+    @pytest.mark.parametrize("learning_rate", [1e300, math.inf, math.nan])
+    def test_non_finite_update_names_group_and_leaves_it(self, learning_rate):
+        group = ParamGroup.create("rnn_w", np.array([1.0, -2.0], dtype=np.float32))
+        group.grad[:] = [0.5, 0.0]
+        with pytest.raises(FloatingPointError, match="rnn_w.*learning_rate"):
+            sgd_step([group], learning_rate)
+        np.testing.assert_array_equal(group.value, [1.0, -2.0])
+        np.testing.assert_array_equal(group.grad, [0.5, 0.0])
 
 
 class TestGradientCheck:

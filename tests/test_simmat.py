@@ -105,7 +105,7 @@ class TestDistillFirstk:
 
     def test_shared_matrix_across_sizes(self):
         sim = SimilarityMatrix("q", "d", np.zeros((2, 2)))
-        distilled = distill(sim, FIRSTK, l_q=2, l_d=3, l_g=3)
+        distilled = distill(sim, FIRSTK, l_d=3, l_g=3)
         assert distilled.per_n[1] is distilled.per_n[2] is distilled.per_n[3]
 
 
@@ -184,12 +184,12 @@ class TestDistillKwindow:
 
 
 class TestDistilledInvariants:
-    def test_values_in_range_padding_zero(self):
+    def test_values_in_range_real_rows_float32(self):
         rng = np.random.default_rng(7)
         for mode in (FIRSTK, KWINDOW):
             values = rng.uniform(-1, 1, (3, 9))
-            distilled = distill(SimilarityMatrix("q", "d", values), mode, l_q=5,
-                                l_d=6, l_g=3)
+            distilled = distill(SimilarityMatrix("q", "d", values), mode, l_d=6, l_g=3)
+            assert distilled.query_len == 3
             for matrix in distilled.per_n.values():
+                assert matrix.shape == (3, 6) and matrix.dtype == np.float32
                 assert np.all(matrix >= -1.0) and np.all(matrix <= 1.0)
-                assert np.all(matrix[3:, :] == 0.0)  # padded query rows
