@@ -10,7 +10,7 @@ from .model import (PacrrConfig, PacrrParams, Scorer, init_params, load_params,
                     save_params, score, score_gradients)
 from .simmat import (DistilledInput, SimilarityMatrix, build_sim_matrix,
                      distill, distill_firstk, distill_kwindow)
-from .training import Triple, build_groups, sample_triple, sweep, train
+from .training import Triple, build_groups, sample_triple, train
 
 __version__ = "0.1.0"
 
@@ -25,6 +25,6 @@ __all__ = [
     "save_params", "score", "score_gradients",
     "DistilledInput", "SimilarityMatrix", "build_sim_matrix", "distill",
     "distill_firstk", "distill_kwindow",
-    "Triple", "build_groups", "sample_triple", "sweep", "train",
+    "Triple", "build_groups", "sample_triple", "train",
     "__version__",
 ]

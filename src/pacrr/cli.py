@@ -18,10 +18,9 @@ from .config import RunConfig, load_run_config, write_run_config
 from .corpus import (compute_idf, load_corpus, load_embeddings, load_qrels,
                      load_queries, load_run, save_run)
 from .errors import ConfigError, DataError
-from .model import Scorer, gradcheck_report, load_params, write_atomic
+from .gradcheck import GRADCHECK_THRESHOLD, gradcheck_report
+from .model import Scorer, load_params, write_atomic
 from .training import train
-
-GRADCHECK_THRESHOLD = 1e-4
 
 
 def _read_qid_list(path) -> list[str]:

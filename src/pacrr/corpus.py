@@ -296,10 +296,9 @@ def save_run(runs: dict[str, RunRanking], path, tag: str = "pacrr") -> None:
                 f.write(f"{qid} Q0 {did} {rank} {score!r} {tag}\n")
 
 
-def save_embeddings(table: EmbeddingTable, path, header: bool = True) -> None:
+def save_embeddings(table: EmbeddingTable, path) -> None:
     with Path(path).open("w", encoding="utf-8") as f:
-        if header:
-            f.write(f"{len(table.vectors)} {table.dim}\n")
+        f.write(f"{len(table.vectors)} {table.dim}\n")
         for token in sorted(table.vectors):
             comps = " ".join(repr(float(v)) for v in table.vectors[token])
             f.write(f"{token} {comps}\n")

@@ -27,19 +27,11 @@ from . import neural
 from .corpus import EmbeddingTable, IdfTable, Query, TokenizedDocument
 from .errors import CheckpointError
 from .neural import ParamGroup
-from .simmat import (FIRSTK, KWINDOW, MODES, DistilledInput, SimilarityMatrix,
-                     build_sim_matrix, distill)
+from .simmat import FIRSTK, KWINDOW, MODES, DistilledInput, build_sim_matrix, distill
 
 logger = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"PACRR1"
-
-# Hyper-parameter grid defaults.
-L_D_GRID = (256, 384, 512, 640, 768)
-N_S_GRID = (1, 2, 3, 4)
-L_G_GRID = (2, 3, 4)
-N_F_DEFAULT = 32
-FIRSTK_L_D = 768
 
 
 @dataclass(frozen=True)
@@ -47,7 +39,7 @@ class PacrrConfig:
     l_q: int
     l_d: int
     l_g: int = 3
-    n_f: int = N_F_DEFAULT
+    n_f: int = 32
     n_s: int = 2
     mode: str = FIRSTK
     learning_rate: float = 0.001
@@ -134,25 +126,6 @@ def init_params(config: PacrrConfig, dtype=np.float32) -> PacrrParams:
     return PacrrParams(groups)
 
 
-def param_count(config: PacrrConfig) -> int:
-    total = sum(config.n_f * n * n + config.n_f for n in conv_sizes(config))
-    # per gate: D input weights, one recurrent weight, one bias
-    return total + 4 * (config.rnn_input_dim + 2)
-
-
-def default_grid(mode: str, l_q: int, *, learning_rate: float = 0.001,
-                 seed: int = 42) -> list[PacrrConfig]:
-    """The hyper-parameter grid; firstk pins l_d to its maximum value."""
-    l_ds = (FIRSTK_L_D,) if mode == FIRSTK else L_D_GRID
-    return [
-        PacrrConfig(l_q=l_q, l_d=l_d, l_g=l_g, n_f=N_F_DEFAULT, n_s=n_s, mode=mode,
-                    learning_rate=learning_rate, seed=seed)
-        for l_d in l_ds
-        for n_s in N_S_GRID
-        for l_g in L_G_GRID
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Forward / backward
 
@@ -161,8 +134,6 @@ class ScoreCache:
     conv_caches: dict[int, neural.Conv2dCache]
     filter_args: dict[int, np.ndarray]
     kmax_srcs: dict[int, np.ndarray]  # key 1 = unigram matrix
-    kmax_widths: dict[int, int]
-    idf_norm: np.ndarray
     rnn_cache: neural.RnnCache
 
 
@@ -185,13 +156,11 @@ def score(params: PacrrParams, config: PacrrConfig, distilled: DistilledInput,
     conv_caches: dict[int, neural.Conv2dCache] = {}
     filter_args: dict[int, np.ndarray] = {}
     kmax_srcs: dict[int, np.ndarray] = {}
-    kmax_widths: dict[int, int] = {}
     signals: dict[int, np.ndarray] = {}
 
     km1, src1 = neural.kmax_per_row(distilled.per_n[1], config.n_s)
     signals[1] = km1
     kmax_srcs[1] = src1
-    kmax_widths[1] = config.l_d
 
     for n in conv_sizes(config):
         stride = (1, n) if config.mode == KWINDOW else (1, 1)
@@ -206,7 +175,6 @@ def score(params: PacrrParams, config: PacrrConfig, distilled: DistilledInput,
         conv_caches[n] = ccache
         filter_args[n] = arg
         kmax_srcs[n] = src
-        kmax_widths[n] = pooled.shape[1]
         signals[n] = km
 
     # salient signals per query term: rows are n-gram sizes 1..l_g
@@ -224,8 +192,6 @@ def score(params: PacrrParams, config: PacrrConfig, distilled: DistilledInput,
         conv_caches=conv_caches,
         filter_args=filter_args,
         kmax_srcs=kmax_srcs,
-        kmax_widths=kmax_widths,
-        idf_norm=idf_norm,
         rnn_cache=rnn_cache,
     )
     return float(rel), cache
@@ -242,7 +208,8 @@ def score_gradients(params: PacrrParams, config: PacrrConfig, cache: ScoreCache,
     n_s = config.n_s
     for n in conv_sizes(config):
         d_km = d_xs[:, (n - 1) * n_s : n * n_s]
-        d_pooled = neural.kmax_per_row_backward(d_km, cache.kmax_srcs[n], cache.kmax_widths[n])
+        width = cache.filter_args[n].shape[1]  # of the filter-max output
+        d_pooled = neural.kmax_per_row_backward(d_km, cache.kmax_srcs[n], width)
         d_conv = neural.max_over_filters_backward(d_pooled, cache.filter_args[n], config.n_f)
         d_kernels, d_bias = neural.conv2d_backward(
             d_conv, cache.conv_caches[n], params[f"conv{n}_kernels"].value
@@ -250,15 +217,6 @@ def score_gradients(params: PacrrParams, config: PacrrConfig, cache: ScoreCache,
         grads[f"conv{n}_kernels"] = d_kernels
         grads[f"conv{n}_bias"] = d_bias
     return grads
-
-
-def pipeline_signature(cache: ScoreCache) -> tuple:
-    """Hashable record of every max selection and rectifier state; two runs
-    with equal signatures lie on the same smooth piece of the pipeline."""
-    parts = [cache.conv_caches[n].mask.tobytes() for n in sorted(cache.conv_caches)]
-    parts += [cache.filter_args[n].tobytes() for n in sorted(cache.filter_args)]
-    parts += [cache.kmax_srcs[n].tobytes() for n in sorted(cache.kmax_srcs)]
-    return tuple(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -443,153 +401,3 @@ class Scorer:
             logger.warning("skipped %d query ids not in the query file and %d "
                            "documents not in the corpus", unknown, missing)
         return scores
-
-
-# ---------------------------------------------------------------------------
-# Gradient-check suite
-
-TINY_CONFIG_KWARGS = dict(l_q=4, l_d=12, l_g=3, n_f=4, n_s=2)
-
-
-def _pack(groups: list[ParamGroup]) -> np.ndarray:
-    return np.concatenate([g.value.ravel().astype(np.float64) for g in groups])
-
-
-def _unpack_into(groups: list[ParamGroup], flat: np.ndarray) -> None:
-    pos = 0
-    for g in groups:
-        size = g.value.size
-        g.value = flat[pos : pos + size].reshape(g.value.shape).astype(np.float64)
-        pos += size
-
-
-def check_pipeline_gradients(config: PacrrConfig, seed: int = 0,
-                             h: float = 1e-5) -> neural.GradCheckResult:
-    """Finite-difference check of d rel / d theta through the whole pipeline."""
-    rng = np.random.default_rng(seed)
-    params = init_params(config, dtype=np.float64)
-    for group in params:
-        group.value = rng.uniform(-0.5, 0.5, group.value.shape)
-    query_len = min(3, config.l_q)
-    doc_len = config.l_d + 5
-    sim = SimilarityMatrix("q", "d", rng.uniform(-1.0, 1.0, (query_len, doc_len)))
-    distilled = distill(sim, config.mode, config.l_d, config.l_g)
-    idf_vec = rng.uniform(0.5, 3.0, query_len)
-
-    groups = list(params)
-    x0 = _pack(groups)
-
-    def f(flat):
-        _unpack_into(groups, flat)
-        rel, cache = score(params, config, distilled, idf_vec)
-        return rel, pipeline_signature(cache)
-
-    _unpack_into(groups, x0)
-    rel, cache = score(params, config, distilled, idf_vec)
-    grads = score_gradients(params, config, cache, 1.0)
-    analytic = np.concatenate([grads[g.name].ravel() for g in groups])
-    result = neural.gradient_check(f, x0, analytic, h=h)
-    _unpack_into(groups, x0)
-    return result
-
-
-def check_op_gradients(seed: int = 0, h: float = 1e-5) -> dict[str, neural.GradCheckResult]:
-    """Finite-difference checks for every differentiable primitive."""
-    rng = np.random.default_rng(seed)
-    results: dict[str, neural.GradCheckResult] = {}
-
-    # conv2d: kernels and bias of a strided same-padded layer (its input is
-    # never trained, so it has no input gradient).
-    x = rng.uniform(-1.0, 1.0, (4, 9))
-    kernels = rng.uniform(-0.8, 0.8, (3, 2, 2))
-    bias = rng.uniform(-0.2, 0.2, 3)
-    d_out = rng.uniform(-1.0, 1.0, (3, 4, 5))
-
-    def conv_f(flat):
-        ks = flat[: kernels.size].reshape(kernels.shape)
-        out, cache = neural.conv2d(x, ks, flat[kernels.size :], stride=(1, 2))
-        return float(np.sum(out * d_out)), cache.mask.tobytes()
-
-    out, cache = neural.conv2d(x, kernels, bias, stride=(1, 2))
-    d_k, d_b = neural.conv2d_backward(d_out, cache, kernels)
-    flat0 = np.concatenate([kernels.ravel(), bias])
-    analytic = np.concatenate([d_k.ravel(), d_b])
-    results["conv2d"] = neural.gradient_check(conv_f, flat0, analytic, h=h)
-
-    # max_over_filters
-    mx = rng.uniform(-1.0, 1.0, (3, 4, 5))
-    d_mo = rng.uniform(-1.0, 1.0, (4, 5))
-
-    def mof_f(flat):
-        out, arg = neural.max_over_filters(flat.reshape(mx.shape))
-        return float(np.sum(out * d_mo)), arg.tobytes()
-
-    out, arg = neural.max_over_filters(mx)
-    analytic = neural.max_over_filters_backward(d_mo, arg, mx.shape[0]).ravel()
-    results["max_over_filters"] = neural.gradient_check(mof_f, mx.ravel(), analytic, h=h)
-
-    # kmax_per_row
-    kx = rng.uniform(-1.0, 1.0, (4, 7))
-    d_km = rng.uniform(-1.0, 1.0, (4, 3))
-
-    def kmax_f(flat):
-        out, src = neural.kmax_per_row(flat.reshape(kx.shape), 3)
-        return float(np.sum(out * d_km)), src.tobytes()
-
-    out, src = neural.kmax_per_row(kx, 3)
-    analytic = neural.kmax_per_row_backward(d_km, src, kx.shape[1]).ravel()
-    results["kmax_per_row"] = neural.gradient_check(kmax_f, kx.ravel(), analytic, h=h)
-
-    # softmax
-    sv = rng.uniform(-2.0, 2.0, 5)
-    d_sm = rng.uniform(-1.0, 1.0, 5)
-
-    def softmax_f(flat):
-        return float(np.dot(neural.softmax(flat), d_sm)), b""
-
-    analytic = neural.softmax_backward(d_sm, neural.softmax(sv))
-    results["softmax"] = neural.gradient_check(softmax_f, sv, analytic, h=h)
-
-    # recurrent_sequence: inputs and all parameters.
-    T, D = 3, 5
-    xs = rng.uniform(-1.0, 1.0, (T, D))
-    w = rng.uniform(-0.7, 0.7, (4, D))
-    u = rng.uniform(-0.7, 0.7, 4)
-    b = rng.uniform(-0.3, 0.3, 4)
-    sizes = [xs.size, w.size, u.size, b.size]
-
-    def rnn_f(flat):
-        parts = np.split(flat, np.cumsum(sizes)[:-1])
-        h_out, _ = neural.recurrent_sequence(
-            parts[0].reshape(T, D), parts[1].reshape(4, D), parts[2], parts[3]
-        )
-        return h_out, b""
-
-    h_out, cache = neural.recurrent_sequence(xs, w, u, b)
-    d_xs, d_w, d_u, d_b = neural.recurrent_backward(1.0, cache, w, u)
-    flat0 = np.concatenate([xs.ravel(), w.ravel(), u, b])
-    analytic = np.concatenate([d_xs.ravel(), d_w.ravel(), d_u, d_b])
-    results["recurrent_sequence"] = neural.gradient_check(rnn_f, flat0, analytic, h=h)
-
-    # hinge_loss
-    pair = np.array([0.2, 0.5])
-
-    def hinge_f(flat):
-        loss = neural.hinge_loss(flat[0], flat[1])
-        return loss, (1.0 - flat[0] + flat[1] > 0.0,)
-
-    analytic = np.array(neural.hinge_gradients(*pair))
-    results["hinge_loss"] = neural.gradient_check(hinge_f, pair, analytic, h=h)
-
-    return results
-
-
-def gradcheck_report(seed: int = 0, h: float = 1e-5,
-                     config_kwargs: dict | None = None) -> dict[str, neural.GradCheckResult]:
-    """Every primitive plus the full pipeline in both distillation modes."""
-    kwargs = dict(TINY_CONFIG_KWARGS if config_kwargs is None else config_kwargs)
-    results = check_op_gradients(seed=seed, h=h)
-    for mode in MODES:
-        config = PacrrConfig(mode=mode, seed=seed, **kwargs)
-        results[f"pipeline_{mode}"] = check_pipeline_gradients(config, seed=seed, h=h)
-    return results

@@ -4,8 +4,8 @@ Each forward function returns (output, cache); the matching *_backward
 function consumes the cache plus the upstream gradient and produces exact
 gradients for inputs and parameters (parameters only for conv2d, whose input
 is never trained). The piecewise-linear ops (rectification, max pooling,
-hinge) are differentiable away from ties and kinks; crossings are detected
-via op "signatures" so `gradient_check` can skip those coordinates.
+hinge) are differentiable away from ties and kinks. `pacrr.gradcheck`
+checks every backward function against central finite differences.
 """
 
 from __future__ import annotations
@@ -282,48 +282,3 @@ def sgd_step(groups, learning_rate: float) -> None:
                                          f"{group.name!r} at learning_rate {learning_rate}")
             group.value[...] = updated
             group.grad[...] = 0.0
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference verification
-
-@dataclass
-class GradCheckResult:
-    max_rel_error: float
-    checked: int
-    excluded: int
-
-
-def gradient_check(f, x0: np.ndarray, analytic: np.ndarray, h: float = 1e-5) -> GradCheckResult:
-    """Compare an analytic gradient against central finite differences.
-
-    `f` maps a flat float64 vector to (scalar value, signature); a coordinate
-    is excluded when the signature differs between x-h and x+h, i.e. the
-    perturbation crossed an argmax tie or a rectification/hinge kink. The
-    relative-error denominator is floored at 1e-6 so vanishing gradients do
-    not amplify finite-difference noise.
-    """
-    x0 = np.asarray(x0, dtype=np.float64).ravel()
-    analytic = np.asarray(analytic, dtype=np.float64).ravel()
-    if x0.shape != analytic.shape:
-        raise ValueError("analytic gradient shape must match the input")
-    max_err = 0.0
-    checked = 0
-    excluded = 0
-    for idx in range(x0.size):
-        xp = x0.copy()
-        xp[idx] += h
-        vp, sig_p = f(xp)
-        xm = x0.copy()
-        xm[idx] -= h
-        vm, sig_m = f(xm)
-        if sig_p != sig_m:
-            excluded += 1
-            continue
-        numeric = (vp - vm) / (2.0 * h)
-        a = analytic[idx]
-        denom = max(abs(a), abs(numeric), 1e-6)
-        err = abs(a - numeric) / denom
-        max_err = max(max_err, err)
-        checked += 1
-    return GradCheckResult(max_rel_error=max_err, checked=checked, excluded=excluded)

@@ -84,22 +84,14 @@ def build_sim_matrix(query: Query, doc: TokenizedDocument, emb: EmbeddingTable) 
     return SimilarityMatrix(query.query_id, doc.doc_id, sim)
 
 
-def distill_firstk(sim: SimilarityMatrix, l_q: int, l_d: int, l_g: int = 1) -> DistilledInput:
-    """Keep the first l_d document columns, zero-padding columns and query rows.
-
-    Every n-gram size shares the single distilled matrix.
-    """
+def distill_firstk(sim: SimilarityMatrix, l_q: int, l_d: int) -> np.ndarray:
+    """Keep the first l_d document columns, zero-padded to l_q x l_d."""
     if l_q < sim.rows:
         raise ValueError(f"l_q={l_q} is smaller than the query length {sim.rows}")
     out = np.zeros((l_q, l_d), dtype=np.float64)
     width = min(sim.cols, l_d)
     out[: sim.rows, :width] = sim.values[:, :width]
-    return DistilledInput(
-        query_id=sim.query_id,
-        doc_id=sim.doc_id,
-        mode=FIRSTK,
-        per_n={n: out for n in range(1, l_g + 1)},
-    )
+    return out
 
 
 def distill_kwindow(sim: SimilarityMatrix, n: int, l_q: int, l_d: int) -> np.ndarray:
@@ -140,7 +132,7 @@ def distill(sim: SimilarityMatrix, mode: str, l_d: int, l_g: int) -> DistilledIn
     input dtype, so the cast is made once here and never per score.
     """
     if mode == FIRSTK:
-        matrix = distill_firstk(sim, sim.rows, l_d).per_n[1].astype(np.float32)
+        matrix = distill_firstk(sim, sim.rows, l_d).astype(np.float32)
         per_n = {n: matrix for n in range(1, l_g + 1)}
     elif mode == KWINDOW:
         per_n = {n: distill_kwindow(sim, n, sim.rows, l_d).astype(np.float32)

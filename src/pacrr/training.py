@@ -13,7 +13,7 @@ from . import evaluation, neural
 from .corpus import JudgmentSet, RunRanking
 from .errors import DataError
 from .model import (PacrrConfig, PacrrParams, Scorer, init_params, load_params,
-                    param_count, save_params, score_gradients)
+                    save_params, score_gradients)
 
 logger = logging.getLogger(__name__)
 
@@ -207,40 +207,3 @@ def train(config: PacrrConfig, docs, queries, qrels: JudgmentSet,
     state.rng_state = rng.bit_generator.state
     best_params, _ = load_params(out_dir / state.best_checkpoint_path)
     return best_params, state
-
-
-@dataclass
-class SweepResult:
-    best_config: PacrrConfig
-    best_params: PacrrParams
-    best_state: TrainState
-    results: list[tuple[PacrrConfig, float]]
-
-
-def sweep(configs, docs, queries, qrels, train_query_ids, val_query_ids,
-          val_runs, embeddings, idf, *, iterations: int,
-          batches_per_iteration: int = 64, out_dir, k: int = 20,
-          g_max: int = 4) -> SweepResult:
-    """Train every config; select by validation ERR@k, breaking ties toward
-    fewer parameters, then earlier grid order."""
-    if not configs:
-        raise ValueError("sweep needs at least one config")
-    out_dir = Path(out_dir)
-    trained = []
-    for index, config in enumerate(configs):
-        sub_dir = out_dir / f"config_{index:03d}"
-        sub_dir.mkdir(parents=True, exist_ok=True)
-        params, state = train(
-            config, docs, queries, qrels, train_query_ids, val_query_ids,
-            val_runs, embeddings, idf, iterations=iterations,
-            batches_per_iteration=batches_per_iteration, out_dir=sub_dir,
-            k=k, g_max=g_max,
-        )
-        trained.append((config, params, state, index))
-    best = min(trained, key=lambda t: (-t[2].best_err, param_count(t[0]), t[3]))
-    return SweepResult(
-        best_config=best[0],
-        best_params=best[1],
-        best_state=best[2],
-        results=[(t[0], t[2].best_err) for t in trained],
-    )

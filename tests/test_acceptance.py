@@ -19,8 +19,9 @@ import pytest
 from helpers import kmax_oracle, kwindow_oracle
 from pacrr import evaluation, neural, synth, training
 from pacrr.corpus import compute_idf, save_run
-from pacrr.model import (PacrrConfig, Scorer, gradcheck_report, init_params,
-                         load_params, save_params, score_gradients)
+from pacrr.gradcheck import gradcheck_report
+from pacrr.model import (PacrrConfig, Scorer, init_params, load_params, save_params,
+                         score_gradients)
 from pacrr.simmat import SimilarityMatrix, distill_kwindow
 
 TINY = dict(l_q=4, l_d=12, l_g=3, n_f=4, n_s=2)

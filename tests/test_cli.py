@@ -65,6 +65,12 @@ def synth_dir(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def trained_checkpoint(synth_dir):
+    assert main(["--config", str(synth_dir / "config.txt"), "train"]) == 0
+    return synth_dir / "train_out" / "best.pacrr"
+
+
 class TestCliCommands:
     def test_synth_outputs(self, synth_dir):
         for name in ("corpus.jsonl", "queries.jsonl", "qrels.txt", "run.txt",
@@ -86,13 +92,11 @@ class TestCliCommands:
             reports.append(capsys.readouterr().out)
         assert reports[0] == reports[1] == reports[2]
 
-    def test_train_then_apply(self, synth_dir, tmp_path):
+    def test_train_then_apply(self, synth_dir, trained_checkpoint, tmp_path):
         config = str(synth_dir / "config.txt")
-        assert main(["--config", config, "train"]) == 0
-        train_out = synth_dir / "train_out"
-        checkpoint = train_out / "best.pacrr"
+        checkpoint = trained_checkpoint
         assert checkpoint.exists()
-        log_lines = (train_out / "training_log.jsonl").read_text().splitlines()
+        log_lines = (checkpoint.parent / "training_log.jsonl").read_text().splitlines()
         assert len(log_lines) == 2
 
         assert main(["--config", config, "--out", str(tmp_path / "rr"), "rerank",
@@ -119,14 +123,13 @@ class TestCliCommands:
         recomputed = sum(p["accuracy"] * p["volume"] for p in report["pairs"])
         assert report["weighted_average"] == pytest.approx(recomputed)
 
-    def test_reranked_run_round_trips(self, synth_dir, tmp_path):
+    def test_reranked_run_round_trips(self, synth_dir, trained_checkpoint, tmp_path):
         from pacrr.corpus import load_run
 
         config = str(synth_dir / "config.txt")
-        checkpoint = synth_dir / "train_out" / "best.pacrr"
         out = tmp_path / "rr2"
         assert main(["--config", config, "--out", str(out), "rerank",
-                     "--checkpoint", str(checkpoint)]) == 0
+                     "--checkpoint", str(trained_checkpoint)]) == 0
         runs = load_run(out / "reranked_run.txt")
         assert runs
 
@@ -267,7 +270,7 @@ class TestCliCommands:
 
     def test_gradcheck_failure_exits_3(self, monkeypatch, capsys):
         from pacrr import cli
-        from pacrr.neural import GradCheckResult
+        from pacrr.gradcheck import GradCheckResult
 
         monkeypatch.setattr(cli, "gradcheck_report", lambda seed: {
             "conv2d": GradCheckResult(max_rel_error=0.5, checked=10, excluded=0)})

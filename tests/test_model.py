@@ -4,9 +4,9 @@ import pytest
 from helpers import all_rows_score
 from pacrr.corpus import EmbeddingTable, IdfTable, Query, TokenizedDocument
 from pacrr.errors import CheckpointError
-from pacrr.model import (PacrrConfig, Scorer, check_pipeline_gradients,
-                         default_grid, init_params, load_params, param_count,
-                         save_params, score, score_gradients)
+from pacrr.gradcheck import check_pipeline_gradients
+from pacrr.model import (PacrrConfig, Scorer, init_params, load_params, save_params,
+                         score, score_gradients)
 from pacrr.simmat import SimilarityMatrix, distill
 
 TINY = dict(l_q=4, l_d=12, l_g=3, n_f=4, n_s=2)
@@ -41,12 +41,6 @@ class TestConfig:
     def test_rnn_input_dim(self):
         assert PacrrConfig(l_q=4, l_d=12, l_g=4, n_s=2).rnn_input_dim == 9
 
-    def test_default_grid_sizes(self):
-        assert len(default_grid("kwindow", l_q=16)) == 5 * 4 * 3
-        firstk = default_grid("firstk", l_q=16)
-        assert len(firstk) == 4 * 3
-        assert all(c.l_d == 768 for c in firstk)
-
 
 class TestInitParams:
     def test_seed_determinism(self):
@@ -64,11 +58,6 @@ class TestInitParams:
         params = init_params(tiny_config())
         assert np.all(params["conv2_bias"].value == 0.0)
         assert np.all(params["rnn_b"].value == 0.0)
-
-    def test_param_count(self):
-        config = tiny_config()
-        total = sum(g.value.size for g in init_params(config))
-        assert total == param_count(config)
 
 
 class TestScore:

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from helpers import dense_conv_param_grads, kmax_oracle
-from pacrr.neural import (GradCheckResult, ParamGroup, conv2d, conv2d_backward,
-                          gradient_check, hinge_gradients, hinge_loss, kmax_per_row,
-                          max_over_filters, recurrent_sequence, sgd_step,
-                          softmax)
+from pacrr.gradcheck import GradCheckResult, check_op_gradients, gradient_check
+from pacrr.neural import (ParamGroup, conv2d, conv2d_backward, hinge_gradients,
+                          hinge_loss, kmax_per_row, max_over_filters,
+                          recurrent_sequence, sgd_step, softmax)
 
 
 class TestConv2d:
@@ -204,8 +204,6 @@ class TestSgdStep:
 
 class TestGradientCheck:
     def test_all_ops_pass(self):
-        from pacrr.model import check_op_gradients
-
         for name, result in check_op_gradients(seed=0).items():
             assert result.max_rel_error < 1e-6, name
             assert result.checked > 0, name

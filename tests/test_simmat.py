@@ -77,25 +77,25 @@ class TestBuildSimMatrix:
 class TestDistillFirstk:
     def test_padding(self):
         sim = SimilarityMatrix("q", "d", np.arange(6, dtype=float).reshape(2, 3) / 10)
-        out = distill_firstk(sim, l_q=3, l_d=4).per_n[1]
+        out = distill_firstk(sim, l_q=3, l_d=4)
         np.testing.assert_array_equal(out[:2, :3], sim.values)
         assert np.all(out[2, :] == 0.0)
         assert np.all(out[:, 3] == 0.0)
 
     def test_truncation(self):
         sim = SimilarityMatrix("q", "d", np.linspace(-1, 1, 1000).reshape(1, 1000))
-        out = distill_firstk(sim, l_q=1, l_d=4).per_n[1]
+        out = distill_firstk(sim, l_q=1, l_d=4)
         np.testing.assert_array_equal(out, sim.values[:, :4])
 
     def test_identity_case(self):
         values = np.array([[0.2, 0.9], [0.4, 0.1]])
-        out = distill_firstk(SimilarityMatrix("q", "d", values), l_q=2, l_d=2).per_n[1]
+        out = distill_firstk(SimilarityMatrix("q", "d", values), l_q=2, l_d=2)
         np.testing.assert_array_equal(out, values)
 
     def test_idempotent(self):
         values = np.random.default_rng(0).uniform(-1, 1, (3, 5))
-        once = distill_firstk(SimilarityMatrix("q", "d", values), l_q=3, l_d=5).per_n[1]
-        twice = distill_firstk(SimilarityMatrix("q", "d", once), l_q=3, l_d=5).per_n[1]
+        once = distill_firstk(SimilarityMatrix("q", "d", values), l_q=3, l_d=5)
+        twice = distill_firstk(SimilarityMatrix("q", "d", once), l_q=3, l_d=5)
         np.testing.assert_array_equal(once, twice)
 
     def test_query_too_long(self):

@@ -6,9 +6,8 @@ import pytest
 from pacrr import synth
 from pacrr.corpus import JudgmentSet, compute_idf
 from pacrr.errors import DataError
-from pacrr.model import PacrrConfig, load_params, param_count
-from pacrr.training import (BATCH_SIZE, build_groups, sample_triple, sweep,
-                            train)
+from pacrr.model import PacrrConfig, load_params
+from pacrr.training import BATCH_SIZE, build_groups, sample_triple, train
 
 
 class TestBuildGroups:
@@ -200,30 +199,3 @@ class TestTrain:
 
     def test_batch_size_constant(self):
         assert BATCH_SIZE == 32
-
-
-class TestSweep:
-    def test_single_config_grid(self, small_synth, tmp_path):
-        data, idf = small_synth
-        config = tiny_config()
-        result = sweep([config], data.docs, data.queries, data.qrels,
-                       data.train_query_ids, data.val_query_ids, data.runs,
-                       data.embeddings, idf, iterations=1,
-                       batches_per_iteration=2, out_dir=tmp_path)
-        assert result.best_config == config
-        assert len(result.results) == 1
-
-    def test_selects_max_validation_err(self, small_synth, tmp_path):
-        data, idf = small_synth
-        configs = [tiny_config(seed=1), tiny_config(seed=2)]
-        result = sweep(configs, data.docs, data.queries, data.qrels,
-                       data.train_query_ids, data.val_query_ids, data.runs,
-                       data.embeddings, idf, iterations=1,
-                       batches_per_iteration=2, out_dir=tmp_path)
-        best_err = max(err for _, err in result.results)
-        assert result.best_state.best_err == best_err
-
-    def test_tie_break_prefers_fewer_parameters(self):
-        small = tiny_config()
-        large = tiny_config(n_f=8)
-        assert param_count(small) < param_count(large)
