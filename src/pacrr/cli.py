@@ -16,7 +16,7 @@ from pathlib import Path
 from . import evaluation, synth
 from .config import RunConfig, load_run_config, write_run_config
 from .corpus import (compute_idf, load_corpus, load_embeddings, load_qrels,
-                     load_queries, load_run, save_run)
+                     load_queries, load_run, read_lines, save_run)
 from .errors import ConfigError, DataError
 from .gradcheck import GRADCHECK_THRESHOLD, gradcheck_report
 from .model import Scorer, load_params, write_atomic
@@ -24,7 +24,7 @@ from .training import train
 
 
 def _read_qid_list(path) -> list[str]:
-    return [line.strip() for line in Path(path).read_text().splitlines() if line.strip()]
+    return [line.strip() for _, line in read_lines(path) if line.strip()]
 
 
 def _load_scoring_inputs(cfg: RunConfig):

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -89,22 +90,18 @@ class EmbeddingTable:
 
     dim: int
     vectors: dict[str, np.ndarray]
-    _units: dict[str, np.ndarray | None] = field(default_factory=dict, init=False,
-                                                 repr=False)
 
-    def get(self, token: str):
-        return self.vectors.get(token)
-
-    def unit(self, token: str):
-        """The token's vector scaled to unit length, or None when the token
-        has no vector or a zero one; memoised, so bounded by the vocabulary."""
-        if token not in self._units:
-            vec = self.vectors.get(token)
-            if vec is None:
-                return None
+    @cached_property
+    def units(self) -> np.ndarray:
+        """(len(vectors) + 1, dim) float64: row i is the i-th vector scaled
+        to unit length (zeros for a zero vector), and the last row is zero
+        for every token without a vector."""
+        units = np.zeros((len(self.vectors) + 1, self.dim), dtype=np.float64)
+        for row, vec in enumerate(self.vectors.values()):
             norm = float(np.linalg.norm(vec))
-            self._units[token] = vec / norm if norm > 0.0 else None
-        return self._units[token]
+            if norm > 0.0:
+                units[row] = vec / norm
+        return units
 
     def __len__(self):
         return len(self.vectors)
@@ -123,26 +120,36 @@ class IdfTable:
         return self.values.get(token, math.log(self.doc_count + 1))
 
 
+def read_lines(path):
+    """(line number, line) over a UTF-8 text file; bytes that are not UTF-8
+    raise DataError naming the file."""
+    with Path(path).open("r", encoding="utf-8") as f:
+        try:
+            yield from enumerate(f, 1)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not valid UTF-8 ({exc.reason})") from None
+
+
 def _read_jsonl(path, id_field):
-    path = Path(path)
     records = []
-    with path.open("r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(rec, dict) or id_field not in rec or "tokens" not in rec:
-                raise DataError(f"{path}:{lineno}: record must have '{id_field}' and 'tokens'")
-            rid = rec[id_field]
-            tokens = rec["tokens"]
-            if not isinstance(rid, str) or not rid:
-                raise DataError(f"{path}:{lineno}: '{id_field}' must be a non-empty string")
-            if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-                raise DataError(f"{path}:{lineno}: 'tokens' must be a list of strings")
-            records.append((lineno, rid, tuple(tokens)))
+    for lineno, line in read_lines(path):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+        except RecursionError:
+            raise DataError(f"{path}:{lineno}: invalid JSON (nested too deeply)") from None
+        if not isinstance(rec, dict) or id_field not in rec or "tokens" not in rec:
+            raise DataError(f"{path}:{lineno}: record must have '{id_field}' and 'tokens'")
+        rid = rec[id_field]
+        tokens = rec["tokens"]
+        if not isinstance(rid, str) or not rid:
+            raise DataError(f"{path}:{lineno}: '{id_field}' must be a non-empty string")
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise DataError(f"{path}:{lineno}: 'tokens' must be a list of strings")
+        records.append((lineno, rid, tuple(tokens)))
     return records
 
 
@@ -175,81 +182,77 @@ def load_queries(path) -> list[Query]:
 def load_qrels(path, grade_map: dict[int, int] | None = None) -> JudgmentSet:
     """Load TREC qrels (`query_id 0 doc_id grade`), mapping raw grades to the
     canonical scale. The default map is the identity on canonical grades."""
-    path = Path(path)
     mapping = {g: g for g in CANONICAL_GRADES}
     if grade_map:
         mapping.update(grade_map)
     entries: dict[tuple[str, str], int] = {}
-    with path.open("r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 4:
-                raise DataError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
-            qid, _, did, raw = parts
-            try:
-                raw_grade = int(raw)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: grade {raw!r} is not an integer") from None
-            if raw_grade not in mapping:
-                raise DataError(f"{path}:{lineno}: raw grade {raw_grade} has no mapping")
-            if (qid, did) in entries:
-                raise DataError(f"{path}:{lineno}: duplicate judgment for ({qid}, {did})")
-            entries[(qid, did)] = mapping[raw_grade]
+    for lineno, line in read_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 4:
+            raise DataError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
+        qid, _, did, raw = parts
+        try:
+            raw_grade = int(raw)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: grade {raw!r} is not an integer") from None
+        if raw_grade not in mapping:
+            raise DataError(f"{path}:{lineno}: raw grade {raw_grade} has no mapping")
+        if (qid, did) in entries:
+            raise DataError(f"{path}:{lineno}: duplicate judgment for ({qid}, {did})")
+        entries[(qid, did)] = mapping[raw_grade]
     return JudgmentSet(entries)
 
 
 def load_run(path) -> dict[str, RunRanking]:
     """Load a TREC run file (`query_id Q0 doc_id rank score tag`), grouped by query."""
-    path = Path(path)
     grouped: dict[str, list[tuple[str, int, float]]] = {}
-    with path.open("r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 6:
-                raise DataError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
-            qid, _, did, rank, score, _ = parts
-            try:
-                grouped.setdefault(qid, []).append((did, int(rank), float(score)))
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad rank/score field") from None
+    for lineno, line in read_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 6:
+            raise DataError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
+        qid, _, did, rank, score, _ = parts
+        try:
+            grouped.setdefault(qid, []).append((did, int(rank), float(score)))
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: bad rank/score field") from None
     return {qid: RunRanking(qid, entries) for qid, entries in grouped.items()}
 
 
 def load_embeddings(path) -> EmbeddingTable:
     """Load whitespace-delimited word vectors; an optional first line may hold
     the `count dim` header."""
-    path = Path(path)
     vectors: dict[str, np.ndarray] = {}
     dim = None
-    with path.open("r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            parts = line.split()
-            if not parts:
-                continue
-            if lineno == 1 and len(parts) == 2:
-                try:
-                    int(parts[0]), int(parts[1])
-                    continue  # header line
-                except ValueError:
-                    pass
-            token, values = parts[0], parts[1:]
-            if not values:
-                raise DataError(f"{path}:{lineno}: no vector components for {token!r}")
+    for lineno, line in read_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        if lineno == 1 and len(parts) == 2:
             try:
-                vec = np.array([float(v) for v in values], dtype=np.float64)
+                int(parts[0]), int(parts[1])
+                continue  # header line
             except ValueError:
-                raise DataError(f"{path}:{lineno}: non-numeric vector component") from None
-            if dim is None:
-                dim = len(vec)
-            elif len(vec) != dim:
-                raise DataError(
-                    f"{path}:{lineno}: vector length {len(vec)} != expected dim {dim}"
-                )
-            vectors[token] = vec
+                pass
+        token, values = parts[0], parts[1:]
+        if not values:
+            raise DataError(f"{path}:{lineno}: no vector components for {token!r}")
+        try:
+            vec = np.array(values, dtype=np.float64)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-numeric vector component") from None
+        if not np.isfinite(vec).all():
+            raise DataError(f"{path}:{lineno}: non-finite vector component for {token!r}")
+        if dim is None:
+            dim = len(vec)
+        elif len(vec) != dim:
+            raise DataError(
+                f"{path}:{lineno}: vector length {len(vec)} != expected dim {dim}"
+            )
+        vectors[token] = vec
     if dim is None:
         raise DataError(f"{path}: no vectors found")
     return EmbeddingTable(dim=dim, vectors=vectors)

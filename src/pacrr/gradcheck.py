@@ -91,7 +91,7 @@ def check_pipeline_gradients(config: PacrrConfig, seed: int = 0) -> GradCheckRes
         group.value = rng.uniform(-0.5, 0.5, group.value.shape)
     query_len = min(3, config.l_q)
     doc_len = config.l_d + 5
-    sim = SimilarityMatrix("q", "d", rng.uniform(-1.0, 1.0, (query_len, doc_len)))
+    sim = SimilarityMatrix(rng.uniform(-1.0, 1.0, (query_len, doc_len)))
     distilled = distill(sim, config.mode, config.l_d, config.l_g)
     idf_vec = rng.uniform(0.5, 3.0, query_len)
 

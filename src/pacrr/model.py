@@ -295,13 +295,20 @@ def load_params(path) -> tuple[PacrrParams, PacrrConfig]:
 
     try:
         config = PacrrConfig.from_dict(json.loads(take(take_u64()).decode("utf-8")))
+        layout = [(group.name, group.value.shape) for group in init_params(config)]
     except (ValueError, TypeError) as exc:
         raise CheckpointError(f"{path}: bad config header ({exc})") from exc
     headers = []
     for _ in range(take_u64()):
-        name = take(take_u64()).decode("utf-8")
+        try:
+            name = take(take_u64()).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: tensor name is not valid UTF-8") from None
         dims = tuple(take_u64() for _ in range(take_u64()))
         headers.append((name, dims, take_u64()))
+    tensors = [(name, dims) for name, dims, _ in headers]
+    if tensors != layout:
+        raise CheckpointError(f"{path}: tensors {tensors} do not match its config's {layout}")
     groups: dict[str, ParamGroup] = {}
     for name, dims, nbytes in headers:
         expected = int(np.prod(dims, dtype=np.int64)) * 4
@@ -343,8 +350,16 @@ class Scorer:
             logger.warning("truncated %d queries to l_q=%d tokens: %s",
                            len(truncated), config.l_q, " ".join(truncated))
         self.docs: dict[str, TokenizedDocument] = {d.doc_id: d for d in docs}
+        self._token_ids = dict(zip(embeddings.vectors, range(len(embeddings))))
         self._distilled: dict[tuple[str, str], DistilledInput] = {}
         self._idf_vecs: dict[str, np.ndarray] = {}
+
+    def token_ids(self, tokens) -> np.ndarray:
+        """Each token's id: its row of `embeddings.units` when it has a
+        vector; otherwise an id past those rows, fresh the first time the
+        token is seen."""
+        ids = self._token_ids
+        return np.array([ids.setdefault(tok, len(ids)) for tok in tokens], dtype=np.intp)
 
     def idf_vector(self, query_id: str) -> np.ndarray:
         vec = self._idf_vecs.get(query_id)
@@ -358,7 +373,9 @@ class Scorer:
         key = (query_id, doc_id)
         cached = self._distilled.get(key)
         if cached is None:
-            sim = build_sim_matrix(self.queries[query_id], self.docs[doc_id], self.embeddings)
+            sim = build_sim_matrix(self.token_ids(self.queries[query_id].tokens),
+                                   self.token_ids(self.docs[doc_id].tokens),
+                                   self.embeddings.units)
             cached = distill(sim, self.config.mode, self.config.l_d, self.config.l_g)
             self._distilled[key] = cached
         return cached

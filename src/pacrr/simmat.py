@@ -1,8 +1,10 @@
 """Query-document cosine-similarity matrices and fixed-size distillation.
 
-Raw matrices are |q| x |d|; the two distillation strategies reduce them to
-|q| x l_d model inputs: `firstk` truncates/pads the document axis, while
-`kwindow` keeps only the highest-scoring disjoint n-term windows.
+Raw matrices are |q| x |d|, built from token ids (assigned by
+`model.Scorer`) and the embedding table's unit-vector matrix; the two
+distillation strategies reduce them to |q| x l_d model inputs: `firstk`
+truncates/pads the document axis, while `kwindow` keeps only the
+highest-scoring disjoint n-term windows.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import EmbeddingTable, Query, TokenizedDocument
-
 FIRSTK = "firstk"
 KWINDOW = "kwindow"
 MODES = (FIRSTK, KWINDOW)
@@ -20,8 +20,6 @@ MODES = (FIRSTK, KWINDOW)
 
 @dataclass
 class SimilarityMatrix:
-    query_id: str
-    doc_id: str
     values: np.ndarray  # shape (|q|, |d|), entries in [-1, 1]
 
     @property
@@ -41,8 +39,6 @@ class DistilledInput:
     each n has its own window-selected matrix.
     """
 
-    query_id: str
-    doc_id: str
     mode: str
     per_n: dict[int, np.ndarray]
 
@@ -51,37 +47,20 @@ class DistilledInput:
         return self.per_n[1].shape[0]
 
 
-def build_sim_matrix(query: Query, doc: TokenizedDocument, emb: EmbeddingTable) -> SimilarityMatrix:
+def build_sim_matrix(q_ids: np.ndarray, d_ids: np.ndarray, units: np.ndarray) -> SimilarityMatrix:
     """Cosine similarity between every query and document term.
 
-    String-equal tokens score exactly 1.0 even without an embedding; a pair
-    where either token lacks an embedding (or has a zero vector) scores 0.0.
+    Token ids index the rows of `units` (`EmbeddingTable.units`); an id past
+    its last row reads that zero row, so a pair where either token lacks a
+    vector (or has a zero one) scores 0.0. Equal ids, i.e. equal tokens,
+    score exactly 1.0 even without a vector.
     """
-    n_q, n_d = len(query.tokens), len(doc.tokens)
-    sim = np.zeros((n_q, n_d), dtype=np.float64)
-    if n_d == 0:
-        return SimilarityMatrix(query.query_id, doc.doc_id, sim)
-
-    def unit_rows(tokens):
-        units = [emb.unit(tok) for tok in tokens]
-        has = np.array([u is not None for u in units], dtype=bool)
-        mat = np.zeros((len(tokens), emb.dim), dtype=np.float64)
-        if has.any():
-            mat[has] = np.stack([u for u in units if u is not None])
-        return mat, has
-
-    q_mat, q_has = unit_rows(query.tokens)
-    d_mat, d_has = unit_rows(doc.tokens)
-    sim = np.clip(q_mat @ d_mat.T, -1.0, 1.0)
-    sim[~q_has, :] = 0.0
-    sim[:, ~d_has] = 0.0
-    positions: dict[str, list[int]] = {}
-    for j, d_tok in enumerate(doc.tokens):
-        positions.setdefault(d_tok, []).append(j)
-    for i, q_tok in enumerate(query.tokens):
-        for j in positions.get(q_tok, ()):
-            sim[i, j] = 1.0
-    return SimilarityMatrix(query.query_id, doc.doc_id, sim)
+    zero_row = len(units) - 1
+    q_units = units[np.minimum(q_ids, zero_row)]
+    d_units = units[np.minimum(d_ids, zero_row)]
+    sim = np.clip(q_units @ d_units.T, -1.0, 1.0)
+    sim[q_ids[:, None] == d_ids[None, :]] = 1.0
+    return SimilarityMatrix(sim)
 
 
 def distill_firstk(sim: SimilarityMatrix, l_q: int, l_d: int) -> np.ndarray:
@@ -139,4 +118,4 @@ def distill(sim: SimilarityMatrix, mode: str, l_d: int, l_g: int) -> DistilledIn
                  for n in range(1, l_g + 1)}
     else:
         raise ValueError(f"unknown distillation mode {mode!r}")
-    return DistilledInput(sim.query_id, sim.doc_id, mode, per_n)
+    return DistilledInput(mode, per_n)

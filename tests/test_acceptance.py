@@ -72,7 +72,7 @@ def test_criterion_3_distillation_oracles():
             l_q = n_q + int(rng.integers(0, 3))
             l_d = int(rng.integers(n, 16))
             values = rng.uniform(-1.0, 1.0, (n_q, n_d))
-            got = distill_kwindow(SimilarityMatrix("q", "d", values), n, l_q, l_d)
+            got = distill_kwindow(SimilarityMatrix(values), n, l_q, l_d)
             want = kwindow_oracle(values.tolist(), n, l_q, l_d)
             np.testing.assert_array_equal(got, want)
         for _ in range(1000):

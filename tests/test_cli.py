@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +47,12 @@ class TestRunConfig:
         path = tmp_path / "run.cfg"
         path.write_text(f"{key} = 0\n")
         with pytest.raises(ConfigError, match=key):
+            load_run_config(path)
+
+    def test_invalid_utf8_is_config_error(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"run_tag = caf\xe9\n")
+        with pytest.raises(ConfigError, match=r"run\.cfg: not valid UTF-8"):
             load_run_config(path)
 
     def test_missing_config_file(self):
@@ -157,6 +167,35 @@ class TestCliCommands:
         write_run_config(cfg, bad)
         assert main(["--config", str(bad), "train"]) == 2
         assert "no-such-query" in capsys.readouterr().err
+
+    def test_invalid_utf8_qid_list_is_data_error(self, synth_dir, tmp_path, capsys):
+        cfg = load_run_config(synth_dir / "config.txt")
+        qids = tmp_path / "val_qids.txt"
+        qids.write_bytes(b"q\xff\n")
+        cfg.val_qids = str(qids)
+        cfg.out_dir = str(tmp_path / "out")
+        bad = tmp_path / "bad4.cfg"
+        write_run_config(cfg, bad)
+        assert main(["--config", str(bad), "train"]) == 2
+        assert "val_qids.txt: not valid UTF-8" in capsys.readouterr().err
+
+    def test_eval_of_invalid_utf8_run_exits_2(self, synth_dir, tmp_path):
+        cfg = load_run_config(synth_dir / "config.txt")
+        run = tmp_path / "run.txt"
+        run.write_bytes((synth_dir / "run.txt").read_bytes() + b"q\xff Q0 d 1 1.0 t\n")
+        cfg.run = str(run)
+        path = tmp_path / "eval.cfg"
+        write_run_config(cfg, path)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pacrr.cli", "--config", str(path),
+             "--out", str(tmp_path / "ev"), "eval"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert f"data error: {run}: not valid UTF-8" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_train_leaves_no_temp_files(self, synth_dir, tmp_path):
         cfg = load_run_config(synth_dir / "config.txt")

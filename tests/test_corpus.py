@@ -75,7 +75,7 @@ class TestLoadEmbeddings:
     def test_basic_vectors(self, tmp_path):
         table = load_embeddings(write(tmp_path, "e.txt", "cat 0.1 0.2 0.3\n"))
         assert table.dim == 3
-        np.testing.assert_array_equal(table.get("cat"), [0.1, 0.2, 0.3])
+        np.testing.assert_array_equal(table.vectors["cat"], [0.1, 0.2, 0.3])
 
     def test_inconsistent_dims(self, tmp_path):
         with pytest.raises(DataError, match="length"):
@@ -85,6 +85,35 @@ class TestLoadEmbeddings:
         table = load_embeddings(write(tmp_path, "e.txt", "2 3\na 1 2 3\nb 4 5 6\n"))
         assert table.dim == 3
         assert len(table) == 2
+
+    @pytest.mark.parametrize("component", ["inf", "-inf", "nan", "1e999"])
+    def test_non_finite_component(self, tmp_path, component):
+        path = write(tmp_path, "e.txt", f"a 1 2 3\nb {component} 3 4\n")
+        with pytest.raises(DataError, match=r"e\.txt:2: non-finite vector component for 'b'"):
+            load_embeddings(path)
+
+    def test_units_rows(self):
+        table = EmbeddingTable(dim=2, vectors={"a": np.array([3.0, 4.0]),
+                                               "zero": np.zeros(2),
+                                               "b": np.array([0.0, -2.0])})
+        np.testing.assert_array_equal(table.units,
+                                      [[0.6, 0.8], [0.0, 0.0], [0.0, -1.0], [0.0, 0.0]])
+        assert table.units is table.units
+
+
+@pytest.mark.parametrize("loader", [load_corpus, load_queries, load_qrels, load_run,
+                                    load_embeddings])
+def test_invalid_utf8_is_data_error(tmp_path, loader):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"q1 Q0 d\xff 1 2.0 t\n")
+    with pytest.raises(DataError, match=r"input\.txt: not valid UTF-8"):
+        loader(path)
+
+
+def test_deeply_nested_json_is_data_error(tmp_path):
+    path = write(tmp_path, "c.jsonl", "[" * 100_000 + "\n")
+    with pytest.raises(DataError, match=r"c\.jsonl:1: invalid JSON"):
+        load_corpus(path)
 
 
 class TestComputeIdf:
@@ -160,4 +189,4 @@ class TestRoundTrips:
         assert loaded.dim == table.dim
         assert set(loaded.vectors) == set(table.vectors)
         for token, vec in table.vectors.items():
-            np.testing.assert_array_equal(loaded.get(token), vec)
+            np.testing.assert_array_equal(loaded.vectors[token], vec)

@@ -1,3 +1,7 @@
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -20,7 +24,7 @@ def tiny_config(**overrides):
 
 def random_distilled(config, rng, query_len=3, doc_len=None):
     doc_len = doc_len if doc_len is not None else config.l_d + 7
-    sim = SimilarityMatrix("q", "d", rng.uniform(-1, 1, (query_len, doc_len)))
+    sim = SimilarityMatrix(rng.uniform(-1, 1, (query_len, doc_len)))
     return distill(sim, config.mode, config.l_d, config.l_g)
 
 
@@ -66,7 +70,7 @@ class TestScore:
         params = init_params(config)
         for name in ("rnn_w", "rnn_u", "rnn_b"):
             params[name].value[...] = 0.0
-        sim = SimilarityMatrix("q", "d", np.zeros((2, 5)))
+        sim = SimilarityMatrix(np.zeros((2, 5)))
         distilled = distill(sim, config.mode, config.l_d, config.l_g)
         rel, _ = score(params, config, distilled, np.array([1.0, 2.0]))
         assert rel == 0.0
@@ -186,14 +190,29 @@ class TestPipelineInvariants:
         strong = np.array([[0.9, 0.85, 0.8, 0.75], [0.7, 0.95, 0.65, 0.9]])
         weak_a = np.array([[0.10, 0.11], [0.12, 0.13]])
         weak_b = np.array([[0.20, 0.21], [0.22, 0.23]])
-        sim_1 = SimilarityMatrix("q", "d", np.hstack([strong, weak_a, weak_b]))
-        sim_2 = SimilarityMatrix("q", "d", np.hstack([strong, weak_b, weak_a]))
+        sim_1 = SimilarityMatrix(np.hstack([strong, weak_a, weak_b]))
+        sim_2 = SimilarityMatrix(np.hstack([strong, weak_b, weak_a]))
         idf = np.array([1.0, 2.0])
         rels = []
         for sim in (sim_1, sim_2):
             distilled = distill(sim, "kwindow", config.l_d, config.l_g)
             rels.append(score(params, config, distilled, idf)[0])
         assert rels[0] == rels[1]
+
+
+def write_checkpoint(path, config, tensors):
+    """A PACRR1 file with a valid CRC holding the given (name bytes, array)
+    tensors, laid out as `save_params` lays them out."""
+    config_json = json.dumps(config.to_dict(), sort_keys=True).encode("utf-8")
+    chunks = [b"PACRR1", struct.pack("<Q", len(config_json)), config_json,
+              struct.pack("<Q", len(tensors))]
+    for name, value in tensors:
+        chunks += [struct.pack("<Q", len(name)), name, struct.pack("<Q", value.ndim),
+                   struct.pack(f"<{value.ndim}Q", *value.shape),
+                   struct.pack("<Q", value.size * 4)]
+    chunks += [value.astype("<f4").tobytes() for _, value in tensors]
+    body = b"".join(chunks)
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
 
 class TestCheckpoint:
@@ -246,6 +265,38 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="CRC"):
             load_params(path)
 
+    def test_written_layout_matches_save_params(self, tmp_path):
+        config = tiny_config()
+        params = init_params(config)
+        save_params(params, config, tmp_path / "saved.pacrr")
+        write_checkpoint(tmp_path / "written.pacrr", config,
+                         [(g.name.encode(), g.value) for g in params])
+        assert (tmp_path / "written.pacrr").read_bytes() == \
+            (tmp_path / "saved.pacrr").read_bytes()
+
+    def test_tensor_name_not_utf8(self, tmp_path):
+        config = tiny_config()
+        tensors = [(g.name.encode(), g.value) for g in init_params(config)]
+        tensors[-1] = (b"\xff\xfe", tensors[-1][1])
+        write_checkpoint(tmp_path / "m.pacrr", config, tensors)
+        with pytest.raises(CheckpointError, match="tensor name is not valid UTF-8"):
+            load_params(tmp_path / "m.pacrr")
+
+    @pytest.mark.parametrize("change", ["drop conv3_bias", "transpose rnn_w", "rename rnn_b"])
+    def test_tensors_must_match_the_config(self, tmp_path, change):
+        config = tiny_config()
+        tensors = {g.name: g.value for g in init_params(config)}
+        if change == "drop conv3_bias":
+            del tensors["conv3_bias"]
+        elif change == "transpose rnn_w":
+            tensors["rnn_w"] = tensors["rnn_w"].T
+        else:
+            tensors["rnn_c"] = tensors.pop("rnn_b")
+        write_checkpoint(tmp_path / "m.pacrr", config,
+                         [(name.encode(), value) for name, value in tensors.items()])
+        with pytest.raises(CheckpointError, match="do not match"):
+            load_params(tmp_path / "m.pacrr")
+
     def test_config_fields_survive(self, tmp_path):
         config = PacrrConfig(l_q=7, l_d=24, l_g=4, n_f=8, n_s=3, mode="kwindow",
                              learning_rate=0.25, seed=123)
@@ -287,6 +338,22 @@ class TestScorer:
         with caplog.at_level("WARNING", logger="pacrr.model"):
             assert set(scorer.score_runs({"q1": ["d2"]})["q1"]) == {"d2"}
         assert not caplog.records
+
+    def test_token_without_vector_matches_itself_across_pairs(self):
+        config = tiny_config()
+        emb = EmbeddingTable(dim=2, vectors={"a": np.array([1.0, 0.0])})
+        docs = [TokenizedDocument("d1", ("oov", "a", "other")),
+                TokenizedDocument("d2", ("a", "other", "oov"))]
+        queries = [Query("q1", ("oov", "a")), Query("q2", ("a", "oov"))]
+        idf = IdfTable(doc_count=2, df={}, values={})
+        scorer = Scorer(config, init_params(config), queries, docs, emb, idf)
+        expected = {("q1", "d1"): [[1, 0, 0], [0, 1, 0]],
+                    ("q1", "d2"): [[0, 0, 1], [1, 0, 0]],
+                    ("q2", "d1"): [[0, 1, 0], [1, 0, 0]],
+                    ("q2", "d2"): [[1, 0, 0], [0, 0, 1]]}
+        for (qid, did), sim in expected.items():
+            got = scorer.distilled(qid, did).per_n[1][:, :3]
+            np.testing.assert_array_equal(got, sim)
 
     def test_query_truncated_to_l_q(self):
         config = tiny_config()

@@ -1,0 +1,74 @@
+"""Property: any bytes given to a loader either load or raise DataError
+(CheckpointError is a DataError); never another exception."""
+
+import struct
+import tempfile
+import zlib
+from pathlib import Path
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+from pacrr.corpus import (load_corpus, load_embeddings, load_qrels,  # noqa: E402
+                          load_queries, load_run)
+from pacrr.errors import DataError  # noqa: E402
+from pacrr.model import PacrrConfig, init_params, load_params, save_params  # noqa: E402
+
+LOADERS = [load_corpus, load_queries, load_qrels, load_run, load_embeddings, load_params]
+
+# Line-shaped text over the characters the formats use, so that examples
+# get past the first check of a loader as well as failing it.
+TOKENS = st.sampled_from(['{"doc_id": "d1", "tokens": ["a", "b"]}',
+                          '{"query_id": "q1", "tokens": ["a"]}', '{"tokens": 1}',
+                          "q1", "Q0", "0", "d1", "1", "-2", "3.5", "nan", "inf", "1e999",
+                          "a", "é", "[", "{", "}", '"', " ", "\t", "\n", "\r", "\x00"])
+TEXT_LINES = st.lists(TOKENS, max_size=40).map(lambda parts: "".join(parts).encode("utf-8"))
+
+
+def _with_crc(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _checkpoint() -> bytes:
+    config = PacrrConfig(l_q=2, l_d=3, n_f=2)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.pacrr"
+        save_params(init_params(config), config, path)
+        return path.read_bytes()
+
+
+VALID_CHECKPOINT = _checkpoint()
+
+
+@st.composite
+def edited_checkpoints(draw):
+    """A valid checkpoint with some bytes replaced and its CRC made valid
+    again, so that the header parser sees the change."""
+    body = bytearray(VALID_CHECKPOINT[:-4])
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(body) - 1))
+        body[pos] = draw(st.integers(0, 255))
+    return _with_crc(bytes(body[: draw(st.integers(0, len(body)))]))
+
+
+INPUTS = st.one_of(st.binary(max_size=400), TEXT_LINES, edited_checkpoints(),
+                   st.binary(max_size=200).map(lambda b: _with_crc(b"PACRR1" + b)))
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda f: f.__name__)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=INPUTS)
+@example(data=b"\xff")
+@example(data=b"[" * 100_000 + b"\n")
+@example(data=b"a inf 3\n")
+@example(data=VALID_CHECKPOINT)
+def test_any_bytes_load_or_raise_data_error(loader, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input"
+        path.write_bytes(data)
+        try:
+            loader(path)
+        except DataError:
+            pass
