@@ -224,8 +224,9 @@ def load_run(path) -> dict[str, RunRanking]:
 
 def load_embeddings(path) -> EmbeddingTable:
     """Load whitespace-delimited word vectors; an optional first line may hold
-    the `count dim` header."""
+    the `count dim` header. A token listed twice is a DataError."""
     vectors: dict[str, np.ndarray] = {}
+    first_line: dict[str, int] = {}
     dim = None
     for lineno, line in read_lines(path):
         parts = line.split()
@@ -238,6 +239,10 @@ def load_embeddings(path) -> EmbeddingTable:
             except ValueError:
                 pass
         token, values = parts[0], parts[1:]
+        if token in first_line:
+            raise DataError(f"{path}:{lineno}: token {token!r} is listed again "
+                            f"(first on line {first_line[token]})")
+        first_line[token] = lineno
         if not values:
             raise DataError(f"{path}:{lineno}: no vector components for {token!r}")
         try:

@@ -63,8 +63,9 @@ def gradient_check(f, x0: np.ndarray, analytic: np.ndarray, h: float = 1e-5) -> 
 
 
 def pipeline_signature(cache: ScoreCache) -> tuple:
-    """Hashable record of every max selection and rectifier state; two runs
-    with equal signatures lie on the same smooth piece of the pipeline."""
+    """Hashable record of every rectifier state and of the pooling routes the
+    gradient takes (each k-max source and its winning filter); two runs with
+    equal signatures lie on the same smooth piece of the pipeline."""
     parts = [cache.conv_caches[n].mask.tobytes() for n in sorted(cache.conv_caches)]
     parts += [cache.filter_args[n].tobytes() for n in sorted(cache.filter_args)]
     parts += [cache.kmax_srcs[n].tobytes() for n in sorted(cache.kmax_srcs)]
@@ -113,7 +114,10 @@ def check_pipeline_gradients(config: PacrrConfig, seed: int = 0) -> GradCheckRes
 
 
 def check_op_gradients(seed: int = 0) -> dict[str, GradCheckResult]:
-    """Finite-difference checks for every differentiable primitive."""
+    """Finite-difference checks for every differentiable primitive.
+
+    Each check calls the functions the pipeline calls; a backward pass that
+    gives its gradient at a few cells is made dense here."""
     rng = np.random.default_rng(seed)
     results: dict[str, GradCheckResult] = {}
 
@@ -130,22 +134,28 @@ def check_op_gradients(seed: int = 0) -> dict[str, GradCheckResult]:
         return float(np.sum(out * d_out)), cache.mask.tobytes()
 
     out, cache = neural.conv2d(x, kernels, bias, stride=(1, 2))
-    d_k, d_b = neural.conv2d_backward(d_out, cache, kernels)
+    d_cells = d_out.reshape(3, -1)
+    filters, cells = np.nonzero(d_cells)
+    d_k, d_b = neural.conv2d_backward((filters, cells, d_cells[filters, cells]), cache, kernels)
     flat0 = np.concatenate([kernels.ravel(), bias])
     analytic = np.concatenate([d_k.ravel(), d_b])
     results["conv2d"] = gradient_check(conv_f, flat0, analytic)
 
-    # max_over_filters
+    # max_over_filters, routed at every cell as if k-max kept whole rows
     mx = rng.uniform(-1.0, 1.0, (3, 4, 5))
     d_mo = rng.uniform(-1.0, 1.0, (4, 5))
+    every = np.broadcast_to(np.arange(5), (4, 5))
 
     def mof_f(flat):
-        out, arg = neural.max_over_filters(flat.reshape(mx.shape))
-        return float(np.sum(out * d_mo)), arg.tobytes()
+        x = flat.reshape(mx.shape)
+        signature = neural.filter_argmax(x, every).tobytes()
+        return float(np.sum(neural.max_over_filters(x) * d_mo)), signature
 
-    out, arg = neural.max_over_filters(mx)
-    analytic = neural.max_over_filters_backward(d_mo, arg, mx.shape[0]).ravel()
-    results["max_over_filters"] = gradient_check(mof_f, mx.ravel(), analytic)
+    filters, cells, values = neural.max_over_filters_backward(
+        (np.arange(d_mo.size), d_mo.ravel()), neural.filter_argmax(mx, every))
+    analytic = np.zeros((mx.shape[0], d_mo.size))
+    analytic[filters, cells] = values
+    results["max_over_filters"] = gradient_check(mof_f, mx.ravel(), analytic.ravel())
 
     # kmax_per_row
     kx = rng.uniform(-1.0, 1.0, (4, 7))
@@ -156,7 +166,9 @@ def check_op_gradients(seed: int = 0) -> dict[str, GradCheckResult]:
         return float(np.sum(out * d_km)), src.tobytes()
 
     out, src = neural.kmax_per_row(kx, 3)
-    analytic = neural.kmax_per_row_backward(d_km, src, kx.shape[1]).ravel()
+    cells, values = neural.kmax_per_row_backward(d_km, src, kx.shape[1])
+    analytic = np.zeros(kx.size)
+    analytic[cells] = values
     results["kmax_per_row"] = gradient_check(kmax_f, kx.ravel(), analytic)
 
     # softmax

@@ -46,6 +46,10 @@ class PacrrConfig:
     seed: int = 42
 
     def __post_init__(self):
+        for name in ("l_q", "l_d", "l_g", "n_f", "n_s", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.l_q < 1:
             raise ValueError("l_q must be >= 1")
         if self.l_g < 2:
@@ -132,7 +136,7 @@ def init_params(config: PacrrConfig, dtype=np.float32) -> PacrrParams:
 @dataclass
 class ScoreCache:
     conv_caches: dict[int, neural.Conv2dCache]
-    filter_args: dict[int, np.ndarray]
+    filter_args: dict[int, np.ndarray]  # (rows, n_s) filter of each k-max survivor
     kmax_srcs: dict[int, np.ndarray]  # key 1 = unigram matrix
     rnn_cache: neural.RnnCache
 
@@ -170,10 +174,9 @@ def score(params: PacrrParams, config: PacrrConfig, distilled: DistilledInput,
             params[f"conv{n}_bias"].value,
             stride,
         )
-        pooled, arg = neural.max_over_filters(conv_out)
-        km, src = neural.kmax_per_row(pooled, config.n_s)
+        km, src = neural.kmax_per_row(neural.max_over_filters(conv_out), config.n_s)
         conv_caches[n] = ccache
-        filter_args[n] = arg
+        filter_args[n] = neural.filter_argmax(conv_out, src)
         kmax_srcs[n] = src
         signals[n] = km
 
@@ -208,9 +211,9 @@ def score_gradients(params: PacrrParams, config: PacrrConfig, cache: ScoreCache,
     n_s = config.n_s
     for n in conv_sizes(config):
         d_km = d_xs[:, (n - 1) * n_s : n * n_s]
-        width = cache.filter_args[n].shape[1]  # of the filter-max output
+        width = len(cache.conv_caches[n].mask) // len(d_km)  # filter-max cells per row
         d_pooled = neural.kmax_per_row_backward(d_km, cache.kmax_srcs[n], width)
-        d_conv = neural.max_over_filters_backward(d_pooled, cache.filter_args[n], config.n_f)
+        d_conv = neural.max_over_filters_backward(d_pooled, cache.filter_args[n])
         d_kernels, d_bias = neural.conv2d_backward(
             d_conv, cache.conv_caches[n], params[f"conv{n}_kernels"].value
         )

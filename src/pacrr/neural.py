@@ -6,6 +6,10 @@ gradients for inputs and parameters (parameters only for conv2d, whose input
 is never trained). The piecewise-linear ops (rectification, max pooling,
 hinge) are differentiable away from ties and kinks. `pacrr.gradcheck`
 checks every backward function against central finite differences.
+
+Pooling is exact and lazy: conv2d's output is filter-major, so filter-max
+is one reduction; the winning filter is taken only at the cells k-max keeps
+(`filter_argmax`), and the gradient below k-max is carried at those alone.
 """
 
 from __future__ import annotations
@@ -52,8 +56,8 @@ def _same_pad(size: int, kernel: int, stride: int) -> tuple[int, int, int]:
 
 @dataclass
 class Conv2dCache:
-    cols: np.ndarray  # (out_h*out_w, n*n) im2col patches
-    mask: np.ndarray  # (out_h*out_w, n_f) rectifier activity
+    cols: np.ndarray  # (out_h*out_w, n*n) im2col patches, a transposed view
+    mask: np.ndarray  # (out_h*out_w, n_f) rectifier activity, a transposed view
 
 
 def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
@@ -61,7 +65,7 @@ def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
     """Same-padded 2-D cross-correlation with n_f square kernels, rectified.
 
     x: (H, W); kernels: (n_f, n, n); bias: (n_f,); stride (s_q, s_d).
-    Output shape (n_f, ceil(H/s_q), ceil(W/s_d)).
+    Output shape (n_f, ceil(H/s_q), ceil(W/s_d)), filter-major and C-contiguous.
     """
     H, W = x.shape
     n_f, n, n2 = kernels.shape
@@ -79,24 +83,28 @@ def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
         raise ValueError(f"kernel size {n} exceeds padded input {padded.shape}")
     padded[pad_top : pad_top + H, pad_left : pad_left + W] = x
     windows = sliding_window_view(padded, (n, n))[::s_q, ::s_d][:out_h, :out_w]
-    cols = windows.reshape(out_h * out_w, n * n)
-    pre = cols @ kernels.reshape(n_f, n * n).T + bias
+    cols = windows.transpose(2, 3, 0, 1).reshape(n * n, out_h * out_w)
+    pre = kernels.reshape(n_f, n * n) @ cols + bias[:, None]
     mask = pre > 0.0
-    out = (pre * mask).T.reshape(n_f, out_h, out_w)
-    return out, Conv2dCache(cols=cols, mask=mask)
+    pre *= mask
+    return pre.reshape(n_f, out_h, out_w), Conv2dCache(cols=cols.T, mask=mask.T)
 
 
-def conv2d_backward(d_out: np.ndarray, cache: Conv2dCache, kernels: np.ndarray):
+def conv2d_backward(d_out, cache: Conv2dCache, kernels: np.ndarray):
     """Gradients w.r.t. (kernels, bias) given d(loss)/d(output).
 
-    No input gradient is formed: the conv inputs are fixed features. Only
-    output cells with a non-zero gradient enter the sums; after filter-max
-    and k-max routing those are a few per query row.
+    d_out holds the gradient at a few cells as `(filters, cells, values)`,
+    cell = row * out_w + column, each (filter, cell) at most once; only
+    these enter the sums, in cell order. No input gradient is formed: the
+    conv inputs are fixed features.
     """
     n_f, n, _ = kernels.shape
-    d_cells = d_out.reshape(n_f, -1)
-    live = np.flatnonzero(d_cells.any(axis=0))
-    d_pre = d_cells[:, live].T * cache.mask[live]
+    filters, cells, values = d_out
+    nonzero = values != 0.0
+    live, pos = np.unique(cells[nonzero], return_inverse=True)
+    d_cells = np.zeros((n_f, len(live)), dtype=values.dtype)
+    d_cells[filters[nonzero], pos] = values[nonzero]
+    d_pre = d_cells.T * cache.mask[live]
     d_kernels = (d_pre.T @ cache.cols[live]).reshape(n_f, n, n)
     return d_kernels, d_pre.sum(axis=0)
 
@@ -104,23 +112,29 @@ def conv2d_backward(d_out: np.ndarray, cache: Conv2dCache, kernels: np.ndarray):
 # ---------------------------------------------------------------------------
 # Pooling
 
-def max_over_filters(x: np.ndarray):
+def max_over_filters(x: np.ndarray) -> np.ndarray:
     """Elementwise max across the leading filter axis: (n_f, H, W) -> (H, W).
 
-    The backward pass routes each cell's gradient to the first filter
-    attaining the maximum.
+    Fastest on a C-contiguous x, as conv2d returns it. The routing for the
+    backward pass is left to `filter_argmax`, at the cells k-max keeps.
     """
     if x.ndim != 3 or x.shape[0] < 1:
         raise ValueError("expected a non-empty (n_f, H, W) array")
-    argmax = np.argmax(x, axis=0)
-    out = np.take_along_axis(x, argmax[None], axis=0)[0]
-    return out, argmax
+    return x.max(axis=0)
 
 
-def max_over_filters_backward(d_out: np.ndarray, argmax: np.ndarray, n_f: int) -> np.ndarray:
-    d_x = np.zeros((n_f,) + d_out.shape, dtype=d_out.dtype)
-    np.put_along_axis(d_x, argmax[None], d_out[None], axis=0)
-    return d_x
+def filter_argmax(x: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """(rows, k): the first filter attaining the max of x (n_f, rows, W) at
+    each k-max survivor (r, src[r, j]); arbitrary where src is -1."""
+    return np.argmax(x[:, np.arange(len(src))[:, None], src], axis=0)
+
+
+def max_over_filters_backward(d_out, argmax: np.ndarray):
+    """Route the gradient at each cell, `(cells, values)` as
+    `kmax_per_row_backward` returns it, to the filter `filter_argmax` chose
+    there; returns `(filters, cells, values)` for `conv2d_backward`."""
+    cells, values = d_out
+    return argmax.ravel(), cells, values
 
 
 def kmax_per_row(x: np.ndarray, k: int):
@@ -128,7 +142,8 @@ def kmax_per_row(x: np.ndarray, k: int):
     column); rows shorter than k are zero-padded.
 
     Returns (out, src) where src holds each output's source column, -1 for
-    padding cells.
+    padding cells. Only the values at or above each row's k-th largest
+    (found by partitioning) are sorted, by (-value, column).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -137,19 +152,23 @@ def kmax_per_row(x: np.ndarray, k: int):
     out = np.zeros((rows, k), dtype=x.dtype)
     src = np.full((rows, k), -1, dtype=np.int64)
     if m > 0:
-        order = np.argsort(-x, axis=1, kind="stable")[:, :m]
-        out[:, :m] = np.take_along_axis(x, order, axis=1)
-        src[:, :m] = order
+        kth = np.partition(x, width - m, axis=1)[:, width - m, None]
+        cells = np.flatnonzero(x >= kth)  # at least m per row, ascending
+        row = cells // width
+        order = np.lexsort((cells, -x.reshape(-1)[cells], row))
+        first = np.searchsorted(row, np.arange(rows))
+        picked = cells[order[first[:, None] + np.arange(m)]]
+        out[:, :m] = x.reshape(-1)[picked]
+        src[:, :m] = picked % width
     return out, src
 
 
-def kmax_per_row_backward(d_out: np.ndarray, src: np.ndarray, width: int) -> np.ndarray:
-    rows, k = d_out.shape
-    d_x = np.zeros((rows, width), dtype=d_out.dtype)
-    valid = src >= 0
-    row_idx = np.repeat(np.arange(rows), k).reshape(rows, k)
-    d_x[row_idx[valid], src[valid]] = d_out[valid]
-    return d_x
+def kmax_per_row_backward(d_out: np.ndarray, src: np.ndarray, width: int):
+    """Gradient w.r.t. the (rows, width) input at the cells k-max read, as
+    `(cells, values)`: flat indices row * width + src and d_out, one per
+    output; padding outputs carry a zero gradient."""
+    cells = np.arange(len(src))[:, None] * width + src
+    return cells.ravel(), np.where(src >= 0, d_out, 0.0).ravel()
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,7 @@ def distill_kwindow(sim: SimilarityMatrix, n: int, l_q: int, l_d: int) -> np.nda
     k = l_d // n
     top = np.argsort(-scores, kind="stable")[:k]
     selected = np.sort(top)
-    block = np.hstack([padded[:, w * n : (w + 1) * n] for w in selected])
+    block = padded.reshape(sim.rows, n_windows, n)[:, selected].reshape(sim.rows, -1)
     out[: sim.rows, : block.shape[1]] = block
     return out
 

@@ -60,6 +60,20 @@ def err_oracle(grades, k, g_max):
     return total
 
 
+def kmax_reference(x, k):
+    """Per row of x, the k largest values sorted descending and their source
+    columns, from a full stable argsort (ties keep the earlier column); rows
+    shorter than k are zero-padded with source column -1."""
+    rows, width = x.shape
+    m = min(width, k)
+    out = np.zeros((rows, k), dtype=x.dtype)
+    src = np.full((rows, k), -1, dtype=np.int64)
+    order = np.argsort(-x, axis=1, kind="stable")[:, :m]
+    out[:, :m] = np.take_along_axis(x, order, axis=1)
+    src[:, :m] = order
+    return out, src
+
+
 def dense_conv_param_grads(d_out, cols, mask):
     """Kernel and bias gradients of a rectified conv summed over every output
     cell: d_pre.T @ cols with d_pre = d_out (as cells x filters) * mask."""
@@ -70,7 +84,8 @@ def dense_conv_param_grads(d_out, cols, mask):
 
 def all_rows_score(params, config, distilled, idf_vector):
     """rel and the parameter gradients of rel for the PACRR pipeline run over
-    all l_q rows, the distilled real rows zero-padded to l_q, with the
+    all l_q rows, the distilled real rows zero-padded to l_q, with its own
+    pooling (a dense filter argmax at every cell, `kmax_reference`), the
     pooling routes undone by loops and dense conv gradient sums."""
     dtype = params["rnn_w"].value.dtype
     t_len, n_s = distilled.query_len, config.n_s
@@ -80,15 +95,16 @@ def all_rows_score(params, config, distilled, idf_vector):
         out[:t_len] = distilled.per_n[n]
         return out
 
-    signals = [neural.kmax_per_row(padded(1), n_s)[0]]
+    signals = [kmax_reference(padded(1), n_s)[0]]
     routes = []
     for n in range(2, config.l_g + 1):
         stride = (1, n) if config.mode == "kwindow" else (1, 1)
         out, cache = neural.conv2d(padded(n),
                                    params[f"conv{n}_kernels"].value,
                                    params[f"conv{n}_bias"].value, stride)
-        pooled, arg = neural.max_over_filters(out)
-        km, src = neural.kmax_per_row(pooled, n_s)
+        arg = np.argmax(out, axis=0)
+        pooled = np.take_along_axis(out, arg[None], axis=0)[0]
+        km, src = kmax_reference(pooled, n_s)
         signals.append(km)
         routes.append((n, out.shape, cache, arg, src))
     salient = np.stack(signals, axis=1)[:t_len].reshape(t_len, config.l_g * n_s)

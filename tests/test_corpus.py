@@ -92,6 +92,12 @@ class TestLoadEmbeddings:
         with pytest.raises(DataError, match=r"e\.txt:2: non-finite vector component for 'b'"):
             load_embeddings(path)
 
+    def test_token_listed_twice(self, tmp_path):
+        path = write(tmp_path, "e.txt", "a 1 0\nb 0 1\n\na 0 1\n")
+        with pytest.raises(DataError, match=r"e\.txt:4: token 'a' is listed again "
+                                            r"\(first on line 1\)"):
+            load_embeddings(path)
+
     def test_units_rows(self):
         table = EmbeddingTable(dim=2, vectors={"a": np.array([3.0, 4.0]),
                                                "zero": np.zeros(2),

@@ -1,6 +1,7 @@
 import json
 import struct
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,6 +42,12 @@ class TestConfig:
     def test_learning_rate_finite_and_positive(self, learning_rate):
         with pytest.raises(ValueError, match="learning_rate"):
             PacrrConfig(l_q=4, l_d=12, learning_rate=learning_rate)
+
+    @pytest.mark.parametrize("field", ["l_q", "l_d", "l_g", "n_f", "n_s", "seed"])
+    @pytest.mark.parametrize("value", [3.0, True])
+    def test_sizes_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            tiny_config(**{field: value})
 
     def test_rnn_input_dim(self):
         assert PacrrConfig(l_q=4, l_d=12, l_g=4, n_s=2).rnn_input_dim == 9
@@ -84,6 +91,14 @@ class TestScore:
                 rel, _ = score(params, config, random_distilled(config, rng),
                                rng.uniform(0.1, 4.0, 3))
                 assert -1.0 < rel < 1.0
+
+    @pytest.mark.parametrize("mode", ["firstk", "kwindow"])
+    def test_filter_args_only_at_kmax_survivors(self, mode):
+        config = tiny_config(mode=mode)
+        distilled = random_distilled(config, np.random.default_rng(4))
+        _, cache = score(init_params(config), config, distilled, np.ones(3))
+        for n in (2, 3):
+            assert cache.filter_args[n].shape == (3, config.n_s)
 
     def test_bitwise_deterministic(self):
         rng = np.random.default_rng(2)
@@ -142,18 +157,13 @@ class TestScoreGradients:
 
 
 class TestRealRowsOnly:
-    @pytest.mark.parametrize("mode", ["firstk", "kwindow"])
-    @pytest.mark.parametrize("query_len", [1, 4, 8])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_matches_all_rows_reference(self, mode, query_len, dtype):
+    @staticmethod
+    def assert_matches_all_rows_reference(config, distilled, dtype, rng):
         # Nonzero biases make the padding rows' conv outputs nonzero too.
-        config = PacrrConfig(l_q=8, l_d=30, l_g=3, n_f=5, n_s=2, mode=mode, seed=query_len)
-        rng = np.random.default_rng(query_len)
         params = init_params(config, dtype=dtype)
         for group in params:
             group.value[...] = rng.uniform(-0.6, 0.6, group.value.shape)
-        distilled = random_distilled(config, rng, query_len=query_len, doc_len=41)
-        idf = rng.uniform(0.1, 3.0, query_len)
+        idf = rng.uniform(0.1, 3.0, distilled.query_len)
         rel, cache = score(params, config, distilled, idf)
         grads = score_gradients(params, config, cache, 1.0)
         ref_rel, ref_grads = all_rows_score(params, config, distilled, idf)
@@ -163,6 +173,30 @@ class TestRealRowsOnly:
             assert name.startswith("rnn") or np.any(grad != 0.0), name
             np.testing.assert_allclose(grad, ref_grads[name], rtol=1e-12, atol=1e-15,
                                        err_msg=name)
+        return cache
+
+    @pytest.mark.parametrize("mode", ["firstk", "kwindow"])
+    @pytest.mark.parametrize("query_len", [1, 4, 8])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_all_rows_reference(self, mode, query_len, dtype):
+        config = PacrrConfig(l_q=8, l_d=30, l_g=3, n_f=5, n_s=2, mode=mode, seed=query_len)
+        rng = np.random.default_rng(query_len)
+        distilled = random_distilled(config, rng, query_len=query_len, doc_len=41)
+        self.assert_matches_all_rows_reference(config, distilled, dtype, rng)
+
+    @pytest.mark.parametrize("mode", ["firstk", "kwindow"])
+    def test_paper_shape_with_ties(self, mode):
+        config = PacrrConfig(l_q=16, l_d=768, l_g=3, n_f=32, n_s=2, mode=mode, seed=5)
+        rng = np.random.default_rng(5)
+        # A repeated block of values in {-1, 0, 1} with zeroed columns gives
+        # equal conv outputs, so k-max and filter-max both meet ties.
+        block = np.round(rng.uniform(-1, 1, (16, 60)))
+        block[:, rng.random(60) < 0.5] = 0.0
+        values = np.tile(block, 15)
+        distilled = distill(SimilarityMatrix(values), mode, config.l_d, config.l_g)
+        cache = self.assert_matches_all_rows_reference(config, distilled, np.float32, rng)
+        xs = cache.rnn_cache.xs
+        assert all(np.any(xs[:, j] == xs[:, j + 1]) for j in (0, 2, 4))
 
 
 class TestPipelineInvariants:
@@ -295,6 +329,14 @@ class TestCheckpoint:
         write_checkpoint(tmp_path / "m.pacrr", config,
                          [(name.encode(), value) for name, value in tensors.items()])
         with pytest.raises(CheckpointError, match="do not match"):
+            load_params(tmp_path / "m.pacrr")
+
+    def test_float_size_in_header_is_checkpoint_error(self, tmp_path):
+        config = tiny_config()
+        header = SimpleNamespace(to_dict=lambda: dict(config.to_dict(), l_d=12.0))
+        write_checkpoint(tmp_path / "m.pacrr", header,
+                         [(g.name.encode(), g.value) for g in init_params(config)])
+        with pytest.raises(CheckpointError, match="l_d must be an integer, got 12.0"):
             load_params(tmp_path / "m.pacrr")
 
     def test_config_fields_survive(self, tmp_path):

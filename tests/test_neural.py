@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from helpers import dense_conv_param_grads, kmax_oracle
+from helpers import dense_conv_param_grads, kmax_oracle, kmax_reference
 from pacrr.gradcheck import GradCheckResult, check_op_gradients, gradient_check
-from pacrr.neural import (ParamGroup, conv2d, conv2d_backward, hinge_gradients,
-                          hinge_loss, kmax_per_row, max_over_filters,
+from pacrr.neural import (ParamGroup, conv2d, conv2d_backward, filter_argmax,
+                          hinge_gradients, hinge_loss, kmax_per_row, max_over_filters,
                           recurrent_sequence, sgd_step, softmax)
 
 
@@ -39,7 +39,9 @@ class TestConv2d:
         out, cache = conv2d(rng.uniform(-1, 1, (6, 20)), kernels, rng.uniform(-0.5, 0.5, 4),
                             stride=(1, 3))
         d_out = rng.uniform(-1, 1, out.shape) * (rng.random(out.shape) < density)
-        d_k, d_b = conv2d_backward(d_out, cache, kernels)
+        d_cells = d_out.reshape(4, -1)
+        filters, cells = np.nonzero(d_cells)
+        d_k, d_b = conv2d_backward((filters, cells, d_cells[filters, cells]), cache, kernels)
         ref_k, ref_b = dense_conv_param_grads(d_out, cache.cols, cache.mask)
         np.testing.assert_allclose(d_k.reshape(4, -1), ref_k, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(d_b, ref_b, rtol=1e-12, atol=1e-15)
@@ -49,23 +51,27 @@ class TestConv2d:
 class TestMaxOverFilters:
     def test_single_filter_identity(self):
         x = np.array([[[1.0, -2.0]]])
-        out, _ = max_over_filters(x)
+        out = max_over_filters(x)
         np.testing.assert_array_equal(out, x[0])
 
     def test_two_scalars(self):
-        out, _ = max_over_filters(np.array([[[1.0]], [[3.0]]]))
+        out = max_over_filters(np.array([[[1.0]], [[3.0]]]))
         assert out[0, 0] == 3.0
 
     def test_elementwise(self):
-        out, _ = max_over_filters(np.array([[[2.0, 5.0]], [[4.0, 1.0]]]))
+        out = max_over_filters(np.array([[[2.0, 5.0]], [[4.0, 1.0]]]))
         np.testing.assert_array_equal(out, [[4.0, 5.0]])
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(3)
         x = rng.uniform(-1, 1, (5, 4, 6))
-        out, _ = max_over_filters(x)
-        out_perm, _ = max_over_filters(x[rng.permutation(5)])
+        out = max_over_filters(x)
+        out_perm = max_over_filters(x[rng.permutation(5)])
         np.testing.assert_array_equal(out, out_perm)
+
+    def test_filter_argmax_takes_the_first_maximal_filter_at_given_cells(self):
+        x = np.array([[[1.0, 2.0, 0.0]], [[3.0, 2.0, -0.0]]])
+        np.testing.assert_array_equal(filter_argmax(x, np.array([[2, 0, 1]])), [[0, 1, 0]])
 
 
 class TestKmaxPerRow:
@@ -90,6 +96,20 @@ class TestKmaxPerRow:
             row = rng.uniform(-1, 1, (1, width))
             out, _ = kmax_per_row(row, k)
             np.testing.assert_array_equal(out[0], kmax_oracle(row[0].tolist(), k))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 2, 3, 6])
+    def test_out_and_src_match_stable_argsort_on_ties(self, k, dtype):
+        # src routes the gradient, so ties must pick the same columns too.
+        rng = np.random.default_rng(k)
+        for width in sorted({max(k - 1, 1), k, k + 1, 3 * k, 64}):
+            x = np.round(rng.uniform(-1, 1, (300, width)), 1).astype(dtype)
+            x[100:200] *= x[100:200] > 0  # rectified as conv2d does: -0.0 where negative
+            x[200:][rng.random((100, width)) < 0.3] = -0.0
+            out, src = kmax_per_row(x, k)
+            ref_out, ref_src = kmax_reference(x, k)
+            assert out.tobytes() == ref_out.tobytes()
+            assert src.tobytes() == ref_src.tobytes()
 
 
 class TestSoftmax:
