@@ -22,6 +22,10 @@ from .gradcheck import GRADCHECK_THRESHOLD, gradcheck_report
 from .model import Scorer, load_params, write_atomic
 from .training import train
 
+logger = logging.getLogger(__name__)
+
+MODEL_KEYS = ("l_q", "l_d", "l_g", "n_f", "n_s", "mode")
+
 
 def _read_qid_list(path) -> list[str]:
     return [line.strip() for _, line in read_lines(path) if line.strip()]
@@ -37,9 +41,22 @@ def _load_scoring_inputs(cfg: RunConfig):
 
 
 def _build_scorer(cfg: RunConfig, checkpoint):
+    """A `Scorer` for the checkpoint's model, whose keys win over the run
+    config's; each key that differs is named in one warning."""
     params, model_config = load_params(checkpoint)
+    differing = [f"{key}={getattr(cfg, key)!r} (checkpoint {getattr(model_config, key)!r})"
+                 for key in MODEL_KEYS if getattr(cfg, key) != getattr(model_config, key)]
+    if differing:
+        logger.warning("using the checkpoint's model keys; ignoring config %s",
+                       ", ".join(differing))
     docs, queries, embeddings, idf = _load_scoring_inputs(cfg)
     return Scorer(model_config, params, queries, docs, embeddings, idf)
+
+
+def _write_report(path: Path, text: str) -> None:
+    """Write a report atomically, creating its directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_atomic(path, text.encode("utf-8"))
 
 
 def cmd_train(cfg: RunConfig, args) -> int:
@@ -71,16 +88,12 @@ def cmd_score(cfg: RunConfig, args) -> int:
     cfg.require_paths("run")
     scorer = _build_scorer(cfg, args.checkpoint)
     runs = load_run(cfg.run)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "scores.jsonl"
+    out_path = Path(cfg.out_dir) / "scores.jsonl"
     scores = scorer.score_runs({qid: run.doc_ids() for qid, run in runs.items()})
-    with out_path.open("w", encoding="utf-8") as f:
-        for qid, per_query in scores.items():
-            for did, _, _ in runs[qid].entries:
-                if did in per_query:
-                    f.write(json.dumps(
-                        {"query_id": qid, "doc_id": did, "score": per_query[did]}) + "\n")
+    _write_report(out_path, "".join(
+        json.dumps({"query_id": qid, "doc_id": did, "score": per_query[did]}) + "\n"
+        for qid, per_query in scores.items()
+        for did, _, _ in runs[qid].entries if did in per_query))
     print(f"wrote {out_path}")
     return 0
 
@@ -109,11 +122,10 @@ def cmd_rerank(cfg: RunConfig, args) -> int:
     report_before = evaluation.report_for_runs(before, qrels, cfg.k, cfg.g_max)
     report_after = evaluation.report_for_runs(after, qrels, cfg.k, cfg.g_max)
     metrics_path = out_dir / "rerank_metrics.jsonl"
-    with metrics_path.open("w", encoding="utf-8") as f:
-        for stage, report in (("before", report_before), ("after", report_after)):
-            for record in report.to_json_records():
-                record["stage"] = stage
-                f.write(json.dumps(record, sort_keys=True) + "\n")
+    _write_report(metrics_path, "".join(
+        json.dumps({**record, "stage": stage}, sort_keys=True) + "\n"
+        for stage, report in (("before", report_before), ("after", report_after))
+        for record in report.to_json_records()))
     print(f"ERR@{cfg.k}: {report_before.mean_err:.4f} -> {report_after.mean_err:.4f}   "
           f"nDCG@{cfg.k}: {report_before.mean_ndcg:.4f} -> {report_after.mean_ndcg:.4f}")
     print(f"wrote {run_path} and {metrics_path}")
@@ -125,12 +137,9 @@ def cmd_eval(cfg: RunConfig, args) -> int:
     qrels = load_qrels(cfg.qrels, cfg.parsed_grade_map())
     runs = load_run(cfg.run)
     report = evaluation.report_for_runs(runs, qrels, cfg.k, cfg.g_max)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "metrics.jsonl"
-    with out_path.open("w", encoding="utf-8") as f:
-        for record in report.to_json_records():
-            f.write(json.dumps(record, sort_keys=True) + "\n")
+    out_path = Path(cfg.out_dir) / "metrics.jsonl"
+    _write_report(out_path, "".join(json.dumps(record, sort_keys=True) + "\n"
+                                    for record in report.to_json_records()))
     print(f"mean ERR@{cfg.k} {report.mean_err:.4f}, mean nDCG@{cfg.k} "
           f"{report.mean_ndcg:.4f} over {len(report.per_query)} queries")
     print(f"wrote {out_path}")
@@ -144,10 +153,8 @@ def cmd_pairacc(cfg: RunConfig, args) -> int:
     scores = scorer.score_runs(
         {qid: sorted(qrels.for_query(qid)) for qid in qrels.query_ids()})
     report = evaluation.pair_accuracy(scores, qrels)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "pair_accuracy.json"
-    out_path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+    out_path = Path(cfg.out_dir) / "pair_accuracy.json"
+    _write_report(out_path, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     for stats in report.stats.values():
         print(f"{stats.higher}-{stats.lower}: accuracy {stats.accuracy:.3f} "
               f"volume {stats.volume:.3f} queries {stats.n_queries}")

@@ -44,7 +44,7 @@ class RunConfig:
     grade_map: str | None = None
 
     def __post_init__(self):
-        for key in ("iterations", "batches_per_iteration"):
+        for key in ("iterations", "batches_per_iteration", "k", "g_max"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
 

@@ -14,7 +14,7 @@ import numpy as np
 from . import neural
 from .model import PacrrConfig, ScoreCache, init_params, score, score_gradients
 from .neural import ParamGroup
-from .simmat import MODES, SimilarityMatrix, distill
+from .simmat import MODES, distill
 
 GRADCHECK_THRESHOLD = 1e-4
 TINY_CONFIG_KWARGS = dict(l_q=4, l_d=12, l_g=3, n_f=4, n_s=2)
@@ -92,7 +92,7 @@ def check_pipeline_gradients(config: PacrrConfig, seed: int = 0) -> GradCheckRes
         group.value = rng.uniform(-0.5, 0.5, group.value.shape)
     query_len = min(3, config.l_q)
     doc_len = config.l_d + 5
-    sim = SimilarityMatrix(rng.uniform(-1.0, 1.0, (query_len, doc_len)))
+    sim = rng.uniform(-1.0, 1.0, (query_len, doc_len))
     distilled = distill(sim, config.mode, config.l_d, config.l_g)
     idf_vec = rng.uniform(0.5, 3.0, query_len)
 

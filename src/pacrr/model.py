@@ -95,10 +95,6 @@ class PacrrParams:
         for name, grad in grads.items():
             self.groups[name].grad += grad
 
-    def zero_grads(self) -> None:
-        for group in self:
-            group.grad[...] = 0.0
-
 
 def conv_sizes(config: PacrrConfig) -> range:
     return range(2, config.l_g + 1)
@@ -330,9 +326,11 @@ def load_params(path) -> tuple[PacrrParams, PacrrConfig]:
 class Scorer:
     """Shared state for scoring many (query, document) pairs with one model.
 
-    Queries are truncated here, and only here, to the model's l_q: the
-    checkpoint's when scoring, the run config's when training. Distilled
-    inputs and per-query IDF vectors are cached; scoring is read-only over
+    Each query and each document becomes model input here, and only here.
+    A query is truncated to the model's l_q (the checkpoint's when scoring,
+    the run config's when training) and given its token ids and IDF vector
+    once, at construction; a document is given its token ids the first
+    time it is read. Distilled pairs are cached; scoring is read-only over
     the parameters, so training may interleave updates with fresh scoring
     passes.
     """
@@ -342,20 +340,25 @@ class Scorer:
         self.config = config
         self.params = params
         self.embeddings = embeddings
-        self.idf = idf
+        self._token_ids = dict(zip(embeddings.vectors, range(len(embeddings))))
         self.queries: dict[str, Query] = {}
+        self._query_ids: dict[str, np.ndarray] = {}
+        self._query_idf: dict[str, np.ndarray] = {}
         truncated: list[str] = []
         for q in queries:
             if len(q.tokens) > config.l_q:
                 truncated.append(q.query_id)
-            self.queries[q.query_id] = Query(q.query_id, q.tokens[: config.l_q])
+            tokens = q.tokens[: config.l_q]
+            self.queries[q.query_id] = Query(q.query_id, tokens)
+            self._query_ids[q.query_id] = self.token_ids(tokens)
+            self._query_idf[q.query_id] = np.array([idf.idf(t) for t in tokens],
+                                                   dtype=np.float64)
         if truncated:
             logger.warning("truncated %d queries to l_q=%d tokens: %s",
                            len(truncated), config.l_q, " ".join(truncated))
         self.docs: dict[str, TokenizedDocument] = {d.doc_id: d for d in docs}
-        self._token_ids = dict(zip(embeddings.vectors, range(len(embeddings))))
+        self._doc_ids: dict[str, np.ndarray] = {}
         self._distilled: dict[tuple[str, str], DistilledInput] = {}
-        self._idf_vecs: dict[str, np.ndarray] = {}
 
     def token_ids(self, tokens) -> np.ndarray:
         """Each token's id: its row of `embeddings.units` when it has a
@@ -364,28 +367,21 @@ class Scorer:
         ids = self._token_ids
         return np.array([ids.setdefault(tok, len(ids)) for tok in tokens], dtype=np.intp)
 
-    def idf_vector(self, query_id: str) -> np.ndarray:
-        vec = self._idf_vecs.get(query_id)
-        if vec is None:
-            query = self.queries[query_id]
-            vec = np.array([self.idf.idf(t) for t in query.tokens], dtype=np.float64)
-            self._idf_vecs[query_id] = vec
-        return vec
-
     def distilled(self, query_id: str, doc_id: str) -> DistilledInput:
         key = (query_id, doc_id)
         cached = self._distilled.get(key)
         if cached is None:
-            sim = build_sim_matrix(self.token_ids(self.queries[query_id].tokens),
-                                   self.token_ids(self.docs[doc_id].tokens),
-                                   self.embeddings.units)
+            d_ids = self._doc_ids.get(doc_id)
+            if d_ids is None:
+                d_ids = self._doc_ids[doc_id] = self.token_ids(self.docs[doc_id].tokens)
+            sim = build_sim_matrix(self._query_ids[query_id], d_ids, self.embeddings.units)
             cached = distill(sim, self.config.mode, self.config.l_d, self.config.l_g)
             self._distilled[key] = cached
         return cached
 
     def score_with_cache(self, query_id: str, doc_id: str) -> tuple[float, ScoreCache]:
         return score(self.params, self.config, self.distilled(query_id, doc_id),
-                     self.idf_vector(query_id))
+                     self._query_idf[query_id])
 
     def score(self, query_id: str, doc_id: str) -> float:
         return self.score_with_cache(query_id, doc_id)[0]

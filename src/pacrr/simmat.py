@@ -19,19 +19,6 @@ MODES = (FIRSTK, KWINDOW)
 
 
 @dataclass
-class SimilarityMatrix:
-    values: np.ndarray  # shape (|q|, |d|), entries in [-1, 1]
-
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass
 class DistilledInput:
     """query_len x l_d inputs, one matrix per n-gram size.
 
@@ -47,8 +34,9 @@ class DistilledInput:
         return self.per_n[1].shape[0]
 
 
-def build_sim_matrix(q_ids: np.ndarray, d_ids: np.ndarray, units: np.ndarray) -> SimilarityMatrix:
-    """Cosine similarity between every query and document term.
+def build_sim_matrix(q_ids: np.ndarray, d_ids: np.ndarray, units: np.ndarray) -> np.ndarray:
+    """The (|q|, |d|) cosine similarity between every query and document
+    term, with entries in [-1, 1].
 
     Token ids index the rows of `units` (`EmbeddingTable.units`); an id past
     its last row reads that zero row, so a pair where either token lacks a
@@ -60,20 +48,21 @@ def build_sim_matrix(q_ids: np.ndarray, d_ids: np.ndarray, units: np.ndarray) ->
     d_units = units[np.minimum(d_ids, zero_row)]
     sim = np.clip(q_units @ d_units.T, -1.0, 1.0)
     sim[q_ids[:, None] == d_ids[None, :]] = 1.0
-    return SimilarityMatrix(sim)
+    return sim
 
 
-def distill_firstk(sim: SimilarityMatrix, l_q: int, l_d: int) -> np.ndarray:
+def distill_firstk(sim: np.ndarray, l_q: int, l_d: int) -> np.ndarray:
     """Keep the first l_d document columns, zero-padded to l_q x l_d."""
-    if l_q < sim.rows:
-        raise ValueError(f"l_q={l_q} is smaller than the query length {sim.rows}")
+    rows, cols = sim.shape
+    if l_q < rows:
+        raise ValueError(f"l_q={l_q} is smaller than the query length {rows}")
     out = np.zeros((l_q, l_d), dtype=np.float64)
-    width = min(sim.cols, l_d)
-    out[: sim.rows, :width] = sim.values[:, :width]
+    width = min(cols, l_d)
+    out[:rows, :width] = sim[:, :width]
     return out
 
 
-def distill_kwindow(sim: SimilarityMatrix, n: int, l_q: int, l_d: int) -> np.ndarray:
+def distill_kwindow(sim: np.ndarray, n: int, l_q: int, l_d: int) -> np.ndarray:
     """Select the top floor(l_d/n) disjoint n-term windows of the document.
 
     Candidate windows start at positions 0, n, 2n, ...; a final partial window
@@ -86,35 +75,37 @@ def distill_kwindow(sim: SimilarityMatrix, n: int, l_q: int, l_d: int) -> np.nda
         raise ValueError("window length n must be >= 1")
     if n > l_d:
         raise ValueError(f"window length n={n} exceeds l_d={l_d}")
-    if l_q < sim.rows:
-        raise ValueError(f"l_q={l_q} is smaller than the query length {sim.rows}")
+    rows, cols = sim.shape
+    if l_q < rows:
+        raise ValueError(f"l_q={l_q} is smaller than the query length {rows}")
     out = np.zeros((l_q, l_d), dtype=np.float64)
-    n_windows = -(-sim.cols // n)  # ceil
+    n_windows = -(-cols // n)  # ceil
     if n_windows == 0:
         return out
-    padded = np.zeros((sim.rows, n_windows * n), dtype=np.float64)
-    padded[:, : sim.cols] = sim.values
+    padded = np.zeros((rows, n_windows * n), dtype=np.float64)
+    padded[:, :cols] = sim
     col_max = padded.max(axis=0)
     scores = col_max.reshape(n_windows, n).mean(axis=1)
     k = l_d // n
     top = np.argsort(-scores, kind="stable")[:k]
     selected = np.sort(top)
-    block = padded.reshape(sim.rows, n_windows, n)[:, selected].reshape(sim.rows, -1)
-    out[: sim.rows, : block.shape[1]] = block
+    block = padded.reshape(rows, n_windows, n)[:, selected].reshape(rows, -1)
+    out[:rows, : block.shape[1]] = block
     return out
 
 
-def distill(sim: SimilarityMatrix, mode: str, l_d: int, l_g: int) -> DistilledInput:
-    """Distill one similarity matrix for all n-gram sizes 1..l_g.
+def distill(sim: np.ndarray, mode: str, l_d: int, l_g: int) -> DistilledInput:
+    """Distill one (|q|, |d|) similarity matrix for all n-gram sizes 1..l_g.
 
-    Only the sim.rows real query rows are kept, as float32: the model's
-    input dtype, so the cast is made once here and never per score.
+    Only the |q| real query rows are kept, as float32: the model's input
+    dtype, so the cast is made once here and never per score.
     """
+    rows = len(sim)
     if mode == FIRSTK:
-        matrix = distill_firstk(sim, sim.rows, l_d).astype(np.float32)
+        matrix = distill_firstk(sim, rows, l_d).astype(np.float32)
         per_n = {n: matrix for n in range(1, l_g + 1)}
     elif mode == KWINDOW:
-        per_n = {n: distill_kwindow(sim, n, sim.rows, l_d).astype(np.float32)
+        per_n = {n: distill_kwindow(sim, n, rows, l_d).astype(np.float32)
                  for n in range(1, l_g + 1)}
     else:
         raise ValueError(f"unknown distillation mode {mode!r}")

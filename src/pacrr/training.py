@@ -63,8 +63,7 @@ def build_groups(qrels: JudgmentSet, train_query_ids) -> RelevanceGroups:
     return RelevanceGroups(highly, relevant, non_relevant, highly_pairs, relevant_pairs)
 
 
-def sample_triple(rng: np.random.Generator, groups: RelevanceGroups,
-                  max_attempts: int = MAX_SAMPLE_ATTEMPTS) -> Triple:
+def sample_triple(rng: np.random.Generator, groups: RelevanceGroups) -> Triple:
     """Draw one (query, d+, d-) training triple.
 
     The positive's group is chosen with probability proportional to the
@@ -79,14 +78,14 @@ def sample_triple(rng: np.random.Generator, groups: RelevanceGroups,
     use_highly = rng.random() < n_high / (n_high + n_rel)
     pos_pairs = groups.highly_pairs if use_highly else groups.relevant_pairs
     neg_lists = groups.relevant if use_highly else groups.non_relevant
-    for _ in range(max_attempts):
+    for _ in range(MAX_SAMPLE_ATTEMPTS):
         qid, pos = pos_pairs[rng.integers(len(pos_pairs))]
         negatives = neg_lists.get(qid)
         if negatives:
             neg = negatives[rng.integers(len(negatives))]
             return Triple(qid, pos, neg)
     raise DataError(
-        f"degenerate training set: {max_attempts} consecutive rejections while "
+        f"degenerate training set: {MAX_SAMPLE_ATTEMPTS} consecutive rejections while "
         "sampling a negative document"
     )
 
@@ -116,7 +115,6 @@ class TrainState:
     best_iteration: int = 0
     best_err: float = -1.0
     best_checkpoint_path: str = ""
-    rng_state: dict | None = None  # sampler state at the end of training
 
 
 def _validation_metrics(scorer: Scorer, val_runs: dict[str, RunRanking],
@@ -204,6 +202,5 @@ def train(config: PacrrConfig, docs, queries, qrels: JudgmentSet,
             logger.info("iteration %d: loss %.4f, val ERR@%d %.4f",
                         iteration, entry.mean_loss, k, val_err)
 
-    state.rng_state = rng.bit_generator.state
     best_params, _ = load_params(out_dir / state.best_checkpoint_path)
     return best_params, state

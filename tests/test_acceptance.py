@@ -22,7 +22,7 @@ from pacrr.corpus import compute_idf, save_run
 from pacrr.gradcheck import gradcheck_report
 from pacrr.model import (PacrrConfig, Scorer, init_params, load_params, save_params,
                          score_gradients)
-from pacrr.simmat import SimilarityMatrix, distill_kwindow
+from pacrr.simmat import distill_kwindow
 
 TINY = dict(l_q=4, l_d=12, l_g=3, n_f=4, n_s=2)
 GRADCHECK_TOL = 1e-4
@@ -72,7 +72,7 @@ def test_criterion_3_distillation_oracles():
             l_q = n_q + int(rng.integers(0, 3))
             l_d = int(rng.integers(n, 16))
             values = rng.uniform(-1.0, 1.0, (n_q, n_d))
-            got = distill_kwindow(SimilarityMatrix(values), n, l_q, l_d)
+            got = distill_kwindow(values, n, l_q, l_d)
             want = kwindow_oracle(values.tolist(), n, l_q, l_d)
             np.testing.assert_array_equal(got, want)
         for _ in range(1000):

@@ -42,7 +42,7 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(grade_map="oops").parsed_grade_map()
 
-    @pytest.mark.parametrize("key", ["iterations", "batches_per_iteration"])
+    @pytest.mark.parametrize("key", ["iterations", "batches_per_iteration", "k", "g_max"])
     def test_empty_schedule_rejected(self, tmp_path, key):
         path = tmp_path / "run.cfg"
         path.write_text(f"{key} = 0\n")
@@ -231,23 +231,46 @@ class TestCliCommands:
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "best.pacrr").exists()
 
-    def test_rerank_uses_the_checkpoint_l_q(self, synth_dir, tmp_path):
-        # A config l_q below the checkpoint's must not truncate the queries.
+    def test_rerank_uses_the_checkpoint_l_q(self, synth_dir, tmp_path, caplog):
+        # A config l_q below the checkpoint's must not truncate the queries;
+        # one warning names the ignored key, and none is given when all agree.
         from pacrr.model import init_params, save_params
 
         cfg = load_run_config(synth_dir / "config.txt")
         checkpoint = tmp_path / "init.pacrr"
         save_params(init_params(cfg.pacrr_config()), cfg.pacrr_config(), checkpoint)
+        checkpoint_l_q = cfg.l_q
         written = []
+        warnings = []
         for l_q in (cfg.l_q, 2):
             cfg.l_q = l_q
             path = tmp_path / f"lq{l_q}.cfg"
             write_run_config(cfg, path)
             out = tmp_path / f"rr{l_q}"
-            assert main(["--config", str(path), "--out", str(out), "rerank",
-                         "--checkpoint", str(checkpoint)]) == 0
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="pacrr.cli"):
+                assert main(["--config", str(path), "--out", str(out), "rerank",
+                             "--checkpoint", str(checkpoint)]) == 0
+            warnings.append([r.getMessage() for r in caplog.records if r.name == "pacrr.cli"])
             written.append((out / "reranked_run.txt").read_bytes())
         assert written[0] == written[1]
+        assert warnings == [[], ["using the checkpoint's model keys; ignoring config "
+                                 f"l_q=2 (checkpoint {checkpoint_l_q})"]]
+
+    def test_failed_report_write_keeps_old_report_and_no_temp(self, synth_dir, tmp_path,
+                                                              monkeypatch):
+        out = tmp_path / "ev"
+        out.mkdir()
+        (out / "metrics.jsonl").write_text("old\n")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("pacrr.model.os.replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            main(["--config", str(synth_dir / "config.txt"), "--out", str(out), "eval"])
+        assert (out / "metrics.jsonl").read_text() == "old\n"
+        assert [p.name for p in out.iterdir()] == ["metrics.jsonl"]
 
     def test_score_skips_unknown_query_and_doc_in_one_warning(self, synth_dir, tmp_path,
                                                               caplog):

@@ -12,7 +12,7 @@ from pacrr.errors import CheckpointError
 from pacrr.gradcheck import check_pipeline_gradients
 from pacrr.model import (PacrrConfig, Scorer, init_params, load_params, save_params,
                          score, score_gradients)
-from pacrr.simmat import SimilarityMatrix, distill
+from pacrr.simmat import distill
 
 TINY = dict(l_q=4, l_d=12, l_g=3, n_f=4, n_s=2)
 
@@ -25,7 +25,7 @@ def tiny_config(**overrides):
 
 def random_distilled(config, rng, query_len=3, doc_len=None):
     doc_len = doc_len if doc_len is not None else config.l_d + 7
-    sim = SimilarityMatrix(rng.uniform(-1, 1, (query_len, doc_len)))
+    sim = rng.uniform(-1, 1, (query_len, doc_len))
     return distill(sim, config.mode, config.l_d, config.l_g)
 
 
@@ -77,7 +77,7 @@ class TestScore:
         params = init_params(config)
         for name in ("rnn_w", "rnn_u", "rnn_b"):
             params[name].value[...] = 0.0
-        sim = SimilarityMatrix(np.zeros((2, 5)))
+        sim = np.zeros((2, 5))
         distilled = distill(sim, config.mode, config.l_d, config.l_g)
         rel, _ = score(params, config, distilled, np.array([1.0, 2.0]))
         assert rel == 0.0
@@ -193,7 +193,7 @@ class TestRealRowsOnly:
         block = np.round(rng.uniform(-1, 1, (16, 60)))
         block[:, rng.random(60) < 0.5] = 0.0
         values = np.tile(block, 15)
-        distilled = distill(SimilarityMatrix(values), mode, config.l_d, config.l_g)
+        distilled = distill(values, mode, config.l_d, config.l_g)
         cache = self.assert_matches_all_rows_reference(config, distilled, np.float32, rng)
         xs = cache.rnn_cache.xs
         assert all(np.any(xs[:, j] == xs[:, j + 1]) for j in (0, 2, 4))
@@ -224,8 +224,8 @@ class TestPipelineInvariants:
         strong = np.array([[0.9, 0.85, 0.8, 0.75], [0.7, 0.95, 0.65, 0.9]])
         weak_a = np.array([[0.10, 0.11], [0.12, 0.13]])
         weak_b = np.array([[0.20, 0.21], [0.22, 0.23]])
-        sim_1 = SimilarityMatrix(np.hstack([strong, weak_a, weak_b]))
-        sim_2 = SimilarityMatrix(np.hstack([strong, weak_b, weak_a]))
+        sim_1 = np.hstack([strong, weak_a, weak_b])
+        sim_2 = np.hstack([strong, weak_b, weak_a])
         idf = np.array([1.0, 2.0])
         rels = []
         for sim in (sim_1, sim_2):
@@ -396,6 +396,20 @@ class TestScorer:
         for (qid, did), sim in expected.items():
             got = scorer.distilled(qid, did).per_n[1][:, :3]
             np.testing.assert_array_equal(got, sim)
+
+    def test_document_tokens_mapped_once_across_queries(self):
+        config = tiny_config()
+        emb = EmbeddingTable(dim=2, vectors={"a": np.array([1.0, 0.0])})
+        doc = TokenizedDocument("d", ("a", "b", "c"))
+        queries = [Query("q1", ("a",)), Query("q2", ("b", "a"))]
+        scorer = Scorer(config, init_params(config), queries, [doc], emb,
+                        IdfTable(doc_count=1, df={}, values={}))
+        mapped = []
+        token_ids = scorer.token_ids
+        scorer.token_ids = lambda tokens: mapped.append(tuple(tokens)) or token_ids(tokens)
+        scorer.score("q1", "d")
+        scorer.score("q2", "d")
+        assert mapped == [doc.tokens]
 
     def test_query_truncated_to_l_q(self):
         config = tiny_config()

@@ -6,8 +6,8 @@ import pytest
 from helpers import kwindow_oracle, per_pair_sim_matrix
 from pacrr.corpus import EmbeddingTable, IdfTable
 from pacrr.model import PacrrConfig, Scorer, init_params
-from pacrr.simmat import (FIRSTK, KWINDOW, SimilarityMatrix, build_sim_matrix,
-                          distill, distill_firstk, distill_kwindow)
+from pacrr.simmat import (FIRSTK, KWINDOW, build_sim_matrix, distill, distill_firstk,
+                          distill_kwindow)
 
 
 def table(**vectors):
@@ -31,32 +31,32 @@ class TestBuildSimMatrix:
     def test_identical_tokens_score_one(self):
         emb = table(dog=[1.0, 0.0])
         sim = build(("dog",), ("dog",), emb)
-        assert sim.values[0, 0] == 1.0
+        assert sim[0, 0] == 1.0
 
     def test_identical_oov_tokens_score_one(self):
         emb = table(other=[1.0, 0.0])
         sim = build(("zzz",), ("zzz",), emb)
-        assert sim.values[0, 0] == 1.0
+        assert sim[0, 0] == 1.0
 
     def test_orthogonal_vectors(self):
         emb = table(a=[1.0, 0.0], b=[0.0, 1.0])
         sim = build(("a",), ("b",), emb)
-        assert sim.values[0, 0] == pytest.approx(0.0, abs=1e-15)
+        assert sim[0, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_hand_cosine(self):
         emb = table(a=[1.0, 1.0], b=[1.0, 0.0])
         sim = build(("a",), ("b",), emb)
-        assert sim.values[0, 0] == pytest.approx(1.0 / math.sqrt(2), abs=1e-12)
+        assert sim[0, 0] == pytest.approx(1.0 / math.sqrt(2), abs=1e-12)
 
     def test_missing_embedding_different_tokens(self):
         emb = table(a=[1.0, 0.0])
         sim = build(("a", "zzz"), ("yyy",), emb)
-        assert sim.values[0, 0] == 0.0
-        assert sim.values[1, 0] == 0.0
+        assert sim[0, 0] == 0.0
+        assert sim[1, 0] == 0.0
 
     def test_empty_document(self):
         sim = build(("a", "b"), (), table(a=[1.0]))
-        assert sim.values.shape == (2, 0)
+        assert sim.shape == (2, 0)
 
     def test_id_build_matches_per_pair_normalisation(self):
         rng = np.random.default_rng(8)
@@ -71,7 +71,7 @@ class TestBuildSimMatrix:
         docs = [tuple(rng.choice(pool, size)) for size in (1, 7, 60)] + [()]
         for q in queries:
             for d in docs + docs:
-                got = build(q, d, emb, scorer).values
+                got = build(q, d, emb, scorer)
                 want = per_pair_sim_matrix(q, d, emb)
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
@@ -81,69 +81,69 @@ class TestBuildSimMatrix:
         vecs = {f"t{i}": rng.standard_normal(8) for i in range(20)}
         emb = EmbeddingTable(dim=8, vectors=vecs)
         sim = build(tuple(f"t{i}" for i in range(4)), tuple(f"t{i}" for i in range(20)), emb)
-        assert np.all(sim.values >= -1.0) and np.all(sim.values <= 1.0)
+        assert np.all(sim >= -1.0) and np.all(sim <= 1.0)
 
 
 class TestDistillFirstk:
     def test_padding(self):
-        sim = SimilarityMatrix(np.arange(6, dtype=float).reshape(2, 3) / 10)
+        sim = np.arange(6, dtype=float).reshape(2, 3) / 10
         out = distill_firstk(sim, l_q=3, l_d=4)
-        np.testing.assert_array_equal(out[:2, :3], sim.values)
+        np.testing.assert_array_equal(out[:2, :3], sim)
         assert np.all(out[2, :] == 0.0)
         assert np.all(out[:, 3] == 0.0)
 
     def test_truncation(self):
-        sim = SimilarityMatrix(np.linspace(-1, 1, 1000).reshape(1, 1000))
+        sim = np.linspace(-1, 1, 1000).reshape(1, 1000)
         out = distill_firstk(sim, l_q=1, l_d=4)
-        np.testing.assert_array_equal(out, sim.values[:, :4])
+        np.testing.assert_array_equal(out, sim[:, :4])
 
     def test_identity_case(self):
         values = np.array([[0.2, 0.9], [0.4, 0.1]])
-        out = distill_firstk(SimilarityMatrix(values), l_q=2, l_d=2)
+        out = distill_firstk(values, l_q=2, l_d=2)
         np.testing.assert_array_equal(out, values)
 
     def test_idempotent(self):
         values = np.random.default_rng(0).uniform(-1, 1, (3, 5))
-        once = distill_firstk(SimilarityMatrix(values), l_q=3, l_d=5)
-        twice = distill_firstk(SimilarityMatrix(once), l_q=3, l_d=5)
+        once = distill_firstk(values, l_q=3, l_d=5)
+        twice = distill_firstk(once, l_q=3, l_d=5)
         np.testing.assert_array_equal(once, twice)
 
     def test_query_too_long(self):
-        sim = SimilarityMatrix(np.zeros((4, 2)))
+        sim = np.zeros((4, 2))
         with pytest.raises(ValueError, match="l_q"):
             distill_firstk(sim, l_q=3, l_d=2)
 
     def test_shared_matrix_across_sizes(self):
-        sim = SimilarityMatrix(np.zeros((2, 2)))
+        sim = np.zeros((2, 2))
         distilled = distill(sim, FIRSTK, l_d=3, l_g=3)
         assert distilled.per_n[1] is distilled.per_n[2] is distilled.per_n[3]
 
 
 class TestDistillKwindow:
     def test_unigram_top_k_in_document_order(self):
-        sim = SimilarityMatrix(np.array([[0.1, 0.9, 0.5, 0.7, 0.2]]))
+        sim = np.array([[0.1, 0.9, 0.5, 0.7, 0.2]])
         out = distill_kwindow(sim, n=1, l_q=1, l_d=3)
         np.testing.assert_array_equal(out, [[0.9, 0.5, 0.7]])
 
     def test_bigram_windows(self):
-        sim = SimilarityMatrix(np.array([[0.9, 0.1, 0.2, 0.2, 0.8, 0.8]]))
+        sim = np.array([[0.9, 0.1, 0.2, 0.2, 0.8, 0.8]])
         out = distill_kwindow(sim, n=2, l_q=1, l_d=4)
         np.testing.assert_array_equal(out, [[0.9, 0.1, 0.8, 0.8]])
 
     def test_document_shorter_than_window(self):
-        sim = SimilarityMatrix(np.array([[0.4, 0.6]]))
+        sim = np.array([[0.4, 0.6]])
         out = distill_kwindow(sim, n=3, l_q=2, l_d=6)
         expected = np.zeros((2, 6))
         expected[0, :2] = [0.4, 0.6]
         np.testing.assert_array_equal(out, expected)
 
     def test_window_longer_than_l_d(self):
-        sim = SimilarityMatrix(np.zeros((1, 5)))
+        sim = np.zeros((1, 5))
         with pytest.raises(ValueError, match="exceeds"):
             distill_kwindow(sim, n=6, l_q=1, l_d=5)
 
     def test_empty_document(self):
-        sim = SimilarityMatrix(np.zeros((2, 0)))
+        sim = np.zeros((2, 0))
         out = distill_kwindow(sim, n=2, l_q=3, l_d=4)
         np.testing.assert_array_equal(out, np.zeros((3, 4)))
 
@@ -155,8 +155,7 @@ class TestDistillKwindow:
             n = int(rng.integers(1, 4))
             l_d = int(rng.integers(n, 16))
             values = rng.uniform(-1, 1, (n_q, n_d))
-            sim = SimilarityMatrix(values)
-            got = distill_kwindow(sim, n=n, l_q=n_q + 1, l_d=l_d)
+            got = distill_kwindow(values, n=n, l_q=n_q + 1, l_d=l_d)
             want = kwindow_oracle(values.tolist(), n, n_q + 1, l_d)
             np.testing.assert_array_equal(got, want)
 
@@ -179,7 +178,7 @@ class TestDistillKwindow:
 
     def test_order_preservation(self):
         # selected windows appear in ascending original position
-        sim = SimilarityMatrix(np.array([[0.0, 0.0, 0.9, 0.9, 0.5, 0.5]]))
+        sim = np.array([[0.0, 0.0, 0.9, 0.9, 0.5, 0.5]])
         out = distill_kwindow(sim, n=2, l_q=1, l_d=4)
         np.testing.assert_array_equal(out, [[0.9, 0.9, 0.5, 0.5]])
 
@@ -188,8 +187,8 @@ class TestDistillKwindow:
         values = np.array([[0.9, 0.8, 0.7, 0.1, 0.2, 0.3]])
         swapped = values.copy()
         swapped[0, [3, 4, 5]] = values[0, [5, 3, 4]]
-        a = distill_kwindow(SimilarityMatrix(values), n=1, l_q=1, l_d=3)
-        b = distill_kwindow(SimilarityMatrix(swapped), n=1, l_q=1, l_d=3)
+        a = distill_kwindow(values, n=1, l_q=1, l_d=3)
+        b = distill_kwindow(swapped, n=1, l_q=1, l_d=3)
         np.testing.assert_array_equal(a, b)
 
 
@@ -198,7 +197,7 @@ class TestDistilledInvariants:
         rng = np.random.default_rng(7)
         for mode in (FIRSTK, KWINDOW):
             values = rng.uniform(-1, 1, (3, 9))
-            distilled = distill(SimilarityMatrix(values), mode, l_d=6, l_g=3)
+            distilled = distill(values, mode, l_d=6, l_g=3)
             assert distilled.query_len == 3
             for matrix in distilled.per_n.values():
                 assert matrix.shape == (3, 6) and matrix.dtype == np.float32
