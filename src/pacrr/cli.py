@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Commands: train, rerank, score, eval, pairacc, gradcheck, synth.
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 gradient-check
-failure.
+Exit codes: 0 success, 1 usage/config error, 2 data or I/O error,
+3 gradient-check failure.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ from pathlib import Path
 from . import evaluation, synth
 from .config import RunConfig, load_run_config, write_run_config
 from .corpus import (compute_idf, load_corpus, load_embeddings, load_qrels,
-                     load_queries, load_run, read_lines, save_run)
+                     load_queries, load_run, read_lines, save_run, write_atomic)
 from .errors import ConfigError, DataError
 from .gradcheck import GRADCHECK_THRESHOLD, gradcheck_report
-from .model import Scorer, load_params, write_atomic
+from .model import Scorer, load_params
 from .training import train
 
 logger = logging.getLogger(__name__)
@@ -282,6 +282,9 @@ def main(argv=None) -> int:
         return 1
     except (DataError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
         return 2
     except FloatingPointError as exc:
         print(f"config error: training diverged ({exc}); lower learning_rate",

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -279,6 +280,24 @@ def compute_idf(corpus: list[TokenizedDocument]) -> IdfTable:
 # ---------------------------------------------------------------------------
 # Writers (round-trip counterparts of the loaders; also used by `synth`).
 
+def write_atomic(path, data: bytes) -> None:
+    """Write through a temp file in the same directory and `os.replace`, so
+    the path holds either its old bytes or all of the new ones. A failure
+    raises an OSError that names the path."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("wb") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_corpus(docs: list[TokenizedDocument], path) -> None:
     with Path(path).open("w", encoding="utf-8") as f:
         for doc in docs:
@@ -298,10 +317,9 @@ def save_qrels(qrels: JudgmentSet, path) -> None:
 
 
 def save_run(runs: dict[str, RunRanking], path, tag: str = "pacrr") -> None:
-    with Path(path).open("w", encoding="utf-8") as f:
-        for qid in sorted(runs):
-            for did, rank, score in runs[qid].entries:
-                f.write(f"{qid} Q0 {did} {rank} {score!r} {tag}\n")
+    write_atomic(path, "".join(f"{qid} Q0 {did} {rank} {score!r} {tag}\n"
+                               for qid in sorted(runs)
+                               for did, rank, score in runs[qid].entries).encode("utf-8"))
 
 
 def save_embeddings(table: EmbeddingTable, path) -> None:

@@ -1,10 +1,9 @@
 """The allocator policy that importing pacrr sets for the process.
 
-A pair's arrays (conv pre-activations and outputs, im2col patches, the
-filter-max gradient) are 0.1-1.6 MB at the paper shape and grow with the
-query's length. glibc serves blocks above its mmap threshold from fresh,
-page-faulting mmaps, raises that threshold to the largest such block freed,
-and trims the heap top past twice it. Left to those dynamic thresholds, how
+A pair's arrays (conv outputs and im2col patches) are 0.1-1.6 MB at the
+paper shape and grow with the query's length. glibc serves blocks above
+its mmap threshold from fresh, page-faulting mmaps, raises that threshold
+to the largest such block freed, and trims the heap top past twice it. Left to those dynamic thresholds, how
 many of a pair's arrays page-fault, and how often the heap shrinks and
 regrows between pairs, depends on the longest query scored so far. Pinned,
 blocks up to HEAP_BLOCK_MAX come from the heap, which keeps up to twice

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import os
 import struct
 import zlib
 from dataclasses import dataclass, fields
@@ -24,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import neural
-from .corpus import EmbeddingTable, IdfTable, Query, TokenizedDocument
+from .corpus import EmbeddingTable, IdfTable, Query, TokenizedDocument, write_atomic
 from .errors import CheckpointError
 from .neural import ParamGroup
 from .simmat import FIRSTK, KWINDOW, MODES, DistilledInput, build_sim_matrix, distill
@@ -207,7 +206,7 @@ def score_gradients(params: PacrrParams, config: PacrrConfig, cache: ScoreCache,
     n_s = config.n_s
     for n in conv_sizes(config):
         d_km = d_xs[:, (n - 1) * n_s : n * n_s]
-        width = len(cache.conv_caches[n].mask) // len(d_km)  # filter-max cells per row
+        width = cache.conv_caches[n].out.shape[1] // len(d_km)  # filter-max cells per row
         d_pooled = neural.kmax_per_row_backward(d_km, cache.kmax_srcs[n], width)
         d_conv = neural.max_over_filters_backward(d_pooled, cache.filter_args[n])
         d_kernels, d_bias = neural.conv2d_backward(
@@ -251,21 +250,6 @@ def save_params(params: PacrrParams, config: PacrrConfig, path) -> None:
     chunks.extend(blobs)
     body = b"".join(chunks)
     write_atomic(path, body + struct.pack("<I", zlib.crc32(body)))
-
-
-def write_atomic(path, data: bytes) -> None:
-    """Write through a temp file in the same directory and `os.replace`, so
-    the path holds either its old bytes or all of the new ones."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with tmp.open("wb") as f:
-            f.write(data)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def load_params(path) -> tuple[PacrrParams, PacrrConfig]:

@@ -7,9 +7,14 @@ is never trained). The piecewise-linear ops (rectification, max pooling,
 hinge) are differentiable away from ties and kinks. `pacrr.gradcheck`
 checks every backward function against central finite differences.
 
+conv2d folds its bias into the im2col matmul as the last kernel column
+(against a last im2col row of ones) and keeps its rectified output, not a
+mask: the active rectifiers are its positive cells.
+
 Pooling is exact and lazy: conv2d's output is filter-major, so filter-max
 is one reduction; the winning filter is taken only at the cells k-max keeps
 (`filter_argmax`), and the gradient below k-max is carried at those alone.
+k-max is a few argmax passes, one per kept value.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 @dataclass
@@ -56,8 +60,8 @@ def _same_pad(size: int, kernel: int, stride: int) -> tuple[int, int, int]:
 
 @dataclass
 class Conv2dCache:
-    cols: np.ndarray  # (out_h*out_w, n*n) im2col patches, a transposed view
-    mask: np.ndarray  # (out_h*out_w, n_f) rectifier activity, a transposed view
+    cols: np.ndarray  # (out_h*out_w, n*n) im2col patches, no ones row; a transposed view
+    out: np.ndarray  # (n_f, out_h*out_w) the rectified output; active where > 0
 
 
 def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
@@ -82,12 +86,15 @@ def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
     if n > padded.shape[0] or n > padded.shape[1]:
         raise ValueError(f"kernel size {n} exceeds padded input {padded.shape}")
     padded[pad_top : pad_top + H, pad_left : pad_left + W] = x
-    windows = sliding_window_view(padded, (n, n))[::s_q, ::s_d][:out_h, :out_w]
-    cols = windows.transpose(2, 3, 0, 1).reshape(n * n, out_h * out_w)
-    pre = kernels.reshape(n_f, n * n) @ cols + bias[:, None]
-    mask = pre > 0.0
-    pre *= mask
-    return pre.reshape(n_f, out_h, out_w), Conv2dCache(cols=cols.T, mask=mask.T)
+    cols = np.empty((n * n + 1, out_h, out_w), dtype=x.dtype)
+    for a in range(n):
+        for b in range(n):
+            cols[a * n + b] = padded[a::s_q, b::s_d][:out_h, :out_w]
+    cols[n * n] = 1.0
+    cols = cols.reshape(n * n + 1, out_h * out_w)
+    out = np.column_stack((kernels.reshape(n_f, n * n), bias)) @ cols
+    np.maximum(out, 0.0, out=out)
+    return out.reshape(n_f, out_h, out_w), Conv2dCache(cols=cols[: n * n].T, out=out)
 
 
 def conv2d_backward(d_out, cache: Conv2dCache, kernels: np.ndarray):
@@ -95,16 +102,17 @@ def conv2d_backward(d_out, cache: Conv2dCache, kernels: np.ndarray):
 
     d_out holds the gradient at a few cells as `(filters, cells, values)`,
     cell = row * out_w + column, each (filter, cell) at most once; only
-    these enter the sums, in cell order. No input gradient is formed: the
-    conv inputs are fixed features.
+    these enter the sums, in cell order, and the rectifier state is read
+    at these alone. No input gradient is formed: the conv inputs are fixed
+    features.
     """
     n_f, n, _ = kernels.shape
     filters, cells, values = d_out
     nonzero = values != 0.0
-    live, pos = np.unique(cells[nonzero], return_inverse=True)
-    d_cells = np.zeros((n_f, len(live)), dtype=values.dtype)
-    d_cells[filters[nonzero], pos] = values[nonzero]
-    d_pre = d_cells.T * cache.mask[live]
+    filters, cells, values = filters[nonzero], cells[nonzero], values[nonzero]
+    live, pos = np.unique(cells, return_inverse=True)
+    d_pre = np.zeros((len(live), n_f), dtype=values.dtype)
+    d_pre[pos, filters] = values * (cache.out[filters, cells] > 0.0)
     d_kernels = (d_pre.T @ cache.cols[live]).reshape(n_f, n, n)
     return d_kernels, d_pre.sum(axis=0)
 
@@ -139,11 +147,11 @@ def max_over_filters_backward(d_out, argmax: np.ndarray):
 
 def kmax_per_row(x: np.ndarray, k: int):
     """Per row, the k largest values sorted descending (ties keep the earlier
-    column); rows shorter than k are zero-padded.
+    column); rows shorter than k are zero-padded. x must not hold -inf.
 
     Returns (out, src) where src holds each output's source column, -1 for
-    padding cells. Only the values at or above each row's k-th largest
-    (found by partitioning) are sorted, by (-value, column).
+    padding cells. Each of the min(k, width) passes takes every row's first
+    argmax and sets it to -inf in a working copy.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -152,14 +160,12 @@ def kmax_per_row(x: np.ndarray, k: int):
     out = np.zeros((rows, k), dtype=x.dtype)
     src = np.full((rows, k), -1, dtype=np.int64)
     if m > 0:
-        kth = np.partition(x, width - m, axis=1)[:, width - m, None]
-        cells = np.flatnonzero(x >= kth)  # at least m per row, ascending
-        row = cells // width
-        order = np.lexsort((cells, -x.reshape(-1)[cells], row))
-        first = np.searchsorted(row, np.arange(rows))
-        picked = cells[order[first[:, None] + np.arange(m)]]
-        out[:, :m] = x.reshape(-1)[picked]
-        src[:, :m] = picked % width
+        work = x.copy()
+        every = np.arange(rows)
+        for j in range(m):
+            src[:, j] = work.argmax(axis=1)
+            work[every, src[:, j]] = -np.inf
+        out[:, :m] = np.take_along_axis(x, src[:, :m], axis=1)
     return out, src
 
 

@@ -74,6 +74,28 @@ def kmax_reference(x, k):
     return out, src
 
 
+def conv_oracle(x, kernels, bias, stride):
+    """Rectified same-padded cross-correlation of x (H, W) with the n_f
+    n x n kernels, from an explicitly padded copy of x and patches unfolded
+    by loops: returns (out, cols, active) with out (n_f, out_h, out_w), cols
+    the (cells, n*n) patches and active the (cells, n_f) rectifier state,
+    cell = row * out_w + column. The extra zero of an odd padding goes after
+    the data."""
+    H, W = x.shape
+    n_f, n, _ = kernels.shape
+    s_q, s_d = stride
+    out_h, out_w = math.ceil(H / s_q), math.ceil(W / s_d)
+    pad_h = max((out_h - 1) * s_q + n - H, 0)
+    pad_w = max((out_w - 1) * s_d + n - W, 0)
+    padded = np.zeros((H + pad_h, W + pad_w), dtype=x.dtype)
+    padded[pad_h // 2 : pad_h // 2 + H, pad_w // 2 : pad_w // 2 + W] = x
+    cols = np.array([[padded[r * s_q + a, c * s_d + b] for a in range(n) for b in range(n)]
+                     for r in range(out_h) for c in range(out_w)], dtype=x.dtype)
+    pre = kernels.reshape(n_f, n * n) @ np.ascontiguousarray(cols.T) + bias[:, None]
+    active = pre > 0.0
+    return (pre * active).reshape(n_f, out_h, out_w), cols, active.T
+
+
 def dense_conv_param_grads(d_out, cols, mask):
     """Kernel and bias gradients of a rectified conv summed over every output
     cell: d_pre.T @ cols with d_pre = d_out (as cells x filters) * mask."""
@@ -85,8 +107,9 @@ def dense_conv_param_grads(d_out, cols, mask):
 def all_rows_score(params, config, distilled, idf_vector):
     """rel and the parameter gradients of rel for the PACRR pipeline run over
     all l_q rows, the distilled real rows zero-padded to l_q, with its own
-    pooling (a dense filter argmax at every cell, `kmax_reference`), the
-    pooling routes undone by loops and dense conv gradient sums."""
+    convolution (`conv_oracle`) and pooling (a dense filter argmax at every
+    cell, `kmax_reference`), the pooling routes undone by loops and dense
+    conv gradient sums."""
     dtype = params["rnn_w"].value.dtype
     t_len, n_s = distilled.query_len, config.n_s
 
@@ -99,28 +122,27 @@ def all_rows_score(params, config, distilled, idf_vector):
     routes = []
     for n in range(2, config.l_g + 1):
         stride = (1, n) if config.mode == "kwindow" else (1, 1)
-        out, cache = neural.conv2d(padded(n),
-                                   params[f"conv{n}_kernels"].value,
-                                   params[f"conv{n}_bias"].value, stride)
+        out, cols, active = conv_oracle(padded(n), params[f"conv{n}_kernels"].value,
+                                        params[f"conv{n}_bias"].value, stride)
         arg = np.argmax(out, axis=0)
         pooled = np.take_along_axis(out, arg[None], axis=0)[0]
         km, src = kmax_reference(pooled, n_s)
         signals.append(km)
-        routes.append((n, out.shape, cache, arg, src))
+        routes.append((n, out.shape, cols, active, arg, src))
     salient = np.stack(signals, axis=1)[:t_len].reshape(t_len, config.l_g * n_s)
     xs = np.column_stack([salient, neural.softmax(idf_vector)]).astype(dtype)
     w, u = params["rnn_w"].value, params["rnn_u"].value
     rel, rnn_cache = neural.recurrent_sequence(xs, w, u, params["rnn_b"].value)
     d_xs, d_w, d_u, d_b = neural.recurrent_backward(1.0, rnn_cache, w, u)
     grads = {"rnn_w": d_w, "rnn_u": d_u, "rnn_b": d_b}
-    for n, shape, cache, arg, src in routes:
+    for n, shape, cols, active, arg, src in routes:
         d_conv = np.zeros(shape)
         for r in range(t_len):
             for j in range(n_s):
                 c = src[r, j]
                 if c >= 0:
                     d_conv[arg[r, c], r, c] += d_xs[r, (n - 1) * n_s + j]
-        d_k, d_bias = dense_conv_param_grads(d_conv, cache.cols, cache.mask)
+        d_k, d_bias = dense_conv_param_grads(d_conv, cols, active)
         grads[f"conv{n}_kernels"] = d_k.reshape(params[f"conv{n}_kernels"].value.shape)
         grads[f"conv{n}_bias"] = d_bias
     return float(rel), grads

@@ -266,11 +266,37 @@ class TestCliCommands:
         def fail(src, dst):
             raise OSError("disk full")
 
-        monkeypatch.setattr("pacrr.model.os.replace", fail)
-        with pytest.raises(OSError, match="disk full"):
-            main(["--config", str(synth_dir / "config.txt"), "--out", str(out), "eval"])
+        monkeypatch.setattr("pacrr.corpus.os.replace", fail)
+        assert main(["--config", str(synth_dir / "config.txt"), "--out", str(out),
+                     "eval"]) == 2
         assert (out / "metrics.jsonl").read_text() == "old\n"
         assert [p.name for p in out.iterdir()] == ["metrics.jsonl"]
+
+    def test_failed_run_write_keeps_old_run_and_no_temp(self, synth_dir, trained_checkpoint,
+                                                        tmp_path, monkeypatch, capsys):
+        out = tmp_path / "rr"
+        out.mkdir()
+        (out / "reranked_run.txt").write_text("old\n")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("pacrr.corpus.os.replace", fail)
+        assert main(["--config", str(synth_dir / "config.txt"), "--out", str(out), "rerank",
+                     "--checkpoint", str(trained_checkpoint)]) == 2
+        assert capsys.readouterr().err == (f"I/O error: cannot write "
+                                           f"{out / 'reranked_run.txt'}: disk full\n")
+        assert (out / "reranked_run.txt").read_text() == "old\n"
+        assert [p.name for p in out.iterdir()] == ["reranked_run.txt"]
+
+    def test_unwritable_out_is_an_io_error(self, synth_dir, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["--config", str(synth_dir / "config.txt"), "--out",
+                     str(blocker / "ev"), "eval"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error: ") and str(blocker / "ev") in err
+        assert err.count("\n") == 1
 
     def test_score_skips_unknown_query_and_doc_in_one_warning(self, synth_dir, tmp_path,
                                                               caplog):

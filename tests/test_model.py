@@ -273,7 +273,7 @@ class TestCheckpoint:
         def fail(src, dst):
             raise OSError("disk full")
 
-        monkeypatch.setattr("pacrr.model.os.replace", fail)
+        monkeypatch.setattr("pacrr.corpus.os.replace", fail)
         with pytest.raises(OSError, match="disk full"):
             save_params(init_params(tiny_config(seed=7)), config, path)
         assert path.read_bytes() == old

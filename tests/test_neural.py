@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import dense_conv_param_grads, kmax_oracle, kmax_reference
+from helpers import conv_oracle, dense_conv_param_grads, kmax_oracle, kmax_reference
 from pacrr.gradcheck import GradCheckResult, check_op_gradients, gradient_check
 from pacrr.neural import (ParamGroup, conv2d, conv2d_backward, filter_argmax,
                           hinge_gradients, hinge_loss, kmax_per_row, max_over_filters,
@@ -36,16 +36,35 @@ class TestConv2d:
         # Dead cells are skipped; the sums must not change.
         rng = np.random.default_rng(17)
         kernels = rng.uniform(-1, 1, (4, 3, 3))
-        out, cache = conv2d(rng.uniform(-1, 1, (6, 20)), kernels, rng.uniform(-0.5, 0.5, 4),
-                            stride=(1, 3))
+        x, bias = rng.uniform(-1, 1, (6, 20)), rng.uniform(-0.5, 0.5, 4)
+        out, cache = conv2d(x, kernels, bias, stride=(1, 3))
         d_out = rng.uniform(-1, 1, out.shape) * (rng.random(out.shape) < density)
         d_cells = d_out.reshape(4, -1)
         filters, cells = np.nonzero(d_cells)
         d_k, d_b = conv2d_backward((filters, cells, d_cells[filters, cells]), cache, kernels)
-        ref_k, ref_b = dense_conv_param_grads(d_out, cache.cols, cache.mask)
+        _, cols, active = conv_oracle(x, kernels, bias, stride=(1, 3))
+        ref_k, ref_b = dense_conv_param_grads(d_out, cols, active)
         np.testing.assert_allclose(d_k.reshape(4, -1), ref_k, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(d_b, ref_b, rtol=1e-12, atol=1e-15)
         assert (d_k.any() and d_b.any()) == (density > 0.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_output_and_rectifier_state_equal_the_oracle(self, dtype, n, strided):
+        rng = np.random.default_rng(n + 10 * strided)
+        stride = (1, n) if strided else (1, 1)
+        kernels = rng.uniform(-1, 1, (5, n, n)).astype(dtype)
+        bias = rng.uniform(-0.5, 0.5, 5).astype(dtype)
+        for rows in range(1, 7):
+            for width in (1, n - 1, n, n + 1, 2 * n + 1, 17):
+                x = rng.uniform(-1, 1, (rows, width)).astype(dtype)
+                out, cache = conv2d(x, kernels, bias, stride)
+                ref_out, ref_cols, ref_active = conv_oracle(x, kernels, bias, stride)
+                assert out.dtype == ref_out.dtype and out.shape == ref_out.shape
+                assert np.array_equal(out, ref_out), (rows, width)
+                assert np.array_equal((cache.out > 0.0).T, ref_active), (rows, width)
+                assert np.array_equal(cache.cols, ref_cols), (rows, width)
 
 
 class TestMaxOverFilters:

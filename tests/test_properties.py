@@ -1,20 +1,24 @@
-"""Property: any bytes given to a loader either load or raise DataError
-(CheckpointError is a DataError); never another exception."""
+"""Properties: any bytes given to a loader either load or raise DataError
+(CheckpointError is a DataError), never another exception; and k-max
+pooling equals its oracles on tie-heavy rows."""
 
 import struct
 import tempfile
 import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from helpers import kmax_oracle, kmax_reference  # noqa: E402
 from pacrr.corpus import (load_corpus, load_embeddings, load_qrels,  # noqa: E402
                           load_queries, load_run)
 from pacrr.errors import DataError  # noqa: E402
 from pacrr.model import PacrrConfig, init_params, load_params, save_params  # noqa: E402
+from pacrr.neural import kmax_per_row  # noqa: E402
 
 LOADERS = [load_corpus, load_queries, load_qrels, load_run, load_embeddings, load_params]
 
@@ -72,3 +76,31 @@ def test_any_bytes_load_or_raise_data_error(loader, data):
             loader(path)
         except DataError:
             pass
+
+
+# Few distinct values, signed zeros among them, so that most rows hold ties.
+KMAX_VALUES = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0])
+
+
+@st.composite
+def kmax_cases(draw):
+    width = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(KMAX_VALUES, min_size=width, max_size=width),
+                         min_size=1, max_size=4))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    return np.array(rows, dtype=dtype), draw(st.integers(1, width + 2))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=kmax_cases())
+@example(case=(np.array([[-0.0], [0.5]]), 1))
+@example(case=(np.array([[0.0], [-0.0]]), 3))
+@example(case=(np.array([[-0.0, 0.0, -0.0]]), 2))
+def test_kmax_per_row_equals_its_oracles(case):
+    x, k = case
+    out, src = kmax_per_row(x, k)
+    ref_out, ref_src = kmax_reference(x, k)
+    assert out.tobytes() == ref_out.tobytes()
+    assert src.tobytes() == ref_src.tobytes()
+    for row, values in zip(x.tolist(), out.tolist()):
+        assert values == kmax_oracle(row, k)
