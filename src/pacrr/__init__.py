@@ -8,8 +8,7 @@ from .evaluation import (err_at_k, merge_grades, ndcg_at_k, pair_accuracy,
 from .heap import pin_malloc_thresholds
 from .model import (PacrrConfig, PacrrParams, Scorer, init_params, load_params,
                     save_params, score, score_gradients)
-from .simmat import (DistilledInput, build_sim_matrix, distill, distill_firstk,
-                     distill_kwindow)
+from .simmat import DistilledInput, build_sim_matrix, distill
 from .training import Triple, build_groups, sample_triple, train
 
 __version__ = "0.1.0"
@@ -23,8 +22,7 @@ __all__ = [
     "err_at_k", "merge_grades", "ndcg_at_k", "pair_accuracy", "rerank_run",
     "PacrrConfig", "PacrrParams", "Scorer", "init_params", "load_params",
     "save_params", "score", "score_gradients",
-    "DistilledInput", "build_sim_matrix", "distill", "distill_firstk",
-    "distill_kwindow",
+    "DistilledInput", "build_sim_matrix", "distill",
     "Triple", "build_groups", "sample_triple", "train",
     "__version__",
 ]

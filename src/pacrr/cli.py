@@ -175,19 +175,12 @@ def cmd_gradcheck(cfg: RunConfig, args) -> int:
 
 
 def cmd_synth(cfg: RunConfig, args) -> int:
-    spec = synth.SynthSpec(
-        n_docs=args.docs,
-        n_train_queries=args.train_queries,
-        n_val_queries=args.val_queries,
-        vocab_size=args.vocab,
-        emb_dim=args.dim,
-        doc_len_min=args.doc_len_min,
-        doc_len_max=args.doc_len_max,
-        p_bigram=args.p_bigram,
-        p_scatter=args.p_scatter,
-        run_depth=args.run_depth,
-        seed=cfg.seed,
-    )
+    try:
+        spec = synth.SynthSpec(n_docs=args.docs, n_train_queries=args.train_queries,
+                               n_val_queries=args.val_queries, run_depth=args.run_depth,
+                               seed=cfg.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     data = synth.generate(spec)
     out_dir = Path(cfg.out_dir)
     paths = synth.write(data, out_dir)
@@ -218,8 +211,15 @@ def cmd_synth(cfg: RunConfig, args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Usage errors exit 1, like config errors (argparse's default is 2)."""
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pacrr",
         description="Train, apply, and evaluate a position-aware convolutional-"
                     "recurrent re-ranker.",
@@ -248,12 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--docs", type=int, default=500)
     p.add_argument("--train-queries", type=int, default=30)
     p.add_argument("--val-queries", type=int, default=10)
-    p.add_argument("--vocab", type=int, default=200)
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--doc-len-min", type=int, default=20)
-    p.add_argument("--doc-len-max", type=int, default=40)
-    p.add_argument("--p-bigram", type=float, default=0.3)
-    p.add_argument("--p-scatter", type=float, default=0.3)
     p.add_argument("--run-depth", type=int, default=100)
     return parser
 

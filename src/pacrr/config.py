@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .corpus import write_atomic
 from .errors import ConfigError
 from .model import PacrrConfig
 
@@ -127,4 +128,4 @@ def write_run_config(config: RunConfig, path) -> None:
         if value is None:
             continue
         lines.append(f"{f.name} = {value}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))

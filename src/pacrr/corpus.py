@@ -299,21 +299,21 @@ def write_atomic(path, data: bytes) -> None:
 
 
 def save_corpus(docs: list[TokenizedDocument], path) -> None:
-    with Path(path).open("w", encoding="utf-8") as f:
-        for doc in docs:
-            f.write(json.dumps({"doc_id": doc.doc_id, "tokens": list(doc.tokens)}) + "\n")
+    write_atomic(path, "".join(
+        json.dumps({"doc_id": doc.doc_id, "tokens": list(doc.tokens)}) + "\n"
+        for doc in docs).encode("utf-8"))
 
 
 def save_queries(queries: list[Query], path) -> None:
-    with Path(path).open("w", encoding="utf-8") as f:
-        for q in queries:
-            f.write(json.dumps({"query_id": q.query_id, "tokens": list(q.tokens)}) + "\n")
+    write_atomic(path, "".join(
+        json.dumps({"query_id": q.query_id, "tokens": list(q.tokens)}) + "\n"
+        for q in queries).encode("utf-8"))
 
 
 def save_qrels(qrels: JudgmentSet, path) -> None:
-    with Path(path).open("w", encoding="utf-8") as f:
-        for (qid, did), grade in sorted(qrels.entries.items()):
-            f.write(f"{qid} 0 {did} {grade}\n")
+    write_atomic(path, "".join(f"{qid} 0 {did} {grade}\n"
+                               for (qid, did), grade in sorted(qrels.entries.items())
+                               ).encode("utf-8"))
 
 
 def save_run(runs: dict[str, RunRanking], path, tag: str = "pacrr") -> None:
@@ -323,8 +323,8 @@ def save_run(runs: dict[str, RunRanking], path, tag: str = "pacrr") -> None:
 
 
 def save_embeddings(table: EmbeddingTable, path) -> None:
-    with Path(path).open("w", encoding="utf-8") as f:
-        f.write(f"{len(table.vectors)} {table.dim}\n")
-        for token in sorted(table.vectors):
-            comps = " ".join(repr(float(v)) for v in table.vectors[token])
-            f.write(f"{token} {comps}\n")
+    lines = [f"{len(table.vectors)} {table.dim}\n"]
+    for token in sorted(table.vectors):
+        comps = " ".join(repr(float(v)) for v in table.vectors[token])
+        lines.append(f"{token} {comps}\n")
+    write_atomic(path, "".join(lines).encode("utf-8"))

@@ -51,62 +51,43 @@ def build_sim_matrix(q_ids: np.ndarray, d_ids: np.ndarray, units: np.ndarray) ->
     return sim
 
 
-def distill_firstk(sim: np.ndarray, l_q: int, l_d: int) -> np.ndarray:
-    """Keep the first l_d document columns, zero-padded to l_q x l_d."""
-    rows, cols = sim.shape
-    if l_q < rows:
-        raise ValueError(f"l_q={l_q} is smaller than the query length {rows}")
-    out = np.zeros((l_q, l_d), dtype=np.float64)
-    width = min(cols, l_d)
-    out[:rows, :width] = sim[:, :width]
-    return out
-
-
-def distill_kwindow(sim: np.ndarray, n: int, l_q: int, l_d: int) -> np.ndarray:
-    """Select the top floor(l_d/n) disjoint n-term windows of the document.
-
-    Candidate windows start at positions 0, n, 2n, ...; a final partial window
-    is zero-padded to length n. A window's score is the mean over its columns
-    of the per-column maximum similarity (padding columns contribute 0). The
-    highest-scoring windows are kept (ties break toward earlier positions),
-    re-ordered by document position, concatenated, and zero-padded to l_q x l_d.
-    """
-    if n < 1:
-        raise ValueError("window length n must be >= 1")
-    if n > l_d:
-        raise ValueError(f"window length n={n} exceeds l_d={l_d}")
-    rows, cols = sim.shape
-    if l_q < rows:
-        raise ValueError(f"l_q={l_q} is smaller than the query length {rows}")
-    out = np.zeros((l_q, l_d), dtype=np.float64)
-    n_windows = -(-cols // n)  # ceil
-    if n_windows == 0:
-        return out
-    padded = np.zeros((rows, n_windows * n), dtype=np.float64)
-    padded[:, :cols] = sim
-    col_max = padded.max(axis=0)
-    scores = col_max.reshape(n_windows, n).mean(axis=1)
-    k = l_d // n
-    top = np.argsort(-scores, kind="stable")[:k]
-    selected = np.sort(top)
-    block = padded.reshape(rows, n_windows, n)[:, selected].reshape(rows, -1)
-    out[:rows, : block.shape[1]] = block
-    return out
-
-
 def distill(sim: np.ndarray, mode: str, l_d: int, l_g: int) -> DistilledInput:
     """Distill one (|q|, |d|) similarity matrix for all n-gram sizes 1..l_g.
 
     Only the |q| real query rows are kept, as float32: the model's input
     dtype, so the cast is made once here and never per score.
+
+    `firstk` keeps the first l_d document columns, zero-padded to l_d; every
+    n shares that one matrix. `kwindow` keeps, for each n, the top
+    floor(l_d/n) disjoint n-term windows. Candidate windows start at
+    positions 0, n, 2n, ...; a final partial window is zero-padded to length
+    n. A window's score is the mean over its columns of the per-column
+    maximum similarity (padding columns contribute 0). The highest-scoring
+    windows are kept (ties break toward earlier positions), re-ordered by
+    document position, concatenated, and zero-padded to l_d.
     """
-    rows = len(sim)
+    if l_g > l_d:
+        raise ValueError(f"l_g={l_g} exceeds l_d={l_d}")
+    rows, cols = sim.shape
     if mode == FIRSTK:
-        matrix = distill_firstk(sim, rows, l_d).astype(np.float32)
-        per_n = {n: matrix for n in range(1, l_g + 1)}
-    elif mode == KWINDOW:
-        per_n = {n: distill_kwindow(sim, n, rows, l_d).astype(np.float32)
-                 for n in range(1, l_g + 1)}
-    else:
+        matrix = np.zeros((rows, l_d), dtype=np.float32)
+        width = min(cols, l_d)
+        matrix[:, :width] = sim[:, :width]
+        return DistilledInput(mode, {n: matrix for n in range(1, l_g + 1)})
+    if mode != KWINDOW:
         raise ValueError(f"unknown distillation mode {mode!r}")
+    # The column max and the padded copy do not depend on n: a prefix of
+    # each serves every window length up to l_g.
+    col_max = np.zeros(cols + l_g - 1, dtype=np.float64)
+    col_max[:cols] = sim.max(axis=0)
+    padded = np.zeros((rows, cols + l_g - 1), dtype=np.float32)
+    padded[:, :cols] = sim
+    per_n = {}
+    for n in range(1, l_g + 1):
+        n_windows = -(-cols // n)  # ceil
+        scores = col_max[: n_windows * n].reshape(n_windows, n).mean(axis=1)
+        selected = np.sort(np.argsort(-scores, kind="stable")[: l_d // n])
+        columns = (selected[:, None] * n + np.arange(n)).ravel()
+        out = per_n[n] = np.zeros((rows, l_d), dtype=np.float32)
+        out[:, : len(columns)] = padded.take(columns, axis=1)
     return DistilledInput(mode, per_n)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpus import (EmbeddingTable, JudgmentSet, Query, RunRanking,
                      TokenizedDocument, save_corpus, save_embeddings,
-                     save_qrels, save_queries, save_run)
+                     save_qrels, save_queries, save_run, write_atomic)
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,11 @@ class SynthSpec:
     seed: int = 7
 
     def __post_init__(self):
+        if self.n_docs < 1 or self.run_depth < 1:
+            raise ValueError("n_docs and run_depth must be >= 1")
+        if min(self.n_train_queries, self.n_val_queries) < 0 or \
+                self.n_train_queries + self.n_val_queries < 1:
+            raise ValueError("query counts must be >= 0 and sum to at least 1")
         if self.p_bigram + self.p_scatter > 1.0:
             raise ValueError("class proportions exceed 1")
         if self.query_len_min < 2:
@@ -163,6 +168,6 @@ def write(data: SynthData, out_dir) -> dict[str, Path]:
     save_qrels(data.qrels, paths["qrels"])
     save_run(data.runs, paths["run"], tag="overlap")
     save_embeddings(data.embeddings, paths["embeddings"])
-    paths["train_qids"].write_text("".join(f"{qid}\n" for qid in data.train_query_ids))
-    paths["val_qids"].write_text("".join(f"{qid}\n" for qid in data.val_query_ids))
+    for role, qids in (("train_qids", data.train_query_ids), ("val_qids", data.val_query_ids)):
+        write_atomic(paths[role], "".join(f"{qid}\n" for qid in qids).encode("utf-8"))
     return paths

@@ -155,7 +155,14 @@ def train(config: PacrrConfig, docs, queries, qrels: JudgmentSet,
 
     params = init_params(config)
     scorer = Scorer(config, params, queries, docs, embeddings, idf)
-    groups = build_groups(qrels, train_query_ids)
+    absent = {(qid, did) for qid in set(train_query_ids) for did in qrels.for_query(qid)
+              if did not in scorer.docs}
+    train_qrels = qrels
+    if absent:
+        logger.warning("skipped %d judged training documents not in the corpus", len(absent))
+        train_qrels = JudgmentSet({key: grade for key, grade in qrels.entries.items()
+                                   if key not in absent})
+    groups = build_groups(train_qrels, train_query_ids)
     rng = np.random.default_rng([config.seed, 1])
     state = TrainState()
     grad_scale = 1.0 / BATCH_SIZE

@@ -87,6 +87,23 @@ class TestCliCommands:
                      "embeddings.txt", "train_qids.txt", "val_qids.txt", "config.txt"):
             assert (synth_dir / name).exists(), name
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--p-bigram", "0.9", "--p-scatter", "0.9"], "unrecognized arguments"),
+        (["--doc-len-min", "2"], "unrecognized arguments"),
+        (["--vocab", "1"], "unrecognized arguments"),
+        (["--train-queries", "0", "--val-queries", "0"], "query counts"),
+        (["--docs", "-1"], "n_docs"),
+        (["--run-depth", "0"], "run_depth"),
+    ])
+    def test_bad_synth_values_exit_1(self, tmp_path, capsys, flags, message):
+        try:
+            code = main(["--out", str(tmp_path / "s"), "synth", *flags])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
     def test_gradcheck_passes(self, capsys):
         assert main(["gradcheck"]) == 0
         out = capsys.readouterr().out
@@ -323,6 +340,22 @@ class TestCliCommands:
         scored = [json.loads(line) for line in
                   (tmp_path / "sc" / "scores.jsonl").read_text().splitlines()]
         assert len(scored) == sum(len(r.entries) for r in runs.values())
+
+    def test_train_skips_judged_documents_missing_from_the_corpus(self, synth_dir, tmp_path,
+                                                                  caplog):
+        cfg = load_run_config(synth_dir / "config.txt")
+        qid = (synth_dir / "train_qids.txt").read_text().split()[0]
+        qrels = tmp_path / "qrels.txt"
+        qrels.write_text((synth_dir / "qrels.txt").read_text()
+                         + f"{qid} 0 NOPE 2\n{qid} 0 NOPE2 0\n")
+        cfg.qrels = str(qrels)
+        cfg.out_dir = str(tmp_path / "out")
+        path = tmp_path / "missing.cfg"
+        write_run_config(cfg, path)
+        with caplog.at_level("WARNING"):
+            assert main(["--config", str(path), "train"]) == 0
+        skips = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
+        assert skips == ["skipped 2 judged training documents not in the corpus"]
 
     def test_corrupt_data_is_data_error(self, synth_dir, tmp_path):
         cfg = load_run_config(synth_dir / "config.txt")

@@ -1,8 +1,11 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+from pacrr import synth
+from pacrr.config import RunConfig, write_run_config
 from pacrr.corpus import (compute_idf, load_corpus, load_embeddings,
                           load_qrels, load_queries, load_run, save_corpus,
                           save_embeddings, save_qrels, save_queries, save_run,
@@ -196,3 +199,39 @@ class TestRoundTrips:
         assert set(loaded.vectors) == set(table.vectors)
         for token, vec in table.vectors.items():
             np.testing.assert_array_equal(loaded.vectors[token], vec)
+
+
+def write_synth(out):
+    synth.write(synth.generate(synth.SynthSpec(n_docs=4, n_train_queries=1,
+                                               n_val_queries=1)), out)
+
+
+WRITERS = {
+    "corpus.jsonl": lambda out: save_corpus([TokenizedDocument("d1", ("a",))],
+                                            out / "corpus.jsonl"),
+    "queries.jsonl": lambda out: save_queries([Query("q1", ("a",))], out / "queries.jsonl"),
+    "qrels.txt": lambda out: save_qrels(JudgmentSet({("q1", "d1"): 1}), out / "qrels.txt"),
+    "embeddings.txt": lambda out: save_embeddings(
+        EmbeddingTable(dim=1, vectors={"a": np.ones(1)}), out / "embeddings.txt"),
+    "train_qids.txt": write_synth,
+    "val_qids.txt": write_synth,
+    "config.txt": lambda out: write_run_config(RunConfig(), out / "config.txt"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_failed_write_keeps_old_file_and_no_temp(tmp_path, monkeypatch, name):
+    target = tmp_path / name
+    target.write_text("old\n")
+    replace = os.replace
+
+    def fail_on_target(src, dst):
+        if dst == target:
+            raise OSError("disk full")
+        replace(src, dst)
+
+    monkeypatch.setattr("pacrr.corpus.os.replace", fail_on_target)
+    with pytest.raises(OSError, match="disk full"):
+        WRITERS[name](tmp_path)
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []

@@ -6,8 +6,7 @@ import pytest
 from helpers import kwindow_oracle, per_pair_sim_matrix
 from pacrr.corpus import EmbeddingTable, IdfTable
 from pacrr.model import PacrrConfig, Scorer, init_params
-from pacrr.simmat import (FIRSTK, KWINDOW, build_sim_matrix, distill, distill_firstk,
-                          distill_kwindow)
+from pacrr.simmat import FIRSTK, KWINDOW, build_sim_matrix, distill
 
 
 def table(**vectors):
@@ -84,34 +83,40 @@ class TestBuildSimMatrix:
         assert np.all(sim >= -1.0) and np.all(sim <= 1.0)
 
 
+def firstk(sim, l_d):
+    return distill(sim, FIRSTK, l_d=l_d, l_g=1).per_n[1]
+
+
+def kwindow(sim, n, l_d):
+    return distill(sim, KWINDOW, l_d=l_d, l_g=n).per_n[n]
+
+
+def f32(values):
+    return np.asarray(values, dtype=np.float32)
+
+
 class TestDistillFirstk:
     def test_padding(self):
         sim = np.arange(6, dtype=float).reshape(2, 3) / 10
-        out = distill_firstk(sim, l_q=3, l_d=4)
-        np.testing.assert_array_equal(out[:2, :3], sim)
-        assert np.all(out[2, :] == 0.0)
+        out = firstk(sim, l_d=4)
+        np.testing.assert_array_equal(out[:2, :3], f32(sim))
         assert np.all(out[:, 3] == 0.0)
 
     def test_truncation(self):
         sim = np.linspace(-1, 1, 1000).reshape(1, 1000)
-        out = distill_firstk(sim, l_q=1, l_d=4)
-        np.testing.assert_array_equal(out, sim[:, :4])
+        out = firstk(sim, l_d=4)
+        np.testing.assert_array_equal(out, f32(sim[:, :4]))
 
     def test_identity_case(self):
         values = np.array([[0.2, 0.9], [0.4, 0.1]])
-        out = distill_firstk(values, l_q=2, l_d=2)
-        np.testing.assert_array_equal(out, values)
+        out = firstk(values, l_d=2)
+        np.testing.assert_array_equal(out, f32(values))
 
     def test_idempotent(self):
         values = np.random.default_rng(0).uniform(-1, 1, (3, 5))
-        once = distill_firstk(values, l_q=3, l_d=5)
-        twice = distill_firstk(once, l_q=3, l_d=5)
+        once = firstk(values, l_d=5)
+        twice = firstk(once, l_d=5)
         np.testing.assert_array_equal(once, twice)
-
-    def test_query_too_long(self):
-        sim = np.zeros((4, 2))
-        with pytest.raises(ValueError, match="l_q"):
-            distill_firstk(sim, l_q=3, l_d=2)
 
     def test_shared_matrix_across_sizes(self):
         sim = np.zeros((2, 2))
@@ -122,42 +127,50 @@ class TestDistillFirstk:
 class TestDistillKwindow:
     def test_unigram_top_k_in_document_order(self):
         sim = np.array([[0.1, 0.9, 0.5, 0.7, 0.2]])
-        out = distill_kwindow(sim, n=1, l_q=1, l_d=3)
-        np.testing.assert_array_equal(out, [[0.9, 0.5, 0.7]])
+        out = kwindow(sim, n=1, l_d=3)
+        np.testing.assert_array_equal(out, f32([[0.9, 0.5, 0.7]]))
 
     def test_bigram_windows(self):
         sim = np.array([[0.9, 0.1, 0.2, 0.2, 0.8, 0.8]])
-        out = distill_kwindow(sim, n=2, l_q=1, l_d=4)
-        np.testing.assert_array_equal(out, [[0.9, 0.1, 0.8, 0.8]])
+        out = kwindow(sim, n=2, l_d=4)
+        np.testing.assert_array_equal(out, f32([[0.9, 0.1, 0.8, 0.8]]))
 
     def test_document_shorter_than_window(self):
         sim = np.array([[0.4, 0.6]])
-        out = distill_kwindow(sim, n=3, l_q=2, l_d=6)
-        expected = np.zeros((2, 6))
+        out = kwindow(sim, n=3, l_d=6)
+        expected = np.zeros((1, 6))
         expected[0, :2] = [0.4, 0.6]
-        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(out, f32(expected))
 
     def test_window_longer_than_l_d(self):
         sim = np.zeros((1, 5))
         with pytest.raises(ValueError, match="exceeds"):
-            distill_kwindow(sim, n=6, l_q=1, l_d=5)
+            kwindow(sim, n=6, l_d=5)
 
     def test_empty_document(self):
         sim = np.zeros((2, 0))
-        out = distill_kwindow(sim, n=2, l_q=3, l_d=4)
-        np.testing.assert_array_equal(out, np.zeros((3, 4)))
+        out = kwindow(sim, n=2, l_d=4)
+        np.testing.assert_array_equal(out, np.zeros((2, 4)))
 
     def test_matches_brute_force_enumeration(self):
         rng = np.random.default_rng(1234)
-        for _ in range(60):
+        for case in range(120):
             n_q = int(rng.integers(1, 6))
             n_d = int(rng.integers(0, 41))
-            n = int(rng.integers(1, 4))
-            l_d = int(rng.integers(n, 16))
+            l_g = int(rng.integers(1, 4))
+            l_d = int(rng.integers(l_g, 16))
             values = rng.uniform(-1, 1, (n_q, n_d))
-            got = distill_kwindow(values, n=n, l_q=n_q + 1, l_d=l_d)
-            want = kwindow_oracle(values.tolist(), n, n_q + 1, l_d)
-            np.testing.assert_array_equal(got, want)
+            # Ties decide window order: half the cases are tie-heavy.
+            if case % 4 == 1:
+                values = np.round(values, 1)
+            elif case % 4 == 2:
+                values[:, rng.random(n_d) < 0.7] = 0.0
+            elif case % 4 == 3:
+                values = rng.choice([-1.0, -0.0, 0.0, 1.0], (n_q, n_d))
+            distilled = distill(values, KWINDOW, l_d=l_d, l_g=l_g)
+            for n in range(1, l_g + 1):
+                want = kwindow_oracle(values.tolist(), n, n_q, l_d)
+                np.testing.assert_array_equal(distilled.per_n[n], f32(want))
 
     def test_selected_windows_dominate_unselected(self):
         rng = np.random.default_rng(99)
@@ -179,16 +192,16 @@ class TestDistillKwindow:
     def test_order_preservation(self):
         # selected windows appear in ascending original position
         sim = np.array([[0.0, 0.0, 0.9, 0.9, 0.5, 0.5]])
-        out = distill_kwindow(sim, n=2, l_q=1, l_d=4)
-        np.testing.assert_array_equal(out, [[0.9, 0.9, 0.5, 0.5]])
+        out = kwindow(sim, n=2, l_d=4)
+        np.testing.assert_array_equal(out, f32([[0.9, 0.9, 0.5, 0.5]]))
 
     def test_unselected_column_permutation_invariance(self):
         # permuting columns strictly outside the n=1 selection changes nothing
         values = np.array([[0.9, 0.8, 0.7, 0.1, 0.2, 0.3]])
         swapped = values.copy()
         swapped[0, [3, 4, 5]] = values[0, [5, 3, 4]]
-        a = distill_kwindow(values, n=1, l_q=1, l_d=3)
-        b = distill_kwindow(swapped, n=1, l_q=1, l_d=3)
+        a = kwindow(values, n=1, l_d=3)
+        b = kwindow(swapped, n=1, l_d=3)
         np.testing.assert_array_equal(a, b)
 
 

@@ -82,3 +82,11 @@ class TestGenerate:
         assert len(data.train_query_ids) == 6
         assert len(data.val_query_ids) == 3
         assert not set(data.train_query_ids) & set(data.val_query_ids)
+
+
+@pytest.mark.parametrize("kwargs", [dict(n_docs=0), dict(n_docs=-1), dict(run_depth=0),
+                                    dict(n_train_queries=0, n_val_queries=0),
+                                    dict(n_train_queries=-1, n_val_queries=3)])
+def test_spec_rejects_empty_or_negative_sizes(kwargs):
+    with pytest.raises(ValueError, match=">= "):
+        SynthSpec(**kwargs)

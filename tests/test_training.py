@@ -197,5 +197,22 @@ class TestTrain:
                   data.embeddings, idf, iterations=1,
                   batches_per_iteration=1, out_dir=tmp_path)
 
+    def test_judged_documents_missing_from_the_corpus_are_skipped(self, small_synth,
+                                                                  tmp_path, caplog):
+        data, idf = small_synth
+        qid = data.train_query_ids[0]
+        qrels = JudgmentSet({**data.qrels.entries, (qid, "NOPE"): 2, (qid, "NOPE2"): 0})
+        with caplog.at_level("WARNING"):
+            train(tiny_config(), data.docs, data.queries, qrels,
+                  data.train_query_ids, data.val_query_ids, data.runs,
+                  data.embeddings, idf, iterations=1,
+                  batches_per_iteration=2, out_dir=tmp_path / "a")
+            run_training(data, idf, tmp_path / "b", iterations=1, batches=2)
+        skips = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
+        assert skips == ["skipped 2 judged training documents not in the corpus"]
+        # Dropping them leaves the groups, hence every sampled triple, as they were.
+        assert (tmp_path / "a" / "training_log.jsonl").read_bytes() == \
+            (tmp_path / "b" / "training_log.jsonl").read_bytes()
+
     def test_batch_size_constant(self):
         assert BATCH_SIZE == 32
