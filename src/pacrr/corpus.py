@@ -113,7 +113,6 @@ class IdfTable:
     """Smoothed inverse document frequencies: idf(t) = ln((N+1)/(df(t)+1))."""
 
     doc_count: int
-    df: dict[str, int]
     values: dict[str, float]
 
     def idf(self, token: str) -> float:
@@ -265,7 +264,7 @@ def load_embeddings(path) -> EmbeddingTable:
 
 
 def compute_idf(corpus: list[TokenizedDocument]) -> IdfTable:
-    """Document frequencies and smoothed IDF over a corpus."""
+    """Smoothed IDF over a corpus, from its document frequencies."""
     if not corpus:
         raise DataError("cannot compute IDF over an empty corpus")
     n = len(corpus)
@@ -274,7 +273,7 @@ def compute_idf(corpus: list[TokenizedDocument]) -> IdfTable:
         for token in set(doc.tokens):
             df[token] = df.get(token, 0) + 1
     values = {t: math.log((n + 1) / (c + 1)) for t, c in df.items()}
-    return IdfTable(doc_count=n, df=df, values=values)
+    return IdfTable(doc_count=n, values=values)
 
 
 # ---------------------------------------------------------------------------

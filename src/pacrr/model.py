@@ -90,10 +90,6 @@ class PacrrParams:
     def __iter__(self):
         return iter(self.groups.values())
 
-    def accumulate(self, grads: dict[str, np.ndarray]) -> None:
-        for name, grad in grads.items():
-            self.groups[name].grad += grad
-
 
 def conv_sizes(config: PacrrConfig) -> range:
     return range(2, config.l_g + 1)
@@ -110,7 +106,7 @@ def init_params(config: PacrrConfig, dtype=np.float32) -> PacrrParams:
     groups: dict[str, ParamGroup] = {}
 
     def add(name, value):
-        groups[name] = ParamGroup.create(name, value.astype(dtype))
+        groups[name] = ParamGroup(name, value.astype(dtype))
 
     for n in conv_sizes(config):
         limit = math.sqrt(6.0 / (n * n + n * n))
@@ -162,7 +158,7 @@ def score(params: PacrrParams, config: PacrrConfig, distilled: DistilledInput,
     kmax_srcs[1] = src1
 
     for n in conv_sizes(config):
-        stride = (1, n) if config.mode == KWINDOW else (1, 1)
+        stride = n if config.mode == KWINDOW else 1
         conv_out, ccache = neural.conv2d(
             distilled.per_n[n],
             params[f"conv{n}_kernels"].value,
@@ -298,7 +294,7 @@ def load_params(path) -> tuple[PacrrParams, PacrrConfig]:
         if nbytes != expected:
             raise CheckpointError(f"{path}: tensor {name!r} length mismatch")
         value = np.frombuffer(take(nbytes), dtype="<f4").reshape(dims)
-        groups[name] = ParamGroup.create(name, value.astype(np.float32))
+        groups[name] = ParamGroup(name, value.astype(np.float32))
     if pos != len(body):
         raise CheckpointError(f"{path}: trailing bytes after tensor data")
     return PacrrParams(groups), config

@@ -27,16 +27,10 @@ import numpy as np
 
 @dataclass
 class ParamGroup:
-    """A named trainable tensor paired with its gradient accumulator."""
+    """A named trainable tensor."""
 
     name: str
     value: np.ndarray
-    grad: np.ndarray
-
-    @classmethod
-    def create(cls, name: str, value: np.ndarray) -> "ParamGroup":
-        value = np.asarray(value)
-        return cls(name=name, value=value, grad=np.zeros_like(value))
 
 
 def _sigmoid(x: float) -> float:
@@ -64,12 +58,11 @@ class Conv2dCache:
     out: np.ndarray  # (n_f, out_h*out_w) the rectified output; active where > 0
 
 
-def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
-           stride: tuple[int, int] = (1, 1)):
+def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, stride: int = 1):
     """Same-padded 2-D cross-correlation with n_f square kernels, rectified.
 
-    x: (H, W); kernels: (n_f, n, n); bias: (n_f,); stride (s_q, s_d).
-    Output shape (n_f, ceil(H/s_q), ceil(W/s_d)), filter-major and C-contiguous.
+    x: (H, W); kernels: (n_f, n, n); bias: (n_f,); stride: along columns only.
+    Output shape (n_f, H, ceil(W/stride)), filter-major and C-contiguous.
     """
     H, W = x.shape
     n_f, n, n2 = kernels.shape
@@ -77,11 +70,10 @@ def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
         raise ValueError("kernels must be square")
     if H == 0 or W == 0:
         raise ValueError("conv2d input must be non-empty")
-    s_q, s_d = stride
-    if s_q < 1 or s_d < 1:
-        raise ValueError("stride components must be >= 1")
-    out_h, pad_top, pad_bot = _same_pad(H, n, s_q)
-    out_w, pad_left, pad_right = _same_pad(W, n, s_d)
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    out_h, pad_top, pad_bot = _same_pad(H, n, 1)
+    out_w, pad_left, pad_right = _same_pad(W, n, stride)
     padded = np.zeros((H + pad_top + pad_bot, W + pad_left + pad_right), dtype=x.dtype)
     if n > padded.shape[0] or n > padded.shape[1]:
         raise ValueError(f"kernel size {n} exceeds padded input {padded.shape}")
@@ -89,7 +81,7 @@ def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
     cols = np.empty((n * n + 1, out_h, out_w), dtype=x.dtype)
     for a in range(n):
         for b in range(n):
-            cols[a * n + b] = padded[a::s_q, b::s_d][:out_h, :out_w]
+            cols[a * n + b] = padded[a:, b::stride][:out_h, :out_w]
     cols[n * n] = 1.0
     cols = cols.reshape(n * n + 1, out_h * out_w)
     out = np.column_stack((kernels.reshape(n_f, n * n), bias)) @ cols
@@ -288,22 +280,24 @@ def hinge_gradients(rel_pos: float, rel_neg: float) -> tuple[float, float]:
     return 0.0, 0.0
 
 
-def sgd_step(groups, learning_rate: float) -> None:
-    """In-place SGD update `value -= lr * grad`; gradients are then zeroed.
-
-    Raises FloatingPointError, before touching the group, when a gradient
-    or an updated value would be non-finite.
+def sgd_step(groups, grads: dict[str, np.ndarray], learning_rate: float) -> None:
+    """In-place SGD update `value -= lr * grads[name]`, each gradient cast to
+    its group's dtype first. Raises FloatingPointError naming the group, and
+    before any group is written, when a gradient or an update is non-finite.
     """
     if learning_rate <= 0.0:
         raise ValueError("learning_rate must be positive")
+    updates = []
     with np.errstate(over="ignore", invalid="ignore"):
         for group in groups:
-            if not np.isfinite(group.grad).all():
+            grad = np.asarray(grads[group.name], dtype=group.value.dtype)
+            if not np.isfinite(grad).all():
                 raise FloatingPointError(f"non-finite gradient in parameter group "
                                          f"{group.name!r} at learning_rate {learning_rate}")
-            updated = group.value - learning_rate * group.grad
+            updated = group.value - learning_rate * grad
             if not np.isfinite(updated).all():
                 raise FloatingPointError(f"non-finite update to parameter group "
                                          f"{group.name!r} at learning_rate {learning_rate}")
-            group.value[...] = updated
-            group.grad[...] = 0.0
+            updates.append((group, updated))
+    for group, updated in updates:
+        group.value[...] = updated

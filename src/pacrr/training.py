@@ -90,6 +90,28 @@ def sample_triple(rng: np.random.Generator, groups: RelevanceGroups) -> Triple:
     )
 
 
+def train_batch(scorer: Scorer, triples: list[Triple]) -> float:
+    """One SGD step on the mean hinge loss of `triples`; returns that loss.
+    Each active triple's gradients, scaled by 1/len(triples), are summed in
+    the parameters' dtype, positive before negative."""
+    params, config = scorer.params, scorer.config
+    grads = {g.name: np.zeros_like(g.value) for g in params}
+    scale = 1.0 / len(triples)
+    total_loss = 0.0
+    for triple in triples:
+        rel_pos, cache_pos = scorer.score_with_cache(triple.query_id, triple.pos_doc_id)
+        rel_neg, cache_neg = scorer.score_with_cache(triple.query_id, triple.neg_doc_id)
+        total_loss += neural.hinge_loss(rel_pos, rel_neg)
+        d_pos, d_neg = neural.hinge_gradients(rel_pos, rel_neg)
+        if d_pos != 0.0:
+            for cache, d_rel in ((cache_pos, d_pos), (cache_neg, d_neg)):
+                for name, grad in score_gradients(params, config, cache,
+                                                  d_rel * scale).items():
+                    grads[name] += grad
+    neural.sgd_step(params, grads, config.learning_rate)
+    return total_loss / len(triples)
+
+
 @dataclass
 class IterationLog:
     iteration: int
@@ -140,6 +162,8 @@ def train(config: PacrrConfig, docs, queries, qrels: JudgmentSet,
     """
     if iterations < 1 or batches_per_iteration < 1:
         raise ValueError("iterations and batches_per_iteration must be >= 1")
+    if not val_query_ids:
+        raise DataError("no validation queries to select a model: val_qids is empty")
     out_dir = Path(out_dir)
     ckpt_dir = out_dir / "checkpoints"
     ckpt_dir.mkdir(parents=True, exist_ok=True)
@@ -165,28 +189,13 @@ def train(config: PacrrConfig, docs, queries, qrels: JudgmentSet,
     groups = build_groups(train_qrels, train_query_ids)
     rng = np.random.default_rng([config.seed, 1])
     state = TrainState()
-    grad_scale = 1.0 / BATCH_SIZE
 
     with (out_dir / "training_log.jsonl").open("w", encoding="utf-8") as log_file:
         for iteration in range(1, iterations + 1):
             batch_losses = []
             for _ in range(batches_per_iteration):
-                total_loss = 0.0
-                for _ in range(BATCH_SIZE):
-                    triple = sample_triple(rng, groups)
-                    rel_pos, cache_pos = scorer.score_with_cache(triple.query_id,
-                                                                 triple.pos_doc_id)
-                    rel_neg, cache_neg = scorer.score_with_cache(triple.query_id,
-                                                                 triple.neg_doc_id)
-                    total_loss += neural.hinge_loss(rel_pos, rel_neg)
-                    d_pos, d_neg = neural.hinge_gradients(rel_pos, rel_neg)
-                    if d_pos != 0.0:
-                        params.accumulate(
-                            score_gradients(params, config, cache_pos, d_pos * grad_scale))
-                        params.accumulate(
-                            score_gradients(params, config, cache_neg, d_neg * grad_scale))
-                neural.sgd_step(params, config.learning_rate)
-                batch_losses.append(total_loss / BATCH_SIZE)
+                triples = [sample_triple(rng, groups) for _ in range(BATCH_SIZE)]
+                batch_losses.append(train_batch(scorer, triples))
 
             ckpt_rel = f"checkpoints/iter_{iteration:04d}.pacrr"
             save_params(params, config, out_dir / ckpt_rel)

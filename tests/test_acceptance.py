@@ -19,9 +19,8 @@ import pytest
 from helpers import kmax_oracle, kwindow_oracle
 from pacrr import evaluation, neural, synth, training
 from pacrr.corpus import compute_idf, save_run
-from pacrr.gradcheck import gradcheck_report
-from pacrr.model import (PacrrConfig, Scorer, init_params, load_params, save_params,
-                         score_gradients)
+from pacrr.gradcheck import TINY_CONFIG_KWARGS, gradcheck_report
+from pacrr.model import PacrrConfig, Scorer, init_params, load_params, save_params
 from pacrr.simmat import KWINDOW, distill
 
 TINY = dict(l_q=4, l_d=12, l_g=3, n_f=4, n_s=2)
@@ -49,7 +48,8 @@ def test_criterion_1_paper_scale_substitution():
 def test_criterion_2_gradient_integrity():
     with criterion(2, "gradient integrity"):
         start = time.monotonic()
-        results = gradcheck_report(seed=0, config_kwargs=TINY)
+        assert TINY_CONFIG_KWARGS == TINY
+        results = gradcheck_report(seed=0)
         elapsed = time.monotonic() - start
         expected = {"conv2d", "max_over_filters", "kmax_per_row", "softmax",
                     "recurrent_sequence", "hinge_loss", "pipeline_firstk",
@@ -131,9 +131,9 @@ def test_criterion_5_memorization():
             pos = sorted(d for d, g in judged.items() if g >= 1)
             neg = sorted(d for d, g in judged.items() if g == 0)
             if pos and neg:
-                triples.append((qid, pos[0], neg[0]))
+                triples.append(training.Triple(qid, pos[0], neg[0]))
                 if len(triples) < 8 and len(pos) > 1:
-                    triples.append((qid, pos[1], neg[min(1, len(neg) - 1)]))
+                    triples.append(training.Triple(qid, pos[1], neg[min(1, len(neg) - 1)]))
             if len(triples) >= 8:
                 break
         triples = triples[:8]
@@ -141,19 +141,7 @@ def test_criterion_5_memorization():
 
         final_loss = None
         for step in range(500):
-            total = 0.0
-            for qid, pos, neg in triples:
-                rel_p, cache_p = scorer.score_with_cache(qid, pos)
-                rel_n, cache_n = scorer.score_with_cache(qid, neg)
-                total += neural.hinge_loss(rel_p, rel_n)
-                d_p, d_n = neural.hinge_gradients(rel_p, rel_n)
-                if d_p != 0.0:
-                    params.accumulate(score_gradients(
-                        params, config, cache_p, d_p / len(triples)))
-                    params.accumulate(score_gradients(
-                        params, config, cache_n, d_n / len(triples)))
-            neural.sgd_step(params, config.learning_rate)
-            final_loss = total / len(triples)
+            final_loss = training.train_batch(scorer, triples)
             if final_loss < 0.05:
                 break
         elapsed = time.monotonic() - start

@@ -196,6 +196,20 @@ class TestCliCommands:
         assert main(["--config", str(bad), "train"]) == 2
         assert "val_qids.txt: not valid UTF-8" in capsys.readouterr().err
 
+    def test_empty_validation_set_is_data_error(self, synth_dir, tmp_path, capsys):
+        cfg = load_run_config(synth_dir / "config.txt")
+        qids = tmp_path / "val_qids.txt"
+        qids.write_text("")
+        cfg.val_qids = str(qids)
+        cfg.out_dir = str(tmp_path / "out")
+        bad = tmp_path / "noval.cfg"
+        write_run_config(cfg, bad)
+        assert main(["--config", str(bad), "train"]) == 2
+        err = capsys.readouterr().err
+        assert "data error: no validation queries to select a model: val_qids is empty" in err
+        assert "Traceback" not in err
+        assert not [p for p in (tmp_path / "out").rglob("*") if p.is_file()]
+
     def test_eval_of_invalid_utf8_run_exits_2(self, synth_dir, tmp_path):
         cfg = load_run_config(synth_dir / "config.txt")
         run = tmp_path / "run.txt"

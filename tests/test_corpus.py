@@ -1,5 +1,6 @@
 import math
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -152,7 +153,8 @@ class TestComputeIdf:
             tokens = ["everywhere"] + [f"tok{j}" for j in range(i % 7)]
             docs.append(TokenizedDocument(f"d{i}", tuple(tokens)))
         idf = compute_idf(docs)
-        by_df = sorted(idf.df.items(), key=lambda kv: kv[1])
+        df = Counter(t for doc in docs for t in set(doc.tokens))
+        by_df = sorted(df.items(), key=lambda kv: kv[1])
         values = [idf.idf(t) for t, _ in by_df]
         assert all(v >= 0.0 for v in values)
         assert all(a >= b for a, b in zip(values, values[1:]))

@@ -206,7 +206,7 @@ class TestPipelineInvariants:
         params = init_params(config)
         emb = EmbeddingTable(dim=4, vectors={f"t{i}": rng.standard_normal(4)
                                              for i in range(40)})
-        idf = IdfTable(doc_count=10, df={}, values={})
+        idf = IdfTable(doc_count=10, values={})
         query = Query("q", ("t1", "t2", "t3"))
         base_tokens = tuple(f"t{i}" for i in range(20))
         mutated = base_tokens[: config.l_d] + tuple(f"t{i}" for i in range(25, 33))
@@ -356,7 +356,7 @@ class TestScorer:
         docs = [TokenizedDocument("d1", ("t1", "t2", "t3")),
                 TokenizedDocument("d2", ("t4", "t5"))]
         queries = [Query("q1", ("t1", "t9"))]
-        idf = IdfTable(doc_count=2, df={}, values={"t1": 0.5})
+        idf = IdfTable(doc_count=2, values={"t1": 0.5})
         return Scorer(config, init_params(config), queries, docs, emb, idf)
 
     def test_missing_docs_reported(self):
@@ -387,7 +387,7 @@ class TestScorer:
         docs = [TokenizedDocument("d1", ("oov", "a", "other")),
                 TokenizedDocument("d2", ("a", "other", "oov"))]
         queries = [Query("q1", ("oov", "a")), Query("q2", ("a", "oov"))]
-        idf = IdfTable(doc_count=2, df={}, values={})
+        idf = IdfTable(doc_count=2, values={})
         scorer = Scorer(config, init_params(config), queries, docs, emb, idf)
         expected = {("q1", "d1"): [[1, 0, 0], [0, 1, 0]],
                     ("q1", "d2"): [[0, 0, 1], [1, 0, 0]],
@@ -403,7 +403,7 @@ class TestScorer:
         doc = TokenizedDocument("d", ("a", "b", "c"))
         queries = [Query("q1", ("a",)), Query("q2", ("b", "a"))]
         scorer = Scorer(config, init_params(config), queries, [doc], emb,
-                        IdfTable(doc_count=1, df={}, values={}))
+                        IdfTable(doc_count=1, values={}))
         mapped = []
         token_ids = scorer.token_ids
         scorer.token_ids = lambda tokens: mapped.append(tuple(tokens)) or token_ids(tokens)
@@ -415,7 +415,7 @@ class TestScorer:
         config = tiny_config()
         rng = np.random.default_rng(11)
         emb = EmbeddingTable(dim=4, vectors={})
-        idf = IdfTable(doc_count=1, df={}, values={})
+        idf = IdfTable(doc_count=1, values={})
         long_query = Query("q", tuple(f"t{i}" for i in range(9)))
         scorer = Scorer(config, init_params(config), [long_query],
                         [TokenizedDocument("d", ("t0",))], emb, idf)
@@ -430,7 +430,7 @@ class TestScorer:
         with caplog.at_level("WARNING", logger="pacrr.model"):
             scorer = Scorer(config, init_params(config), queries, [],
                             EmbeddingTable(dim=4, vectors={}),
-                            IdfTable(doc_count=1, df={}, values={}))
+                            IdfTable(doc_count=1, values={}))
         [record] = caplog.records
         assert record.getMessage() == "truncated 2 queries to l_q=4 tokens: long-a long-b"
         assert [len(scorer.queries[q].tokens) for q in ("long-a", "fits", "long-b")] == [4, 2, 4]

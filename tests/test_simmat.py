@@ -17,7 +17,7 @@ def table(**vectors):
 def interner(emb):
     """A Scorer used only for its token ids."""
     config = PacrrConfig(l_q=4, l_d=3)
-    return Scorer(config, init_params(config), [], [], emb, IdfTable(1, {}, {}))
+    return Scorer(config, init_params(config), [], [], emb, IdfTable(1, {}))
 
 
 def build(q_tokens, d_tokens, emb, scorer=None):

@@ -6,8 +6,9 @@ import pytest
 from pacrr import synth
 from pacrr.corpus import JudgmentSet, compute_idf
 from pacrr.errors import DataError
-from pacrr.model import PacrrConfig, load_params
-from pacrr.training import BATCH_SIZE, build_groups, sample_triple, train
+from pacrr.model import PacrrConfig, Scorer, init_params, load_params, score_gradients
+from pacrr.neural import hinge_gradients, hinge_loss
+from pacrr.training import BATCH_SIZE, build_groups, sample_triple, train, train_batch
 
 
 class TestBuildGroups:
@@ -188,6 +189,14 @@ class TestTrain:
         log_b = (tmp_path / "b" / "training_log.jsonl").read_bytes()
         assert log_a == log_b
 
+    def test_empty_validation_set_rejected(self, small_synth, tmp_path):
+        data, idf = small_synth
+        with pytest.raises(DataError, match="val_qids is empty"):
+            train(tiny_config(), data.docs, data.queries, data.qrels,
+                  data.train_query_ids, [], data.runs, data.embeddings, idf,
+                  iterations=1, batches_per_iteration=1, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_validation_run_rejected(self, small_synth, tmp_path):
         data, idf = small_synth
         runs = {q: r for q, r in data.runs.items() if q != data.val_query_ids[0]}
@@ -216,3 +225,32 @@ class TestTrain:
 
     def test_batch_size_constant(self):
         assert BATCH_SIZE == 32
+
+
+class TestTrainBatch:
+    def test_one_step_on_the_mean_hinge_loss(self, small_synth):
+        data, idf = small_synth
+        config = tiny_config()
+        scorer = Scorer(config, init_params(config), data.queries, data.docs,
+                        data.embeddings, idf)
+        groups = build_groups(data.qrels, data.train_query_ids)
+        rng = np.random.default_rng(0)
+        triples = [sample_triple(rng, groups) for _ in range(4)]
+        before = {g.name: g.value.copy() for g in scorer.params}
+        losses = []
+        summed = {name: np.zeros(value.shape) for name, value in before.items()}
+        for t in triples:
+            rel_pos, cache_pos = scorer.score_with_cache(t.query_id, t.pos_doc_id)
+            rel_neg, cache_neg = scorer.score_with_cache(t.query_id, t.neg_doc_id)
+            losses.append(hinge_loss(rel_pos, rel_neg))
+            d_pos, d_neg = hinge_gradients(rel_pos, rel_neg)
+            for cache, d_rel in ((cache_pos, d_pos), (cache_neg, d_neg)):
+                for name, grad in score_gradients(scorer.params, config, cache,
+                                                  d_rel).items():
+                    summed[name] += grad
+        assert sum(losses) > 0.0
+
+        assert train_batch(scorer, triples) == sum(losses) / 4
+        for group in scorer.params:
+            want = before[group.name] - config.learning_rate * summed[group.name] / 4
+            np.testing.assert_allclose(group.value, want, rtol=1e-5, err_msg=group.name)
