@@ -12,11 +12,13 @@ l_q of them) is scored as:
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
 import struct
 import zlib
+from collections import defaultdict
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -320,7 +322,8 @@ class Scorer:
         self.config = config
         self.params = params
         self.embeddings = embeddings
-        self._token_ids = dict(zip(embeddings.vectors, range(len(embeddings))))
+        self._token_ids = defaultdict(itertools.count(len(embeddings)).__next__,
+                                      zip(embeddings.vectors, range(len(embeddings))))
         self.queries: dict[str, Query] = {}
         self._query_ids: dict[str, np.ndarray] = {}
         self._query_idf: dict[str, np.ndarray] = {}
@@ -342,10 +345,11 @@ class Scorer:
 
     def token_ids(self, tokens) -> np.ndarray:
         """Each token's id: its row of `embeddings.units` when it has a
-        vector; otherwise an id past those rows, fresh the first time the
-        token is seen."""
-        ids = self._token_ids
-        return np.array([ids.setdefault(tok, len(ids)) for tok in tokens], dtype=np.intp)
+        vector; otherwise the next unused id past those rows, given in
+        first-seen order by the id table's `defaultdict`, whose factory
+        draws from a counter, so the lookup runs at C level."""
+        return np.fromiter(map(self._token_ids.__getitem__, tokens), dtype=np.intp,
+                           count=len(tokens))
 
     def distilled(self, query_id: str, doc_id: str) -> DistilledInput:
         key = (query_id, doc_id)

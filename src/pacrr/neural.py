@@ -157,7 +157,7 @@ def kmax_per_row(x: np.ndarray, k: int):
         for j in range(m):
             src[:, j] = work.argmax(axis=1)
             work[every, src[:, j]] = -np.inf
-        out[:, :m] = np.take_along_axis(x, src[:, :m], axis=1)
+        out[:, :m] = x[every[:, None], src[:, :m]]
     return out, src
 
 

@@ -4,7 +4,7 @@ Raw matrices are |q| x |d|, built from token ids (assigned by
 `model.Scorer`) and the embedding table's unit-vector matrix; the two
 distillation strategies reduce them to |q| x l_d model inputs: `firstk`
 truncates/pads the document axis, while `kwindow` keeps only the
-highest-scoring disjoint n-term windows.
+highest-scoring disjoint n-term windows, ranked by one partition per n.
 """
 
 from __future__ import annotations
@@ -22,8 +22,10 @@ MODES = (FIRSTK, KWINDOW)
 class DistilledInput:
     """query_len x l_d inputs, one matrix per n-gram size.
 
-    Under firstk every per_n entry is the same matrix object; under kwindow
-    each n has its own window-selected matrix.
+    Under firstk every per_n entry is the same matrix object. Under kwindow
+    the n that keep every window of the document share that same matrix,
+    and each other n has its own window-selected one. A matrix may thus
+    serve several n, so no reader may write into it.
     """
 
     mode: str
@@ -46,7 +48,8 @@ def build_sim_matrix(q_ids: np.ndarray, d_ids: np.ndarray, units: np.ndarray) ->
     zero_row = len(units) - 1
     q_units = units[np.minimum(q_ids, zero_row)]
     d_units = units[np.minimum(d_ids, zero_row)]
-    sim = np.clip(q_units @ d_units.T, -1.0, 1.0)
+    sim = q_units @ d_units.T
+    np.clip(sim, -1.0, 1.0, out=sim)
     sim[q_ids[:, None] == d_ids[None, :]] = 1.0
     return sim
 
@@ -59,35 +62,42 @@ def distill(sim: np.ndarray, mode: str, l_d: int, l_g: int) -> DistilledInput:
 
     `firstk` keeps the first l_d document columns, zero-padded to l_d; every
     n shares that one matrix. `kwindow` keeps, for each n, the top
-    floor(l_d/n) disjoint n-term windows. Candidate windows start at
+    k = floor(l_d/n) disjoint n-term windows. Candidate windows start at
     positions 0, n, 2n, ...; a final partial window is zero-padded to length
     n. A window's score is the mean over its columns of the per-column
-    maximum similarity (padding columns contribute 0). The highest-scoring
-    windows are kept (ties break toward earlier positions), re-ordered by
-    document position, concatenated, and zero-padded to l_d.
+    maximum similarity (padding columns contribute 0). Every window scoring
+    above the k-th largest score t is kept, and then the earliest windows
+    scoring exactly t until k are kept (a stable sort's tie rule), found by
+    one partition. The kept windows are concatenated in document order and
+    zero-padded to l_d. An n with at most k windows keeps them all, which is
+    the `firstk` matrix, so those n share it.
     """
     if l_g > l_d:
         raise ValueError(f"l_g={l_g} exceeds l_d={l_d}")
+    if mode not in MODES:
+        raise ValueError(f"unknown distillation mode {mode!r}")
     rows, cols = sim.shape
-    if mode == FIRSTK:
+    sizes = range(1, l_g + 1)
+    ranked = [n for n in sizes if -(-cols // n) > l_d // n] if mode == KWINDOW else []
+    per_n = {}
+    if len(ranked) < l_g:
         matrix = np.zeros((rows, l_d), dtype=np.float32)
         width = min(cols, l_d)
         matrix[:, :width] = sim[:, :width]
-        return DistilledInput(mode, {n: matrix for n in range(1, l_g + 1)})
-    if mode != KWINDOW:
-        raise ValueError(f"unknown distillation mode {mode!r}")
-    # The column max and the padded copy do not depend on n: a prefix of
-    # each serves every window length up to l_g.
-    col_max = np.zeros(cols + l_g - 1, dtype=np.float64)
-    col_max[:cols] = sim.max(axis=0)
-    padded = np.zeros((rows, cols + l_g - 1), dtype=np.float32)
-    padded[:, :cols] = sim
-    per_n = {}
-    for n in range(1, l_g + 1):
-        n_windows = -(-cols // n)  # ceil
+        per_n = dict.fromkeys(sizes, matrix)
+    if ranked:
+        # The column max does not depend on n: a prefix of one zero-padded
+        # copy serves every window length up to l_g.
+        col_max = np.zeros(cols + l_g - 1, dtype=np.float64)
+        col_max[:cols] = sim.max(axis=0)
+    for n in ranked:
+        n_windows, k = -(-cols // n), l_d // n
         scores = col_max[: n_windows * n].reshape(n_windows, n).mean(axis=1)
-        selected = np.sort(np.argsort(-scores, kind="stable")[: l_d // n])
-        columns = (selected[:, None] * n + np.arange(n)).ravel()
+        t = np.partition(scores, n_windows - k)[n_windows - k]
+        keep = scores > t
+        keep[np.flatnonzero(scores == t)[: k - np.count_nonzero(keep)]] = True
+        # A kept partial last window's padding is the zeros `out` starts with.
+        kept = np.compress(np.repeat(keep, n)[:cols], sim, axis=1)
         out = per_n[n] = np.zeros((rows, l_d), dtype=np.float32)
-        out[:, : len(columns)] = padded.take(columns, axis=1)
+        out[:, : kept.shape[1]] = kept
     return DistilledInput(mode, per_n)

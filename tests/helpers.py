@@ -46,6 +46,24 @@ def kwindow_oracle(values, n, l_q, l_d):
     return np.array(out, dtype=np.float64)
 
 
+def kwindow_reference(sim, n, l_d):
+    """The float32 kwindow matrix for window length n, from a full stable
+    argsort of the window scores (ties keep the earlier window) and a sort
+    of the kept windows into document order."""
+    rows, cols = sim.shape
+    n_windows = -(-cols // n)
+    col_max = np.zeros(n_windows * n, dtype=np.float64)
+    col_max[:cols] = sim.max(axis=0)
+    scores = col_max.reshape(n_windows, n).mean(axis=1)
+    selected = np.sort(np.argsort(-scores, kind="stable")[: l_d // n])
+    columns = (selected[:, None] * n + np.arange(n)).ravel()
+    padded = np.zeros((rows, n_windows * n), dtype=np.float32)
+    padded[:, :cols] = sim
+    out = np.zeros((rows, l_d), dtype=np.float32)
+    out[:, : len(columns)] = padded.take(columns, axis=1)
+    return out
+
+
 def err_oracle(grades, k, g_max):
     """Direct transcription of the cascade formula."""
     total = 0.0

@@ -110,6 +110,25 @@ class TestScore:
         rel2, _ = score(params, config, distilled, idf)
         assert rel1 == rel2
 
+    def test_scoring_never_writes_into_a_shared_distilled_input(self):
+        # Under kwindow a document with no more windows than are kept shares
+        # one matrix across n, so a write while scoring one n would reach
+        # the others and every later score of the cached pair.
+        rng = np.random.default_rng(6)
+        config = tiny_config(mode="kwindow")
+        params = init_params(config)
+        distilled = random_distilled(config, rng, doc_len=config.l_d - 2)
+        assert distilled.per_n[1] is distilled.per_n[2] is distilled.per_n[3]
+        before = {n: m.tobytes() for n, m in distilled.per_n.items()}
+        idf = rng.uniform(0.1, 3.0, 3)
+        rels = []
+        for _ in range(2):
+            rel, cache = score(params, config, distilled, idf)
+            score_gradients(params, config, cache, 1.0)
+            rels.append(rel)
+        assert rels[0] == rels[1]
+        assert {n: m.tobytes() for n, m in distilled.per_n.items()} == before
+
     def test_idf_length_must_match(self):
         config = tiny_config()
         params = init_params(config)

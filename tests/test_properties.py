@@ -1,6 +1,7 @@
 """Properties: any bytes given to a loader either load or raise DataError
-(CheckpointError is a DataError), never another exception; and k-max
-pooling equals its oracles on tie-heavy rows."""
+(CheckpointError is a DataError), never another exception; k-max pooling
+equals its oracles on tie-heavy rows; and kwindow distillation equals its
+argsort reference byte for byte."""
 
 import struct
 import tempfile
@@ -13,12 +14,13 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from helpers import kmax_oracle, kmax_reference  # noqa: E402
+from helpers import kmax_oracle, kmax_reference, kwindow_reference  # noqa: E402
 from pacrr.corpus import (load_corpus, load_embeddings, load_qrels,  # noqa: E402
                           load_queries, load_run)
 from pacrr.errors import DataError  # noqa: E402
 from pacrr.model import PacrrConfig, init_params, load_params, save_params  # noqa: E402
 from pacrr.neural import kmax_per_row  # noqa: E402
+from pacrr.simmat import KWINDOW, distill  # noqa: E402
 
 LOADERS = [load_corpus, load_queries, load_qrels, load_run, load_embeddings, load_params]
 
@@ -104,3 +106,29 @@ def test_kmax_per_row_equals_its_oracles(case):
     assert src.tobytes() == ref_src.tobytes()
     for row, values in zip(x.tolist(), out.tolist()):
         assert values == kmax_oracle(row, k)
+
+
+@st.composite
+def kwindow_cases(draw):
+    """A similarity matrix, tie-heavy or not, with l_g <= l_d and a document
+    length anywhere from empty to past 2 l_d, so that each n may keep every
+    window or rank them."""
+    l_g = draw(st.integers(1, 4))
+    l_d = draw(st.integers(l_g, 20))
+    cols = draw(st.integers(0, 2 * l_d + 3))
+    values = st.one_of(KMAX_VALUES, st.floats(-1.0, 1.0, width=32))
+    rows = draw(st.lists(st.lists(values, min_size=cols, max_size=cols),
+                         min_size=1, max_size=4))
+    return np.array(rows, dtype=np.float64).reshape(len(rows), cols), l_d, l_g
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=kwindow_cases())
+@example(case=(np.array([[0.5, -0.0, 0.0, 0.5, 1.0, 0.0, 0.0]]), 6, 3))
+def test_kwindow_distill_equals_its_reference(case):
+    sim, l_d, l_g = case
+    distilled = distill(sim, KWINDOW, l_d, l_g)
+    for n in range(1, l_g + 1):
+        got, want = distilled.per_n[n], kwindow_reference(sim, n, l_d)
+        assert got.dtype == want.dtype == np.float32
+        assert got.tobytes() == want.tobytes()

@@ -172,6 +172,26 @@ class TestDistillKwindow:
                 want = kwindow_oracle(values.tolist(), n, n_q, l_d)
                 np.testing.assert_array_equal(distilled.per_n[n], f32(want))
 
+    @pytest.mark.parametrize("l_d, l_g", [(768, 3), (64, 4)])
+    def test_tie_heavy_documents_around_l_d(self, l_d, l_g):
+        # |d| from l_d - n - 1 to l_d + n + 1 for every n covers each n's
+        # switch between keeping every window and ranking them; at l_d = 64,
+        # n = 3 ranks already at |d| = 64, as ceil(64/3) = 22 > 21 windows.
+        rng = np.random.default_rng(l_d)
+        for n_d in range(l_d - l_g - 1, l_d + l_g + 2):
+            values = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], (3, n_d))
+            distilled = distill(values, KWINDOW, l_d=l_d, l_g=l_g)
+            for n in range(1, l_g + 1):
+                got = distilled.per_n[n]
+                assert got.dtype == np.float32
+                np.testing.assert_array_equal(got, f32(kwindow_oracle(values.tolist(), n, 3, l_d)))
+            # The sizes that keep every window share one matrix; each other
+            # size has its own.
+            keep_all = [n for n in range(1, l_g + 1) if math.ceil(n_d / n) <= l_d // n]
+            ids = {n: id(m) for n, m in distilled.per_n.items()}
+            assert len({ids[n] for n in keep_all}) == min(len(keep_all), 1)
+            assert len(set(ids.values())) == l_g - len(keep_all) + min(len(keep_all), 1)
+
     def test_selected_windows_dominate_unselected(self):
         rng = np.random.default_rng(99)
         for _ in range(30):
