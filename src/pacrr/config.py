@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .corpus import write_atomic
+from .corpus import CANONICAL_GRADES, write_atomic
 from .errors import ConfigError
 from .model import PacrrConfig
 
@@ -48,6 +48,8 @@ class RunConfig:
         for key in ("iterations", "batches_per_iteration", "k", "g_max"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def pacrr_config(self) -> PacrrConfig:
         try:
@@ -65,10 +67,13 @@ class RunConfig:
         mapping = {}
         for item in self.grade_map.split(","):
             try:
-                raw, canonical = item.split(":")
-                mapping[int(raw)] = int(canonical)
+                raw, canonical = map(int, item.split(":"))
             except ValueError:
                 raise ConfigError(f"bad grade_map entry {item!r}") from None
+            if canonical not in CANONICAL_GRADES:
+                raise ConfigError(f"grade_map entry {item!r}: {canonical} is not a "
+                                  f"canonical grade {sorted(CANONICAL_GRADES)}")
+            mapping[raw] = canonical
         return mapping
 
     def require_paths(self, *names: str) -> None:

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import neural
-from .model import PacrrConfig, ScoreCache, init_params, score, score_gradients
+from .model import (PacrrConfig, ScoreCache, filter_args, init_params, score,
+                    score_gradients)
 from .neural import ParamGroup
 from .simmat import MODES, distill
 
@@ -67,7 +68,7 @@ def pipeline_signature(cache: ScoreCache) -> tuple:
     gradient takes (each k-max source and its winning filter); two runs with
     equal signatures lie on the same smooth piece of the pipeline."""
     parts = [(cache.conv_caches[n].out > 0.0).tobytes() for n in sorted(cache.conv_caches)]
-    parts += [cache.filter_args[n].tobytes() for n in sorted(cache.filter_args)]
+    parts += [filter_args(cache, n).tobytes() for n in sorted(cache.conv_caches)]
     parts += [cache.kmax_srcs[n].tobytes() for n in sorted(cache.kmax_srcs)]
     return tuple(parts)
 

@@ -129,7 +129,6 @@ def init_params(config: PacrrConfig, dtype=np.float32) -> PacrrParams:
 @dataclass
 class ScoreCache:
     conv_caches: dict[int, neural.Conv2dCache]
-    filter_args: dict[int, np.ndarray]  # (rows, n_s) filter of each k-max survivor
     kmax_srcs: dict[int, np.ndarray]  # key 1 = unigram matrix
     rnn_cache: neural.RnnCache
 
@@ -148,49 +147,38 @@ def score(params: PacrrParams, config: PacrrConfig, distilled: DistilledInput,
         raise ValueError("distilled input does not match config dimensions")
     if idf_vector.shape != (t_len,):
         raise ValueError("idf vector length must equal the query length")
-    dtype = params["rnn_w"].value.dtype
 
+    # Per query term: the k-max signals of n-gram sizes 1..l_g, n_s columns
+    # each, then the softmax-normalized IDF.
+    n_s = config.n_s
+    xs = np.empty((t_len, config.rnn_input_dim), dtype=params["rnn_w"].value.dtype)
     conv_caches: dict[int, neural.Conv2dCache] = {}
-    filter_args: dict[int, np.ndarray] = {}
     kmax_srcs: dict[int, np.ndarray] = {}
-    signals: dict[int, np.ndarray] = {}
-
-    km1, src1 = neural.kmax_per_row(distilled.per_n[1], config.n_s)
-    signals[1] = km1
-    kmax_srcs[1] = src1
-
+    xs[:, :n_s], kmax_srcs[1] = neural.kmax_per_row(distilled.per_n[1], n_s)
     for n in conv_sizes(config):
         stride = n if config.mode == KWINDOW else 1
-        conv_out, ccache = neural.conv2d(
+        conv_out, conv_caches[n] = neural.conv2d(
             distilled.per_n[n],
             params[f"conv{n}_kernels"].value,
             params[f"conv{n}_bias"].value,
             stride,
         )
-        km, src = neural.kmax_per_row(neural.max_over_filters(conv_out), config.n_s)
-        conv_caches[n] = ccache
-        filter_args[n] = neural.filter_argmax(conv_out, src)
-        kmax_srcs[n] = src
-        signals[n] = km
-
-    # salient signals per query term: rows are n-gram sizes 1..l_g
-    salient = np.stack([signals[n] for n in range(1, config.l_g + 1)], axis=1)
-    idf_norm = neural.softmax(idf_vector)
-    d = config.rnn_input_dim
-    xs = np.empty((t_len, d), dtype=dtype)
-    xs[:, : d - 1] = salient.reshape(t_len, config.l_g * config.n_s)
-    xs[:, d - 1] = idf_norm
+        xs[:, (n - 1) * n_s : n * n_s], kmax_srcs[n] = neural.kmax_per_row(
+            neural.max_over_filters(conv_out), n_s)
+    xs[:, -1] = neural.softmax(idf_vector)
 
     rel, rnn_cache = neural.recurrent_sequence(
         xs, params["rnn_w"].value, params["rnn_u"].value, params["rnn_b"].value
     )
-    cache = ScoreCache(
-        conv_caches=conv_caches,
-        filter_args=filter_args,
-        kmax_srcs=kmax_srcs,
-        rnn_cache=rnn_cache,
-    )
-    return float(rel), cache
+    return float(rel), ScoreCache(conv_caches, kmax_srcs, rnn_cache)
+
+
+def filter_args(cache: ScoreCache, n: int) -> np.ndarray:
+    """(rows, n_s): the filter of each k-max survivor of the size-n conv,
+    the route the gradient takes below k-max."""
+    src = cache.kmax_srcs[n]
+    out = cache.conv_caches[n].out
+    return neural.filter_argmax(out.reshape(len(out), len(src), -1), src)
 
 
 def score_gradients(params: PacrrParams, config: PacrrConfig, cache: ScoreCache,
@@ -206,7 +194,7 @@ def score_gradients(params: PacrrParams, config: PacrrConfig, cache: ScoreCache,
         d_km = d_xs[:, (n - 1) * n_s : n * n_s]
         width = cache.conv_caches[n].out.shape[1] // len(d_km)  # filter-max cells per row
         d_pooled = neural.kmax_per_row_backward(d_km, cache.kmax_srcs[n], width)
-        d_conv = neural.max_over_filters_backward(d_pooled, cache.filter_args[n])
+        d_conv = neural.max_over_filters_backward(d_pooled, filter_args(cache, n))
         d_kernels, d_bias = neural.conv2d_backward(
             d_conv, cache.conv_caches[n], params[f"conv{n}_kernels"].value
         )

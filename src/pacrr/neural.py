@@ -12,8 +12,8 @@ conv2d folds its bias into the im2col matmul as the last kernel column
 mask: the active rectifiers are its positive cells.
 
 Pooling is exact and lazy: conv2d's output is filter-major, so filter-max
-is one reduction; the winning filter is taken only at the cells k-max keeps
-(`filter_argmax`), and the gradient below k-max is carried at those alone.
+is one reduction; the backward pass takes the winning filter only at the
+cells k-max keeps (`filter_argmax`) and carries the gradient at those alone.
 k-max is a few argmax passes, one per kept value.
 """
 
@@ -229,40 +229,31 @@ def recurrent_sequence(xs: np.ndarray, w: np.ndarray, u: np.ndarray, b: np.ndarr
 
 
 def recurrent_backward(d_h: float, cache: RnnCache, w: np.ndarray, u: np.ndarray):
-    """Backpropagate through time; returns (d_xs, d_w, d_u, d_b)."""
+    """Backpropagate through time; returns (d_xs, d_w, d_u, d_b).
+
+    A scalar loop carries dh and dc back and records each step's gate
+    gradient in dz. d_w, d_u and d_b are then sums over the steps, last step
+    first: numpy adds the rows in order from 0.0, as a step-by-step += would.
+    """
     xs = cache.xs
-    T = xs.shape[0]
     w64 = np.asarray(w, dtype=np.float64)
-    d_xs = np.zeros_like(xs, dtype=np.float64)
-    d_w = np.zeros(w.shape, dtype=np.float64)
-    d_u = np.zeros(u.shape, dtype=np.float64)
-    d_b = np.zeros(u.shape, dtype=np.float64)
+    d_xs = np.empty(xs.shape, dtype=np.float64)
+    dz = np.empty((len(xs), 4), dtype=np.float64)
     dh = float(d_h)
     dc = 0.0
-    for t in reversed(range(T)):
-        i, f, o, g, c_prev, h_prev, tanh_c = cache.steps[t]
+    for t in reversed(range(len(xs))):
+        i, f, o, g, c_prev, _, tanh_c = cache.steps[t]
         do = dh * tanh_c
         dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
-        di = dc * g
-        dg = dc * i
-        df = dc * c_prev
-        dc_prev = dc * f
-        dz = np.array(
-            [
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                do * o * (1.0 - o),
-                dg * (1.0 - g * g),
-            ],
-            dtype=np.float64,
-        )
-        d_w += np.outer(dz, xs[t])
-        d_u += dz * h_prev
-        d_b += dz
-        d_xs[t] = dz @ w64
-        dh = float(np.dot(dz, u))
-        dc = dc_prev
-    return d_xs, d_w, d_u, d_b
+        dz[t] = (dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
+                 do * o * (1.0 - o), dc * i * (1.0 - g * g))
+        d_xs[t] = dz[t] @ w64
+        dh = float(np.dot(dz[t], u))
+        dc = dc * f
+    h_prev = np.array([step[5] for step in cache.steps])
+    dz = dz[::-1]
+    d_w = (dz[:, :, None] * xs[::-1, None, :]).sum(axis=0)
+    return d_xs, d_w, (dz * h_prev[::-1, None]).sum(axis=0), dz.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,46 @@ def all_rows_score(params, config, distilled, idf_vector):
     return float(rel), grads
 
 
+def recurrent_backward_reference(d_h: float, cache: neural.RnnCache, w: np.ndarray,
+                                 u: np.ndarray):
+    """Backpropagation through time that accumulates every gradient step by
+    step, last step first, with a new gate-gradient array per step; returns
+    (d_xs, d_w, d_u, d_b)."""
+    xs = cache.xs
+    T = xs.shape[0]
+    w64 = np.asarray(w, dtype=np.float64)
+    d_xs = np.zeros_like(xs, dtype=np.float64)
+    d_w = np.zeros(w.shape, dtype=np.float64)
+    d_u = np.zeros(u.shape, dtype=np.float64)
+    d_b = np.zeros(u.shape, dtype=np.float64)
+    dh = float(d_h)
+    dc = 0.0
+    for t in reversed(range(T)):
+        i, f, o, g, c_prev, h_prev, tanh_c = cache.steps[t]
+        do = dh * tanh_c
+        dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+        di = dc * g
+        dg = dc * i
+        df = dc * c_prev
+        dc_prev = dc * f
+        dz = np.array(
+            [
+                di * i * (1.0 - i),
+                df * f * (1.0 - f),
+                do * o * (1.0 - o),
+                dg * (1.0 - g * g),
+            ],
+            dtype=np.float64,
+        )
+        d_w += np.outer(dz, xs[t])
+        d_u += dz * h_prev
+        d_b += dz
+        d_xs[t] = dz @ w64
+        dh = float(np.dot(dz, u))
+        dc = dc_prev
+    return d_xs, d_w, d_u, d_b
+
+
 def per_pair_sim_matrix(q_tokens, d_tokens, emb):
     """Cosine-similarity matrix that normalises every embedding afresh."""
     sim = np.zeros((len(q_tokens), len(d_tokens)))

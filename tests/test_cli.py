@@ -104,6 +104,22 @@ class TestCliCommands:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("command, flags, line, key", [
+        *[(command, ["--seed", "-3"], "", "seed") for command in ("synth", "train", "gradcheck")],
+        *[(command, [], "seed = -3", "seed") for command in ("synth", "train", "gradcheck")],
+        ("eval", [], "grade_map = 2:7", "grade_map"),
+    ])
+    def test_bad_config_exits_1_naming_the_key(self, synth_dir, tmp_path, capsys,
+                                               command, flags, line, key):
+        path = tmp_path / "bad.cfg"
+        path.write_text((synth_dir / "config.txt").read_text() + line + "\n")
+        code = main(["--config", str(path), "--out", str(tmp_path / "out"), *flags, command])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"config error: {key}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_gradcheck_passes(self, capsys):
         assert main(["gradcheck"]) == 0
         out = capsys.readouterr().out

@@ -10,8 +10,8 @@ from helpers import all_rows_score
 from pacrr.corpus import EmbeddingTable, IdfTable, Query, TokenizedDocument
 from pacrr.errors import CheckpointError
 from pacrr.gradcheck import check_pipeline_gradients
-from pacrr.model import (PacrrConfig, Scorer, init_params, load_params, save_params,
-                         score, score_gradients)
+from pacrr.model import (PacrrConfig, Scorer, filter_args, init_params, load_params,
+                         save_params, score, score_gradients)
 from pacrr.simmat import distill
 
 TINY = dict(l_q=4, l_d=12, l_g=3, n_f=4, n_s=2)
@@ -98,7 +98,7 @@ class TestScore:
         distilled = random_distilled(config, np.random.default_rng(4))
         _, cache = score(init_params(config), config, distilled, np.ones(3))
         for n in (2, 3):
-            assert cache.filter_args[n].shape == (3, config.n_s)
+            assert filter_args(cache, n).shape == (3, config.n_s)
 
     def test_bitwise_deterministic(self):
         rng = np.random.default_rng(2)
@@ -399,6 +399,24 @@ class TestScorer:
         with caplog.at_level("WARNING", logger="pacrr.model"):
             assert set(scorer.score_runs({"q1": ["d2"]})["q1"]) == {"d2"}
         assert not caplog.records
+
+    @pytest.mark.parametrize("mode", ["firstk", "kwindow"])
+    def test_scoring_takes_no_backward_only_route(self, mode, monkeypatch):
+        # The winning filter at each k-max survivor is read only by the
+        # backward pass, so scoring must not compute it.
+        config = tiny_config(mode=mode)
+        want = self._fixtures(config).score_runs({"q1": ["d1", "d2"]})
+
+        def fail(*args):
+            raise AssertionError("filter_argmax called")
+
+        monkeypatch.setattr("pacrr.neural.filter_argmax", fail)
+        scorer = self._fixtures(config)
+        assert scorer.score_runs({"q1": ["d1", "d2"]}) == want
+        assert scorer.score_docs("q1", ["d1", "d2"]) == (want["q1"], [])
+        _, cache = scorer.score_with_cache("q1", "d1")
+        with pytest.raises(AssertionError, match="filter_argmax called"):
+            score_gradients(scorer.params, config, cache, 1.0)
 
     def test_token_without_vector_matches_itself_across_pairs(self):
         config = tiny_config()

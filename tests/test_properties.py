@@ -1,7 +1,8 @@
 """Properties: any bytes given to a loader either load or raise DataError
 (CheckpointError is a DataError), never another exception; k-max pooling
-equals its oracles on tie-heavy rows; and kwindow distillation equals its
-argsort reference byte for byte."""
+equals its oracles on tie-heavy rows; kwindow distillation equals its
+argsort reference byte for byte; and the recurrence's backward pass equals
+its step-by-step reference byte for byte."""
 
 import struct
 import tempfile
@@ -14,12 +15,13 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from helpers import kmax_oracle, kmax_reference, kwindow_reference  # noqa: E402
+from helpers import (kmax_oracle, kmax_reference, kwindow_reference,  # noqa: E402
+                     recurrent_backward_reference)
 from pacrr.corpus import (load_corpus, load_embeddings, load_qrels,  # noqa: E402
                           load_queries, load_run)
 from pacrr.errors import DataError  # noqa: E402
 from pacrr.model import PacrrConfig, init_params, load_params, save_params  # noqa: E402
-from pacrr.neural import kmax_per_row  # noqa: E402
+from pacrr.neural import kmax_per_row, recurrent_backward, recurrent_sequence  # noqa: E402
 from pacrr.simmat import KWINDOW, distill  # noqa: E402
 
 LOADERS = [load_corpus, load_queries, load_qrels, load_run, load_embeddings, load_params]
@@ -132,3 +134,33 @@ def test_kwindow_distill_equals_its_reference(case):
         got, want = distilled.per_n[n], kwindow_reference(sim, n, l_d)
         assert got.dtype == want.dtype == np.float32
         assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def recurrence_cases(draw):
+    """Inputs and weights of one dtype for T steps of D features, maybe with
+    an all-zero input row, and an upstream gradient that may be a signed
+    zero."""
+    T = draw(st.integers(1, 16))
+    D = draw(st.integers(1, 9))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs, w, u, b = (rng.uniform(-1.0, 1.0, shape).astype(dtype)
+                   for shape in ((T, D), (4, D), (4,), (4,)))
+    zero_row = draw(st.none() | st.integers(0, T - 1))
+    if zero_row is not None:
+        xs[zero_row] = 0.0
+    d_h = draw(st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0))
+    return xs, w, u, b, d_h
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=recurrence_cases())
+def test_recurrent_backward_equals_its_reference(case):
+    xs, w, u, b, d_h = case
+    _, cache = recurrent_sequence(xs, w, u, b)
+    got = recurrent_backward(d_h, cache, w, u)
+    want = recurrent_backward_reference(d_h, cache, w, u)
+    for g, r in zip(got, want):
+        assert g.dtype == r.dtype and g.shape == r.shape
+        assert g.tobytes() == r.tobytes()
