@@ -19,7 +19,7 @@ from .corpus import (compute_idf, load_corpus, load_embeddings, load_qrels,
                      load_queries, load_run, read_lines, save_run, write_atomic)
 from .errors import ConfigError, DataError
 from .gradcheck import GRADCHECK_THRESHOLD, gradcheck_report
-from .model import Scorer, load_params
+from .model import PacrrConfig, Scorer, load_params
 from .training import train
 
 logger = logging.getLogger(__name__)
@@ -44,8 +44,9 @@ def _build_scorer(cfg: RunConfig, checkpoint):
     """A `Scorer` for the checkpoint's model, whose keys win over the run
     config's; each key that differs is named in one warning."""
     params, model_config = load_params(checkpoint)
-    differing = [f"{key}={getattr(cfg, key)!r} (checkpoint {getattr(model_config, key)!r})"
-                 for key in MODEL_KEYS if getattr(cfg, key) != getattr(model_config, key)]
+    ours, theirs = cfg.model.to_dict(), model_config.to_dict()
+    differing = [f"{key}={ours[key]!r} (checkpoint {theirs[key]!r})"
+                 for key in MODEL_KEYS if ours[key] != theirs[key]]
     if differing:
         logger.warning("using the checkpoint's model keys; ignoring config %s",
                        ", ".join(differing))
@@ -62,7 +63,6 @@ def _write_report(path: Path, text: str) -> None:
 def cmd_train(cfg: RunConfig, args) -> int:
     cfg.require_paths("corpus", "queries", "qrels", "embeddings", "run",
                       "train_qids", "val_qids")
-    model_config = cfg.pacrr_config()
     docs, queries, embeddings, idf = _load_scoring_inputs(cfg)
     qrels = load_qrels(cfg.qrels, cfg.parsed_grade_map())
     runs = load_run(cfg.run)
@@ -72,10 +72,10 @@ def cmd_train(cfg: RunConfig, args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     params, state = train(
-        model_config, docs, queries, qrels, train_qids, val_qids, runs,
+        cfg.model, docs, queries, qrels, train_qids, val_qids, runs,
         embeddings, idf, iterations=cfg.iterations,
         batches_per_iteration=cfg.batches_per_iteration, out_dir=out_dir,
-        k=cfg.k, g_max=cfg.g_max,
+        k=cfg.k,
     )
     best = out_dir / "best.pacrr"
     write_atomic(best, (out_dir / state.best_checkpoint_path).read_bytes())
@@ -91,9 +91,8 @@ def cmd_score(cfg: RunConfig, args) -> int:
     out_path = Path(cfg.out_dir) / "scores.jsonl"
     scores = scorer.score_runs({qid: run.doc_ids() for qid, run in runs.items()})
     _write_report(out_path, "".join(
-        json.dumps({"query_id": qid, "doc_id": did, "score": per_query[did]}) + "\n"
-        for qid, per_query in scores.items()
-        for did, _, _ in runs[qid].entries if did in per_query))
+        json.dumps({"query_id": qid, "doc_id": did, "score": score}) + "\n"
+        for qid, per_query in scores.items() for did, score in per_query.items()))
     print(f"wrote {out_path}")
     return 0
 
@@ -119,8 +118,8 @@ def cmd_rerank(cfg: RunConfig, args) -> int:
 
     run_path = out_dir / "reranked_run.txt"
     save_run(after, run_path, tag=cfg.run_tag)
-    report_before = evaluation.report_for_runs(before, qrels, cfg.k, cfg.g_max)
-    report_after = evaluation.report_for_runs(after, qrels, cfg.k, cfg.g_max)
+    report_before = evaluation.report_for_runs(before, qrels, cfg.k)
+    report_after = evaluation.report_for_runs(after, qrels, cfg.k)
     metrics_path = out_dir / "rerank_metrics.jsonl"
     _write_report(metrics_path, "".join(
         json.dumps({**record, "stage": stage}, sort_keys=True) + "\n"
@@ -136,7 +135,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
     cfg.require_paths("run", "qrels")
     qrels = load_qrels(cfg.qrels, cfg.parsed_grade_map())
     runs = load_run(cfg.run)
-    report = evaluation.report_for_runs(runs, qrels, cfg.k, cfg.g_max)
+    report = evaluation.report_for_runs(runs, qrels, cfg.k)
     out_path = Path(cfg.out_dir) / "metrics.jsonl"
     _write_report(out_path, "".join(json.dumps(record, sort_keys=True) + "\n"
                                     for record in report.to_json_records()))
@@ -164,7 +163,7 @@ def cmd_pairacc(cfg: RunConfig, args) -> int:
 
 
 def cmd_gradcheck(cfg: RunConfig, args) -> int:
-    results = gradcheck_report(seed=cfg.seed)
+    results = gradcheck_report(seed=cfg.model.seed)
     failed = False
     for name, result in results.items():
         status = "ok" if result.max_rel_error < GRADCHECK_THRESHOLD else "FAIL"
@@ -178,7 +177,7 @@ def cmd_synth(cfg: RunConfig, args) -> int:
     try:
         spec = synth.SynthSpec(n_docs=args.docs, n_train_queries=args.train_queries,
                                n_val_queries=args.val_queries, run_depth=args.run_depth,
-                               seed=cfg.seed)
+                               seed=cfg.model.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     data = synth.generate(spec)
@@ -194,14 +193,8 @@ def cmd_synth(cfg: RunConfig, args) -> int:
         train_qids=str(paths["train_qids"]),
         val_qids=str(paths["val_qids"]),
         out_dir=str(out_dir / "train_out"),
-        l_q=spec.query_len_max,
-        l_d=12,
-        l_g=3,
-        n_f=4,
-        n_s=2,
-        mode="kwindow",
-        learning_rate=0.05,
-        seed=cfg.seed,
+        model=PacrrConfig(l_q=spec.query_len_max, l_d=12, n_f=4, mode="kwindow",
+                          learning_rate=0.05, seed=cfg.model.seed),
         iterations=20,
         batches_per_iteration=64,
     )

@@ -1,12 +1,13 @@
 """Flat `key = value` run-configuration files.
 
 Lines starting with `#` and blank lines are ignored. Every key has a
-documented default; unknown keys are rejected.
+documented default; unknown keys are rejected. The model keys are
+`PacrrConfig`'s fields and its checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .corpus import CANONICAL_GRADES, write_atomic
@@ -25,41 +26,21 @@ class RunConfig:
     train_qids: str | None = None
     val_qids: str | None = None
     out_dir: str = "out"
-    # model hyper-parameters
-    l_q: int = 16
-    l_d: int = 768
-    l_g: int = 3
-    n_f: int = 32
-    n_s: int = 2
-    mode: str = "firstk"
+    # model keys, written flat in the file
+    model: PacrrConfig = field(default_factory=PacrrConfig)
     # training
-    learning_rate: float = 0.001
-    seed: int = 42
     iterations: int = 150
     batches_per_iteration: int = 64
     # evaluation
     k: int = 20
-    g_max: int = 4
     run_tag: str = "pacrr"
     # optional raw-grade remapping, e.g. "-1:0,5:4"
     grade_map: str | None = None
 
     def __post_init__(self):
-        for key in ("iterations", "batches_per_iteration", "k", "g_max"):
+        for key in ("iterations", "batches_per_iteration", "k"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-
-    def pacrr_config(self) -> PacrrConfig:
-        try:
-            return PacrrConfig(
-                l_q=self.l_q, l_d=self.l_d, l_g=self.l_g, n_f=self.n_f,
-                n_s=self.n_s, mode=self.mode, learning_rate=self.learning_rate,
-                seed=self.seed,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
     def parsed_grade_map(self) -> dict[int, int] | None:
         if not self.grade_map:
@@ -86,7 +67,9 @@ class RunConfig:
                 raise ConfigError(f"{name} path does not exist: {value}")
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_MODEL_KEYS = {f.name for f in fields(PacrrConfig)}
+_FIELD_TYPES = {f.name: f.type for f in (*fields(RunConfig), *fields(PacrrConfig))
+                if f.name != "model"}
 _INT_KEYS = {name for name, t in _FIELD_TYPES.items() if t == "int"}
 _FLOAT_KEYS = {name for name, t in _FIELD_TYPES.items() if t == "float"}
 
@@ -98,6 +81,8 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
+        if not path.is_file():
+            raise ConfigError(f"config path is not a file: {path}")
         try:
             text = path.read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
@@ -123,14 +108,17 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key!r}") from None
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
-    return RunConfig(**values)
+    try:
+        model = PacrrConfig(**{key: values.pop(key) for key in _MODEL_KEYS & set(values)})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return RunConfig(model=model, **values)
 
 
 def write_run_config(config: RunConfig, path) -> None:
     lines = []
     for f in fields(RunConfig):
         value = getattr(config, f.name)
-        if value is None:
-            continue
-        lines.append(f"{f.name} = {value}")
+        items = value.to_dict().items() if f.name == "model" else [(f.name, value)]
+        lines.extend(f"{key} = {item}" for key, item in items if item is not None)
     write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))

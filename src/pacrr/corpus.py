@@ -224,18 +224,19 @@ def load_run(path) -> dict[str, RunRanking]:
 
 def load_embeddings(path) -> EmbeddingTable:
     """Load whitespace-delimited word vectors; an optional first line may hold
-    the `count dim` header. A token listed twice is a DataError."""
+    the `count dim` header, which must then agree with the vectors read. A
+    token listed twice is a DataError."""
     vectors: dict[str, np.ndarray] = {}
     first_line: dict[str, int] = {}
-    dim = None
+    dim = header = None
     for lineno, line in read_lines(path):
         parts = line.split()
         if not parts:
             continue
         if lineno == 1 and len(parts) == 2:
             try:
-                int(parts[0]), int(parts[1])
-                continue  # header line
+                header = int(parts[0]), int(parts[1])
+                continue
             except ValueError:
                 pass
         token, values = parts[0], parts[1:]
@@ -260,6 +261,9 @@ def load_embeddings(path) -> EmbeddingTable:
         vectors[token] = vec
     if dim is None:
         raise DataError(f"{path}: no vectors found")
+    if header is not None and header != (len(vectors), dim):
+        raise DataError(f"{path}:1: header says {header[0]} vectors of dim {header[1]}, "
+                        f"read {len(vectors)} of dim {dim}")
     return EmbeddingTable(dim=dim, vectors=vectors)
 
 

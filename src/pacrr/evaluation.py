@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .corpus import JudgmentSet, RunRanking
+from .corpus import CANONICAL_GRADES, JudgmentSet, RunRanking
 from .errors import DataError
 
 # Canonical grades collapse into four merged labels, strongest first.
@@ -39,23 +39,20 @@ def merge_grades(grade: int) -> str:
     raise DataError(f"grade {grade} is not on the canonical scale")
 
 
-def _gain(grade: int, g_max: int) -> float:
-    # Grades below 0 carry no gain.
-    return (2.0 ** max(grade, 0) - 1.0) / 2.0 ** g_max
-
-
-def err_at_k(grades, k: int = 20, g_max: int = 4) -> float:
+def err_at_k(grades, k: int = 20, g_max: int = max(CANONICAL_GRADES)) -> float:
     """Expected Reciprocal Rank truncated at k.
 
     ERR@k = sum_{r<=k} (1/r) R_r prod_{i<r} (1 - R_i) with
-    R_r = (2^g_r - 1) / 2^g_max, grades clipped below at 0.
+    R_r = (2^g_r - 1) / 2^g_max, grades clipped below at 0. g_max is the top
+    grade of the scale (Nav = 4 on the canonical one), so R_r is in [0, 1].
     """
-    if g_max < 1:
-        raise ValueError("g_max must be >= 1")
     err = 0.0
     not_stopped = 1.0
     for rank, grade in enumerate(grades[:k], start=1):
-        r = _gain(grade, g_max)
+        grade = max(grade, 0)
+        if grade > g_max:
+            raise ValueError(f"grade {grade} is above the top grade g_max = {g_max}")
+        r = math.ldexp(2.0 ** grade - 1.0, -g_max)
         err += not_stopped * r / rank
         not_stopped *= 1.0 - r
     return err
@@ -113,22 +110,21 @@ class MetricReport:
         return records
 
 
-def run_metrics(run: RunRanking, qrels: JudgmentSet, k: int = 20,
-                g_max: int = 4) -> QueryMetrics:
+def run_metrics(run: RunRanking, qrels: JudgmentSet, k: int = 20) -> QueryMetrics:
     """ERR@k and nDCG@k of one ranked list; unjudged documents score as
     grade 0."""
     judged = qrels.for_query(run.query_id)
     grades = [judged.get(doc_id, 0) for doc_id in run.doc_ids()]
     return QueryMetrics(
         query_id=run.query_id,
-        err=err_at_k(grades, k, g_max),
+        err=err_at_k(grades, k),
         ndcg=ndcg_at_k(grades, list(judged.values()), k),
     )
 
 
-def report_for_runs(runs: dict[str, RunRanking], qrels: JudgmentSet, k: int = 20,
-                    g_max: int = 4) -> MetricReport:
-    per_query = [run_metrics(runs[qid], qrels, k, g_max) for qid in sorted(runs)]
+def report_for_runs(runs: dict[str, RunRanking], qrels: JudgmentSet,
+                    k: int = 20) -> MetricReport:
+    per_query = [run_metrics(runs[qid], qrels, k) for qid in sorted(runs)]
     n = len(per_query)
     return MetricReport(
         k=k,

@@ -37,8 +37,8 @@ CHECKPOINT_MAGIC = b"PACRR1"
 
 @dataclass(frozen=True)
 class PacrrConfig:
-    l_q: int
-    l_d: int
+    l_q: int = 16
+    l_d: int = 768
     l_g: int = 3
     n_f: int = 32
     n_s: int = 2
@@ -61,6 +61,8 @@ class PacrrConfig:
             raise ValueError("l_d must be >= l_g")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 

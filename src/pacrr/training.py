@@ -140,19 +140,19 @@ class TrainState:
 
 
 def _validation_metrics(scorer: Scorer, val_runs: dict[str, RunRanking],
-                        qrels: JudgmentSet, k: int, g_max: int):
+                        qrels: JudgmentSet, k: int):
     scores = scorer.score_runs({qid: run.doc_ids() for qid, run in val_runs.items()})
     reranked = {qid: evaluation.rerank_run(val_runs[qid], per_query, qrels)
                 for qid, per_query in scores.items()}
-    report = evaluation.report_for_runs(reranked, qrels, k, g_max)
+    report = evaluation.report_for_runs(reranked, qrels, k)
     return report.mean_err, report.mean_ndcg
 
 
 def train(config: PacrrConfig, docs, queries, qrels: JudgmentSet,
           train_query_ids, val_query_ids, val_runs: dict[str, RunRanking],
           embeddings, idf, *, iterations: int = 150,
-          batches_per_iteration: int = 64, out_dir, k: int = 20,
-          g_max: int = 4) -> tuple[PacrrParams, TrainState]:
+          batches_per_iteration: int = 64, out_dir,
+          k: int = 20) -> tuple[PacrrParams, TrainState]:
     """Mini-batch max-margin training with per-iteration validation.
 
     Each iteration runs `batches_per_iteration` batches of BATCH_SIZE sampled
@@ -199,7 +199,7 @@ def train(config: PacrrConfig, docs, queries, qrels: JudgmentSet,
 
             ckpt_rel = f"checkpoints/iter_{iteration:04d}.pacrr"
             save_params(params, config, out_dir / ckpt_rel)
-            val_err, val_ndcg = _validation_metrics(scorer, val_runs, qrels, k, g_max)
+            val_err, val_ndcg = _validation_metrics(scorer, val_runs, qrels, k)
             entry = IterationLog(
                 iteration=iteration,
                 mean_loss=sum(batch_losses) / len(batch_losses),

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -9,18 +10,21 @@ import pytest
 from pacrr.cli import main
 from pacrr.config import RunConfig, load_run_config, write_run_config
 from pacrr.errors import ConfigError
+from pacrr.model import PacrrConfig
 
 
 class TestRunConfig:
     def test_defaults(self):
         cfg = load_run_config(None)
-        assert cfg.l_d == 768 and cfg.mode == "firstk" and cfg.k == 20
+        assert cfg.model == PacrrConfig()
+        assert cfg.model.l_d == 768 and cfg.model.mode == "firstk" and cfg.k == 20
 
     def test_parse_and_roundtrip(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# comment\nl_q = 8\nmode = kwindow\nlearning_rate = 0.5\n")
         cfg = load_run_config(path)
-        assert cfg.l_q == 8 and cfg.mode == "kwindow" and cfg.learning_rate == 0.5
+        assert cfg.model.l_q == 8 and cfg.model.mode == "kwindow"
+        assert cfg.model.learning_rate == 0.5
         write_run_config(cfg, tmp_path / "copy.cfg")
         assert load_run_config(tmp_path / "copy.cfg") == cfg
 
@@ -42,12 +46,24 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(grade_map="oops").parsed_grade_map()
 
-    @pytest.mark.parametrize("key", ["iterations", "batches_per_iteration", "k", "g_max"])
+    @pytest.mark.parametrize("key", ["iterations", "batches_per_iteration", "k"])
     def test_empty_schedule_rejected(self, tmp_path, key):
         path = tmp_path / "run.cfg"
         path.write_text(f"{key} = 0\n")
         with pytest.raises(ConfigError, match=key):
             load_run_config(path)
+
+    def test_g_max_is_not_a_key(self, tmp_path):
+        # ERR's gain denominator is fixed by the top canonical grade.
+        path = tmp_path / "run.cfg"
+        path.write_text("g_max = 4\n")
+        with pytest.raises(ConfigError, match="unknown config key 'g_max'"):
+            load_run_config(path)
+
+    def test_directory_config_exits_1(self, tmp_path, capsys):
+        assert main(["--config", str(tmp_path), "eval"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: config path is not a file: {tmp_path}\n"
 
     def test_invalid_utf8_is_config_error(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -269,7 +285,7 @@ class TestCliCommands:
     def test_diverging_training_is_config_error(self, synth_dir, tmp_path, capsys):
         cfg = load_run_config(synth_dir / "config.txt")
         cfg.out_dir = str(tmp_path / "out")
-        cfg.learning_rate = 1e300
+        cfg.model = replace(cfg.model, learning_rate=1e300)
         path = tmp_path / "diverge.cfg"
         write_run_config(cfg, path)
         assert main(["--config", str(path), "train"]) == 1
@@ -285,12 +301,12 @@ class TestCliCommands:
 
         cfg = load_run_config(synth_dir / "config.txt")
         checkpoint = tmp_path / "init.pacrr"
-        save_params(init_params(cfg.pacrr_config()), cfg.pacrr_config(), checkpoint)
-        checkpoint_l_q = cfg.l_q
+        save_params(init_params(cfg.model), cfg.model, checkpoint)
+        checkpoint_l_q = cfg.model.l_q
         written = []
         warnings = []
-        for l_q in (cfg.l_q, 2):
-            cfg.l_q = l_q
+        for l_q in (checkpoint_l_q, 2):
+            cfg.model = replace(cfg.model, l_q=l_q)
             path = tmp_path / f"lq{l_q}.cfg"
             write_run_config(cfg, path)
             out = tmp_path / f"rr{l_q}"
@@ -352,7 +368,7 @@ class TestCliCommands:
 
         cfg = load_run_config(synth_dir / "config.txt")
         checkpoint = tmp_path / "init.pacrr"
-        save_params(init_params(cfg.pacrr_config()), cfg.pacrr_config(), checkpoint)
+        save_params(init_params(cfg.model), cfg.model, checkpoint)
         runs = load_run(cfg.run)
         qid = sorted(runs)[0]
         run = tmp_path / "run.txt"
@@ -369,7 +385,9 @@ class TestCliCommands:
                          "not in the corpus"]
         scored = [json.loads(line) for line in
                   (tmp_path / "sc" / "scores.jsonl").read_text().splitlines()]
-        assert len(scored) == sum(len(r.entries) for r in runs.values())
+        # The run file's pairs, query by query in run order, minus the two skipped.
+        assert [(row["query_id"], row["doc_id"]) for row in scored] == \
+            [(q, did) for q in sorted(runs) for did in runs[q].doc_ids()]
 
     def test_train_skips_judged_documents_missing_from_the_corpus(self, synth_dir, tmp_path,
                                                                   caplog):
@@ -402,11 +420,11 @@ class TestCliCommands:
         from pacrr.model import init_params, save_params
 
         cfg = load_run_config(synth_dir / "config.txt")
-        params = init_params(cfg.pacrr_config())
+        params = init_params(cfg.model)
         for name in ("rnn_w", "rnn_u", "rnn_b"):
             params[name].value[...] = 0.0
         checkpoint = tmp_path / "constant.pacrr"
-        save_params(params, cfg.pacrr_config(), checkpoint)
+        save_params(params, cfg.model, checkpoint)
         out = tmp_path / "const-rr"
         assert main(["--config", str(synth_dir / "config.txt"), "--out", str(out),
                      "rerank", "--checkpoint", str(checkpoint)]) == 0

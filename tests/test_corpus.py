@@ -90,6 +90,14 @@ class TestLoadEmbeddings:
         assert table.dim == 3
         assert len(table) == 2
 
+    @pytest.mark.parametrize("count, dim", [(3, 32), (1, 16)])
+    def test_header_must_agree_with_the_vectors(self, tmp_path, count, dim):
+        vector = " ".join(["0.5"] * 32)
+        path = write(tmp_path, "e.txt", f"{count} {dim}\na {vector}\n")
+        with pytest.raises(DataError, match=rf"e\.txt:1: header says {count} vectors of "
+                                            rf"dim {dim}, read 1 of dim 32"):
+            load_embeddings(path)
+
     @pytest.mark.parametrize("component", ["inf", "-inf", "nan", "1e999"])
     def test_non_finite_component(self, tmp_path, component):
         path = write(tmp_path, "e.txt", f"a 1 2 3\nb {component} 3 4\n")

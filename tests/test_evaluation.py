@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import err_oracle
-from pacrr.corpus import JudgmentSet, RunRanking
+from pacrr.corpus import CANONICAL_GRADES, JudgmentSet, RunRanking
 from pacrr.errors import DataError
 from pacrr.evaluation import (PAIR_TYPES, err_at_k, merge_grades, ndcg_at_k,
                               pair_accuracy, rerank_run, report_for_runs,
@@ -47,6 +47,19 @@ class TestErrAtK:
             grades = list(rng.integers(0, 5, int(rng.integers(1, 30))))
             value = err_at_k(grades)
             assert 0.0 <= value < 1.0
+
+    def test_in_unit_interval_on_every_short_canonical_list(self):
+        for length in range(6):
+            for grades in itertools.product(sorted(CANONICAL_GRADES), repeat=length):
+                assert 0.0 <= err_at_k(list(grades), k=20, g_max=4) <= 1.0
+
+    @pytest.mark.parametrize("grades, g_max", [([4, 4], 1), ([2], 1), ([1], 1024)])
+    def test_grade_above_g_max_raises_and_large_g_max_stays_in_range(self, grades, g_max):
+        if max(grades) > g_max:
+            with pytest.raises(ValueError, match="g_max"):
+                err_at_k(grades, 20, g_max)
+        else:
+            assert 0.0 <= err_at_k(grades, 20, g_max) <= 1.0
 
     def test_monotone_under_improving_swaps(self):
         # brute force over short lists: moving a higher grade earlier never hurts
@@ -123,7 +136,7 @@ class TestRunMetrics:
     def test_report_aggregates_means(self):
         qrels = JudgmentSet({("q1", "a"): 4, ("q2", "a"): 0})
         runs = {"q1": _run("q1", ["a"]), "q2": _run("q2", ["a"])}
-        report = report_for_runs(runs, qrels, k=20, g_max=4)
+        report = report_for_runs(runs, qrels, k=20)
         per = {m.query_id: m.err for m in report.per_query}
         assert per["q1"] == 15.0 / 16.0 and per["q2"] == 0.0
         assert report.mean_err == pytest.approx((15.0 / 16.0) / 2)

@@ -52,6 +52,18 @@ class TestConfig:
     def test_rnn_input_dim(self):
         assert PacrrConfig(l_q=4, l_d=12, l_g=4, n_s=2).rnn_input_dim == 9
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            tiny_config(seed=-1)
+
+    def test_negative_seed_in_checkpoint_is_checkpoint_error(self, tmp_path):
+        config = tiny_config()
+        header = SimpleNamespace(to_dict=lambda: dict(config.to_dict(), seed=-1))
+        write_checkpoint(tmp_path / "m.pacrr", header,
+                         [(g.name.encode(), g.value) for g in init_params(config)])
+        with pytest.raises(CheckpointError, match="seed must be >= 0"):
+            load_params(tmp_path / "m.pacrr")
+
 
 class TestInitParams:
     def test_seed_determinism(self):
