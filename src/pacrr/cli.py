@@ -69,18 +69,15 @@ def cmd_train(cfg: RunConfig, args) -> int:
     train_qids = _read_qid_list(cfg.train_qids)
     val_qids = _read_qid_list(cfg.val_qids)
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     params, state = train(
         cfg.model, docs, queries, qrels, train_qids, val_qids, runs,
         embeddings, idf, iterations=cfg.iterations,
         batches_per_iteration=cfg.batches_per_iteration, out_dir=out_dir,
-        k=cfg.k,
     )
     best = out_dir / "best.pacrr"
     write_atomic(best, (out_dir / state.best_checkpoint_path).read_bytes())
     print(f"best iteration {state.best_iteration} "
-          f"(validation ERR@{cfg.k} {state.best_err:.4f}); checkpoint: {best}")
+          f"(validation ERR@{evaluation.K} {state.best_err:.4f}); checkpoint: {best}")
     return 0
 
 
@@ -118,15 +115,15 @@ def cmd_rerank(cfg: RunConfig, args) -> int:
 
     run_path = out_dir / "reranked_run.txt"
     save_run(after, run_path, tag=cfg.run_tag)
-    report_before = evaluation.report_for_runs(before, qrels, cfg.k)
-    report_after = evaluation.report_for_runs(after, qrels, cfg.k)
+    report_before = evaluation.report_for_runs(before, qrels)
+    report_after = evaluation.report_for_runs(after, qrels)
     metrics_path = out_dir / "rerank_metrics.jsonl"
     _write_report(metrics_path, "".join(
         json.dumps({**record, "stage": stage}, sort_keys=True) + "\n"
         for stage, report in (("before", report_before), ("after", report_after))
         for record in report.to_json_records()))
-    print(f"ERR@{cfg.k}: {report_before.mean_err:.4f} -> {report_after.mean_err:.4f}   "
-          f"nDCG@{cfg.k}: {report_before.mean_ndcg:.4f} -> {report_after.mean_ndcg:.4f}")
+    print(f"ERR@{evaluation.K}: {report_before.mean_err:.4f} -> {report_after.mean_err:.4f}   "
+          f"nDCG@{evaluation.K}: {report_before.mean_ndcg:.4f} -> {report_after.mean_ndcg:.4f}")
     print(f"wrote {run_path} and {metrics_path}")
     return 0
 
@@ -135,11 +132,11 @@ def cmd_eval(cfg: RunConfig, args) -> int:
     cfg.require_paths("run", "qrels")
     qrels = load_qrels(cfg.qrels, cfg.parsed_grade_map())
     runs = load_run(cfg.run)
-    report = evaluation.report_for_runs(runs, qrels, cfg.k)
+    report = evaluation.report_for_runs(runs, qrels)
     out_path = Path(cfg.out_dir) / "metrics.jsonl"
     _write_report(out_path, "".join(json.dumps(record, sort_keys=True) + "\n"
                                     for record in report.to_json_records()))
-    print(f"mean ERR@{cfg.k} {report.mean_err:.4f}, mean nDCG@{cfg.k} "
+    print(f"mean ERR@{evaluation.K} {report.mean_err:.4f}, mean nDCG@{evaluation.K} "
           f"{report.mean_ndcg:.4f} over {len(report.per_query)} queries")
     print(f"wrote {out_path}")
     return 0
@@ -154,8 +151,8 @@ def cmd_pairacc(cfg: RunConfig, args) -> int:
     report = evaluation.pair_accuracy(scores, qrels)
     out_path = Path(cfg.out_dir) / "pair_accuracy.json"
     _write_report(out_path, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-    for stats in report.stats.values():
-        print(f"{stats.higher}-{stats.lower}: accuracy {stats.accuracy:.3f} "
+    for (higher, lower), stats in report.stats.items():
+        print(f"{higher}-{lower}: accuracy {stats.accuracy:.3f} "
               f"volume {stats.volume:.3f} queries {stats.n_queries}")
     print(f"weighted average {report.weighted_average:.3f}")
     print(f"wrote {out_path}")
@@ -185,13 +182,7 @@ def cmd_synth(cfg: RunConfig, args) -> int:
     paths = synth.write(data, out_dir)
     # A ready-to-train config pointing at the generated files.
     run_cfg = RunConfig(
-        corpus=str(paths["corpus"]),
-        queries=str(paths["queries"]),
-        qrels=str(paths["qrels"]),
-        embeddings=str(paths["embeddings"]),
-        run=str(paths["run"]),
-        train_qids=str(paths["train_qids"]),
-        val_qids=str(paths["val_qids"]),
+        **{key: str(path) for key, path in paths.items()},
         out_dir=str(out_dir / "train_out"),
         model=PacrrConfig(l_q=spec.query_len_max, l_d=12, n_f=4, mode="kwindow",
                           learning_rate=0.05, seed=cfg.model.seed),

@@ -32,13 +32,12 @@ class RunConfig:
     iterations: int = 150
     batches_per_iteration: int = 64
     # evaluation
-    k: int = 20
     run_tag: str = "pacrr"
     # optional raw-grade remapping, e.g. "-1:0,5:4"
     grade_map: str | None = None
 
     def __post_init__(self):
-        for key in ("iterations", "batches_per_iteration", "k"):
+        for key in ("iterations", "batches_per_iteration"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
 

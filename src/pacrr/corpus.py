@@ -225,7 +225,9 @@ def load_run(path) -> dict[str, RunRanking]:
 def load_embeddings(path) -> EmbeddingTable:
     """Load whitespace-delimited word vectors; an optional first line may hold
     the `count dim` header, which must then agree with the vectors read. A
-    token listed twice is a DataError."""
+    first line of exactly two integers is always that header, so a 1-dim
+    file whose first token is an integer needs one. A token listed twice is
+    a DataError."""
     vectors: dict[str, np.ndarray] = {}
     first_line: dict[str, int] = {}
     dim = header = None

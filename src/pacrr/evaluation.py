@@ -9,37 +9,26 @@ from itertools import combinations
 from .corpus import CANONICAL_GRADES, JudgmentSet, RunRanking
 from .errors import DataError
 
-# Canonical grades collapse into four merged labels, strongest first.
+# The metric cutoff: ERR@20 and nDCG@20, as the paper reports them.
+K = 20
+
+# Canonical grades collapse into four merged labels, strongest first; a
+# label pair names its stronger label first.
 MERGED_LABELS = ("Nav", "HRel", "Rel", "NRel")
-_MERGED_RANK = {label: i for i, label in enumerate(reversed(MERGED_LABELS))}
-PAIR_TYPES = (
-    ("Nav", "HRel"),
-    ("Nav", "Rel"),
-    ("Nav", "NRel"),
-    ("HRel", "Rel"),
-    ("HRel", "NRel"),
-    ("Rel", "NRel"),
-)
+_MERGED = {4: "Nav", 3: "HRel", 2: "HRel", 1: "Rel", 0: "NRel", -2: "NRel"}
+PAIR_TYPES = tuple(combinations(MERGED_LABELS, 2))
 
 
 def merge_grades(grade: int) -> str:
-    """Collapse the canonical scale to {Nav, HRel, Rel, NRel}.
-
-    Nav(4) stays Nav; Key(3) and HRel(2) merge to HRel; Rel(1) stays Rel;
-    NRel(0) and Junk(-2) merge to NRel.
-    """
-    if grade == 4:
-        return "Nav"
-    if grade in (2, 3):
-        return "HRel"
-    if grade == 1:
-        return "Rel"
-    if grade in (0, -2):
-        return "NRel"
-    raise DataError(f"grade {grade} is not on the canonical scale")
+    """Collapse the canonical scale to {Nav, HRel, Rel, NRel}: Key(3) and
+    HRel(2) merge to HRel, NRel(0) and Junk(-2) to NRel."""
+    try:
+        return _MERGED[grade]
+    except KeyError:
+        raise DataError(f"grade {grade} is not on the canonical scale") from None
 
 
-def err_at_k(grades, k: int = 20, g_max: int = max(CANONICAL_GRADES)) -> float:
+def err_at_k(grades, k: int = K, g_max: int = max(CANONICAL_GRADES)) -> float:
     """Expected Reciprocal Rank truncated at k.
 
     ERR@k = sum_{r<=k} (1/r) R_r prod_{i<r} (1 - R_i) with
@@ -58,7 +47,7 @@ def err_at_k(grades, k: int = 20, g_max: int = max(CANONICAL_GRADES)) -> float:
     return err
 
 
-def ndcg_at_k(ranked_grades, judged_grades, k: int = 20) -> float:
+def ndcg_at_k(ranked_grades, judged_grades, k: int = K) -> float:
     """Normalized DCG at k; the ideal ranking uses every judged grade for the
     query. Returns 0 when the ideal DCG is 0."""
 
@@ -95,13 +84,12 @@ class QueryMetrics:
 
 @dataclass
 class MetricReport:
-    k: int
     per_query: list[QueryMetrics]
     mean_err: float
     mean_ndcg: float
 
     def to_json_records(self) -> list[dict]:
-        key_err, key_ndcg = f"err{self.k}", f"ndcg{self.k}"
+        key_err, key_ndcg = f"err{K}", f"ndcg{K}"
         records = [
             {"query_id": m.query_id, key_err: m.err, key_ndcg: m.ndcg}
             for m in self.per_query
@@ -110,24 +98,22 @@ class MetricReport:
         return records
 
 
-def run_metrics(run: RunRanking, qrels: JudgmentSet, k: int = 20) -> QueryMetrics:
-    """ERR@k and nDCG@k of one ranked list; unjudged documents score as
+def run_metrics(run: RunRanking, qrels: JudgmentSet) -> QueryMetrics:
+    """ERR@K and nDCG@K of one ranked list; unjudged documents score as
     grade 0."""
     judged = qrels.for_query(run.query_id)
     grades = [judged.get(doc_id, 0) for doc_id in run.doc_ids()]
     return QueryMetrics(
         query_id=run.query_id,
-        err=err_at_k(grades, k),
-        ndcg=ndcg_at_k(grades, list(judged.values()), k),
+        err=err_at_k(grades),
+        ndcg=ndcg_at_k(grades, list(judged.values())),
     )
 
 
-def report_for_runs(runs: dict[str, RunRanking], qrels: JudgmentSet,
-                    k: int = 20) -> MetricReport:
-    per_query = [run_metrics(runs[qid], qrels, k) for qid in sorted(runs)]
+def report_for_runs(runs: dict[str, RunRanking], qrels: JudgmentSet) -> MetricReport:
+    per_query = [run_metrics(runs[qid], qrels) for qid in sorted(runs)]
     n = len(per_query)
     return MetricReport(
-        k=k,
         per_query=per_query,
         mean_err=sum(m.err for m in per_query) / n if n else 0.0,
         mean_ndcg=sum(m.ndcg for m in per_query) / n if n else 0.0,
@@ -136,10 +122,7 @@ def report_for_runs(runs: dict[str, RunRanking], qrels: JudgmentSet,
 
 @dataclass
 class PairTypeStats:
-    higher: str
-    lower: str
     n_pairs: int
-    n_correct: int
     n_queries: int
     accuracy: float
     volume: float
@@ -155,13 +138,13 @@ class PairAccuracyReport:
         return {
             "pairs": [
                 {
-                    "label_pair": f"{s.higher}-{s.lower}",
+                    "label_pair": f"{higher}-{lower}",
                     "accuracy": s.accuracy,
                     "volume": s.volume,
                     "n_pairs": s.n_pairs,
                     "n_queries": s.n_queries,
                 }
-                for s in self.stats.values()
+                for (higher, lower), s in self.stats.items()
             ],
             "total_pairs": self.total_pairs,
             "weighted_average": self.weighted_average,
@@ -180,22 +163,17 @@ def pair_accuracy(scores: dict[str, dict[str, float]], qrels: JudgmentSet) -> Pa
     counts = {pt: [0, 0] for pt in PAIR_TYPES}  # [pairs, correct]
     queries_with = {pt: set() for pt in PAIR_TYPES}
     for qid in sorted(scores):
-        judged = qrels.for_query(qid)
-        docs = sorted(d for d in scores[qid] if d in judged)
-        labels = {d: merge_grades(judged[d]) for d in docs}
-        for d1, d2 in combinations(docs, 2):
-            l1, l2 = labels[d1], labels[d2]
-            if l1 == l2:
+        judged, per_query = qrels.for_query(qid), scores[qid]
+        # Strongest label first, so each pair below is (higher, lower).
+        docs = sorted((MERGED_LABELS.index(merge_grades(judged[d])), d)
+                      for d in per_query if d in judged)
+        for (hi, hi_doc), (lo, lo_doc) in combinations(docs, 2):
+            if hi == lo:
                 continue
-            if _MERGED_RANK[l1] > _MERGED_RANK[l2]:
-                hi_doc, hi, lo = d1, l1, l2
-            else:
-                hi_doc, hi, lo = d2, l2, l1
-            lo_doc = d2 if hi_doc == d1 else d1
-            key = (hi, lo)
+            key = (MERGED_LABELS[hi], MERGED_LABELS[lo])
             counts[key][0] += 1
             queries_with[key].add(qid)
-            if scores[qid][hi_doc] > scores[qid][lo_doc]:
+            if per_query[hi_doc] > per_query[lo_doc]:
                 counts[key][1] += 1
     total = sum(c[0] for c in counts.values())
     stats: dict[tuple[str, str], PairTypeStats] = {}
@@ -205,13 +183,6 @@ def pair_accuracy(scores: dict[str, dict[str, float]], qrels: JudgmentSet) -> Pa
         accuracy = n_correct / n_pairs if n_pairs else 0.0
         volume = n_pairs / total if total else 0.0
         weighted += accuracy * volume
-        stats[pt] = PairTypeStats(
-            higher=pt[0],
-            lower=pt[1],
-            n_pairs=n_pairs,
-            n_correct=n_correct,
-            n_queries=len(queries_with[pt]),
-            accuracy=accuracy,
-            volume=volume,
-        )
+        stats[pt] = PairTypeStats(n_pairs=n_pairs, n_queries=len(queries_with[pt]),
+                                  accuracy=accuracy, volume=volume)
     return PairAccuracyReport(stats=stats, total_pairs=total, weighted_average=weighted)

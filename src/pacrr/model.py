@@ -73,14 +73,6 @@ class PacrrConfig:
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "PacrrConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**data)
-
 
 @dataclass
 class PacrrParams:
@@ -265,7 +257,7 @@ def load_params(path) -> tuple[PacrrParams, PacrrConfig]:
         return struct.unpack("<Q", take(8))[0]
 
     try:
-        config = PacrrConfig.from_dict(json.loads(take(take_u64()).decode("utf-8")))
+        config = PacrrConfig(**json.loads(take(take_u64()).decode("utf-8")))
         layout = [(group.name, group.value.shape) for group in init_params(config)]
     except (ValueError, TypeError) as exc:
         raise CheckpointError(f"{path}: bad config header ({exc})") from exc

@@ -119,14 +119,13 @@ class IterationLog:
     val_err: float
     val_ndcg: float
     checkpoint_path: str
-    k: int  # metric cutoff, part of the val_err/val_ndcg key names
 
     def to_record(self) -> dict:
         return {
             "iteration": self.iteration,
             "mean_loss": self.mean_loss,
-            f"val_err{self.k}": self.val_err,
-            f"val_ndcg{self.k}": self.val_ndcg,
+            f"val_err{evaluation.K}": self.val_err,
+            f"val_ndcg{evaluation.K}": self.val_ndcg,
             "checkpoint_path": self.checkpoint_path,
         }
 
@@ -140,33 +139,30 @@ class TrainState:
 
 
 def _validation_metrics(scorer: Scorer, val_runs: dict[str, RunRanking],
-                        qrels: JudgmentSet, k: int):
+                        qrels: JudgmentSet):
     scores = scorer.score_runs({qid: run.doc_ids() for qid, run in val_runs.items()})
     reranked = {qid: evaluation.rerank_run(val_runs[qid], per_query, qrels)
                 for qid, per_query in scores.items()}
-    report = evaluation.report_for_runs(reranked, qrels, k)
+    report = evaluation.report_for_runs(reranked, qrels)
     return report.mean_err, report.mean_ndcg
 
 
 def train(config: PacrrConfig, docs, queries, qrels: JudgmentSet,
           train_query_ids, val_query_ids, val_runs: dict[str, RunRanking],
           embeddings, idf, *, iterations: int = 150,
-          batches_per_iteration: int = 64, out_dir,
-          k: int = 20) -> tuple[PacrrParams, TrainState]:
+          batches_per_iteration: int = 64, out_dir) -> tuple[PacrrParams, TrainState]:
     """Mini-batch max-margin training with per-iteration validation.
 
     Each iteration runs `batches_per_iteration` batches of BATCH_SIZE sampled
     triples, saves a checkpoint, and re-ranks the validation runs; the
-    checkpoint with the highest validation ERR@k is returned. Checkpoint
-    paths in the log are relative to `out_dir`.
+    checkpoint with the highest validation ERR@K is returned. Checkpoint
+    paths in the log are relative to `out_dir`, which is created only once
+    every input has been checked.
     """
     if iterations < 1 or batches_per_iteration < 1:
         raise ValueError("iterations and batches_per_iteration must be >= 1")
     if not val_query_ids:
         raise DataError("no validation queries to select a model: val_qids is empty")
-    out_dir = Path(out_dir)
-    ckpt_dir = out_dir / "checkpoints"
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
     missing_runs = [qid for qid in val_query_ids if qid not in val_runs]
     if missing_runs:
         raise DataError(f"validation run missing queries: {missing_runs}")
@@ -190,6 +186,8 @@ def train(config: PacrrConfig, docs, queries, qrels: JudgmentSet,
     rng = np.random.default_rng([config.seed, 1])
     state = TrainState()
 
+    out_dir = Path(out_dir)
+    (out_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
     with (out_dir / "training_log.jsonl").open("w", encoding="utf-8") as log_file:
         for iteration in range(1, iterations + 1):
             batch_losses = []
@@ -199,14 +197,13 @@ def train(config: PacrrConfig, docs, queries, qrels: JudgmentSet,
 
             ckpt_rel = f"checkpoints/iter_{iteration:04d}.pacrr"
             save_params(params, config, out_dir / ckpt_rel)
-            val_err, val_ndcg = _validation_metrics(scorer, val_runs, qrels, k)
+            val_err, val_ndcg = _validation_metrics(scorer, val_runs, qrels)
             entry = IterationLog(
                 iteration=iteration,
                 mean_loss=sum(batch_losses) / len(batch_losses),
                 val_err=val_err,
                 val_ndcg=val_ndcg,
                 checkpoint_path=ckpt_rel,
-                k=k,
             )
             state.logs.append(entry)
             log_file.write(json.dumps(entry.to_record(), sort_keys=True) + "\n")
@@ -216,7 +213,7 @@ def train(config: PacrrConfig, docs, queries, qrels: JudgmentSet,
                 state.best_iteration = iteration
                 state.best_checkpoint_path = ckpt_rel
             logger.info("iteration %d: loss %.4f, val ERR@%d %.4f",
-                        iteration, entry.mean_loss, k, val_err)
+                        iteration, entry.mean_loss, evaluation.K, val_err)
 
     best_params, _ = load_params(out_dir / state.best_checkpoint_path)
     return best_params, state

@@ -6,6 +6,7 @@ full work that an optimised library path skips (padding rows, dead cells,
 repeated normalisation), so a test can require equal results.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -232,3 +233,64 @@ def per_pair_sim_matrix(q_tokens, d_tokens, emb):
             if q_tok == d_tok:
                 sim[i, j] = 1.0
     return sim
+
+
+_REFERENCE_PAIR_TYPES = (
+    ("Nav", "HRel"),
+    ("Nav", "Rel"),
+    ("Nav", "NRel"),
+    ("HRel", "Rel"),
+    ("HRel", "NRel"),
+    ("Rel", "NRel"),
+)
+_REFERENCE_MERGED_RANK = {"NRel": 0, "Rel": 1, "HRel": 2, "Nav": 3}
+
+
+def _reference_merge(grade):
+    if grade == 4:
+        return "Nav"
+    if grade in (2, 3):
+        return "HRel"
+    if grade == 1:
+        return "Rel"
+    if grade in (0, -2):
+        return "NRel"
+    raise ValueError(f"grade {grade} is not on the canonical scale")
+
+
+def pair_accuracy_reference(scores, qrels):
+    """Pairwise label accuracy with the label pairs listed by hand and each
+    pair's stronger document found by comparing label ranks; returns the
+    `PairAccuracyReport.to_dict()` form."""
+    counts = {pt: [0, 0] for pt in _REFERENCE_PAIR_TYPES}  # [pairs, correct]
+    queries_with = {pt: set() for pt in _REFERENCE_PAIR_TYPES}
+    for qid in sorted(scores):
+        judged = qrels.for_query(qid)
+        docs = sorted(d for d in scores[qid] if d in judged)
+        labels = {d: _reference_merge(judged[d]) for d in docs}
+        for d1, d2 in itertools.combinations(docs, 2):
+            l1, l2 = labels[d1], labels[d2]
+            if l1 == l2:
+                continue
+            if _REFERENCE_MERGED_RANK[l1] > _REFERENCE_MERGED_RANK[l2]:
+                hi_doc, hi, lo = d1, l1, l2
+            else:
+                hi_doc, hi, lo = d2, l2, l1
+            lo_doc = d2 if hi_doc == d1 else d1
+            key = (hi, lo)
+            counts[key][0] += 1
+            queries_with[key].add(qid)
+            if scores[qid][hi_doc] > scores[qid][lo_doc]:
+                counts[key][1] += 1
+    total = sum(c[0] for c in counts.values())
+    pairs = []
+    weighted = 0.0
+    for pt in _REFERENCE_PAIR_TYPES:
+        n_pairs, n_correct = counts[pt]
+        accuracy = n_correct / n_pairs if n_pairs else 0.0
+        volume = n_pairs / total if total else 0.0
+        weighted += accuracy * volume
+        pairs.append({"label_pair": f"{pt[0]}-{pt[1]}", "accuracy": accuracy,
+                      "volume": volume, "n_pairs": n_pairs,
+                      "n_queries": len(queries_with[pt])})
+    return {"pairs": pairs, "total_pairs": total, "weighted_average": weighted}

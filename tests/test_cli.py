@@ -2,7 +2,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -17,7 +17,7 @@ class TestRunConfig:
     def test_defaults(self):
         cfg = load_run_config(None)
         assert cfg.model == PacrrConfig()
-        assert cfg.model.l_d == 768 and cfg.model.mode == "firstk" and cfg.k == 20
+        assert cfg.model.l_d == 768 and cfg.model.mode == "firstk"
 
     def test_parse_and_roundtrip(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -46,7 +46,7 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(grade_map="oops").parsed_grade_map()
 
-    @pytest.mark.parametrize("key", ["iterations", "batches_per_iteration", "k"])
+    @pytest.mark.parametrize("key", ["iterations", "batches_per_iteration"])
     def test_empty_schedule_rejected(self, tmp_path, key):
         path = tmp_path / "run.cfg"
         path.write_text(f"{key} = 0\n")
@@ -59,6 +59,25 @@ class TestRunConfig:
         path.write_text("g_max = 4\n")
         with pytest.raises(ConfigError, match="unknown config key 'g_max'"):
             load_run_config(path)
+
+    def test_k_is_not_a_key(self, tmp_path):
+        # The metric cutoff is the paper's fixed @20, evaluation.K.
+        path = tmp_path / "run.cfg"
+        path.write_text("k = 20\n")
+        with pytest.raises(ConfigError, match="unknown config key 'k'"):
+            load_run_config(path)
+
+    def test_readme_lists_every_key(self):
+        # The README's configuration block names each run-config key once.
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Configuration", 1)[1].split("```")[1]
+        documented = set()
+        for line in block.splitlines():
+            entry = line.split("#", 1)[0]
+            documented.update(name.strip() for name in entry.split("=", 1)[0].split(",")
+                              if name.strip())
+        keys = {f.name for f in (*fields(RunConfig), *fields(PacrrConfig))} - {"model"}
+        assert documented == keys
 
     def test_directory_config_exits_1(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path), "eval"]) == 1
@@ -216,6 +235,7 @@ class TestCliCommands:
         write_run_config(cfg, bad)
         assert main(["--config", str(bad), "train"]) == 2
         assert "no-such-query" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_utf8_qid_list_is_data_error(self, synth_dir, tmp_path, capsys):
         cfg = load_run_config(synth_dir / "config.txt")

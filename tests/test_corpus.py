@@ -98,6 +98,18 @@ class TestLoadEmbeddings:
                                             rf"dim {dim}, read 1 of dim 32"):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("text", ["5 1\n6 2\n", "2 1\n6 2\n"])
+    def test_two_integer_first_line_is_always_the_header(self, tmp_path, text):
+        # So a 1-dim file whose first token is an integer needs a header.
+        with pytest.raises(DataError, match=r"e\.txt:1: header says"):
+            load_embeddings(write(tmp_path, "e.txt", text))
+
+    @pytest.mark.parametrize("text, tokens", [("1 1\n6 2\n", ["6"]),
+                                              ("2 1\n2 1\n6 2\n", ["2", "6"])])
+    def test_one_dim_integer_tokens_load_under_a_header(self, tmp_path, text, tokens):
+        table = load_embeddings(write(tmp_path, "e.txt", text))
+        assert table.dim == 1 and list(table.vectors) == tokens
+
     @pytest.mark.parametrize("component", ["inf", "-inf", "nan", "1e999"])
     def test_non_finite_component(self, tmp_path, component):
         path = write(tmp_path, "e.txt", f"a 1 2 3\nb {component} 3 4\n")

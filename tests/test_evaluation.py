@@ -136,7 +136,7 @@ class TestRunMetrics:
     def test_report_aggregates_means(self):
         qrels = JudgmentSet({("q1", "a"): 4, ("q2", "a"): 0})
         runs = {"q1": _run("q1", ["a"]), "q2": _run("q2", ["a"])}
-        report = report_for_runs(runs, qrels, k=20)
+        report = report_for_runs(runs, qrels)
         per = {m.query_id: m.err for m in report.per_query}
         assert per["q1"] == 15.0 / 16.0 and per["q2"] == 0.0
         assert report.mean_err == pytest.approx((15.0 / 16.0) / 2)

@@ -370,6 +370,17 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="l_d must be an integer, got 12.0"):
             load_params(tmp_path / "m.pacrr")
 
+    @pytest.mark.parametrize("header, message", [
+        (lambda config: dict(config.to_dict(), bogus=1), "bogus"),
+        (lambda config: list(config.to_dict().values()), "bad config header"),
+    ], ids=["unknown-key", "json-list"])
+    def test_bad_header_shape_is_checkpoint_error(self, tmp_path, header, message):
+        config = tiny_config()
+        write_checkpoint(tmp_path / "m.pacrr", SimpleNamespace(to_dict=lambda: header(config)),
+                         [(g.name.encode(), g.value) for g in init_params(config)])
+        with pytest.raises(CheckpointError, match=message):
+            load_params(tmp_path / "m.pacrr")
+
     def test_config_fields_survive(self, tmp_path):
         config = PacrrConfig(l_q=7, l_d=24, l_g=4, n_f=8, n_s=3, mode="kwindow",
                              learning_rate=0.25, seed=123)

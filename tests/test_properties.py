@@ -1,8 +1,9 @@
 """Properties: any bytes given to a loader either load or raise DataError
 (CheckpointError is a DataError), never another exception; k-max pooling
 equals its oracles on tie-heavy rows; kwindow distillation equals its
-argsort reference byte for byte; and the recurrence's backward pass equals
-its step-by-step reference byte for byte."""
+argsort reference byte for byte; the recurrence's backward pass equals
+its step-by-step reference byte for byte; and pairwise label accuracy
+equals its hand-listed reference exactly."""
 
 import struct
 import tempfile
@@ -16,10 +17,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from helpers import (kmax_oracle, kmax_reference, kwindow_reference,  # noqa: E402
-                     recurrent_backward_reference)
-from pacrr.corpus import (load_corpus, load_embeddings, load_qrels,  # noqa: E402
-                          load_queries, load_run)
+                     pair_accuracy_reference, recurrent_backward_reference)
+from pacrr.corpus import (CANONICAL_GRADES, JudgmentSet, load_corpus,  # noqa: E402
+                          load_embeddings, load_qrels, load_queries, load_run)
 from pacrr.errors import DataError  # noqa: E402
+from pacrr.evaluation import pair_accuracy  # noqa: E402
 from pacrr.model import PacrrConfig, init_params, load_params, save_params  # noqa: E402
 from pacrr.neural import kmax_per_row, recurrent_backward, recurrent_sequence  # noqa: E402
 from pacrr.simmat import KWINDOW, distill  # noqa: E402
@@ -164,3 +166,31 @@ def test_recurrent_backward_equals_its_reference(case):
     for g, r in zip(got, want):
         assert g.dtype == r.dtype and g.shape == r.shape
         assert g.tobytes() == r.tobytes()
+
+
+@st.composite
+def pair_accuracy_cases(draw):
+    """Scores and judgments for a few queries: every canonical grade, Key
+    and Junk included, scores from a small set so that ties are common,
+    scored documents without a judgment and judged ones without a score."""
+    grades = st.none() | st.sampled_from(sorted(CANONICAL_GRADES))
+    values = st.sampled_from([0.0, -0.0, 0.5, 1.0]) | st.floats(-2.0, 2.0)
+    entries, scores = {}, {}
+    for qi in range(draw(st.integers(0, 4))):
+        qid = f"q{qi}"
+        docs = [f"d{i}" for i in range(draw(st.integers(0, 12)))]
+        for doc in docs:
+            grade = draw(grades)
+            if grade is not None:
+                entries[(qid, doc)] = grade
+        if draw(st.booleans()):
+            scored = draw(st.permutations(docs))[: draw(st.integers(0, len(docs)))]
+            scores[qid] = {doc: draw(values) for doc in scored}
+    return scores, JudgmentSet(entries)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=pair_accuracy_cases())
+def test_pair_accuracy_equals_its_reference(case):
+    scores, qrels = case
+    assert pair_accuracy(scores, qrels).to_dict() == pair_accuracy_reference(scores, qrels)

@@ -143,13 +143,6 @@ class TestTrain:
         for log in state.logs:
             assert (tmp_path / log.checkpoint_path).exists()
 
-    def test_log_keys_follow_k(self, small_synth, tmp_path):
-        data, idf = small_synth
-        run_training(data, idf, tmp_path, iterations=1, batches=1, k=10)
-        record = json.loads((tmp_path / "training_log.jsonl").read_text().splitlines()[0])
-        assert set(record) == {"iteration", "mean_loss", "val_err10", "val_ndcg10",
-                               "checkpoint_path"}
-
     @pytest.mark.parametrize("iterations, batches", [(0, 1), (1, 0)])
     def test_empty_schedule_rejected(self, small_synth, tmp_path, iterations, batches):
         data, idf = small_synth
@@ -165,7 +158,8 @@ class TestTrain:
             train(tiny_config(), data.docs, queries, data.qrels,
                   data.train_query_ids, data.val_query_ids, data.runs,
                   data.embeddings, idf, iterations=1,
-                  batches_per_iteration=1, out_dir=tmp_path)
+                  batches_per_iteration=1, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_best_selection_is_argmax(self, small_synth, tmp_path):
         data, idf = small_synth
@@ -204,7 +198,8 @@ class TestTrain:
             train(tiny_config(), data.docs, data.queries, data.qrels,
                   data.train_query_ids, data.val_query_ids, runs,
                   data.embeddings, idf, iterations=1,
-                  batches_per_iteration=1, out_dir=tmp_path)
+                  batches_per_iteration=1, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_judged_documents_missing_from_the_corpus_are_skipped(self, small_synth,
                                                                   tmp_path, caplog):
