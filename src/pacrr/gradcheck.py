@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import neural
-from .model import (PacrrConfig, ScoreCache, filter_args, init_params, score,
-                    score_gradients)
+from .model import PacrrConfig, ScoreCache, init_params, score, score_gradients
 from .neural import ParamGroup
 from .simmat import MODES, distill
 
@@ -64,12 +63,16 @@ def gradient_check(f, x0: np.ndarray, analytic: np.ndarray, h: float = 1e-5) -> 
 
 
 def pipeline_signature(cache: ScoreCache) -> tuple:
-    """Hashable record of every rectifier state and of the pooling routes the
-    gradient takes (each k-max source and its winning filter); two runs with
-    equal signatures lie on the same smooth piece of the pipeline."""
-    parts = [(cache.conv_caches[n].out > 0.0).tobytes() for n in sorted(cache.conv_caches)]
-    parts += [filter_args(cache, n).tobytes() for n in sorted(cache.conv_caches)]
-    parts += [cache.kmax_srcs[n].tobytes() for n in sorted(cache.kmax_srcs)]
+    """Hashable record of every rectifier state and of the conv pooling
+    routes, as the pooling backward ops find them (each k-max survivor's cell
+    and winning filter); two runs with equal signatures lie on the same
+    smooth piece of the pipeline."""
+    parts = []
+    for n, conv in sorted(cache.conv_caches.items()):
+        src = cache.kmax_srcs[n]
+        d_pooled = neural.kmax_per_row_backward(np.zeros(src.shape), src)
+        routes = neural.max_over_filters_backward(d_pooled, conv.out)
+        parts += [(conv.out > 0.0).tobytes(), routes[0].tobytes(), routes[1].tobytes()]
     return tuple(parts)
 
 
@@ -88,7 +91,7 @@ def _unpack_into(groups: list[ParamGroup], flat: np.ndarray) -> None:
 def check_pipeline_gradients(config: PacrrConfig, seed: int = 0) -> GradCheckResult:
     """Finite-difference check of d rel / d theta through the whole pipeline."""
     rng = np.random.default_rng(seed)
-    params = init_params(config, dtype=np.float64)
+    params = init_params(config)
     for group in params:
         group.value = rng.uniform(-0.5, 0.5, group.value.shape)
     query_len = min(3, config.l_q)
@@ -145,15 +148,14 @@ def check_op_gradients(seed: int = 0) -> dict[str, GradCheckResult]:
     # max_over_filters, routed at every cell as if k-max kept whole rows
     mx = rng.uniform(-1.0, 1.0, (3, 4, 5))
     d_mo = rng.uniform(-1.0, 1.0, (4, 5))
-    every = np.broadcast_to(np.arange(5), (4, 5))
+    d_every = (*np.divmod(np.arange(d_mo.size), d_mo.shape[1]), d_mo.ravel())
 
     def mof_f(flat):
         x = flat.reshape(mx.shape)
-        signature = neural.filter_argmax(x, every).tobytes()
+        signature = neural.max_over_filters_backward(d_every, x)[0].tobytes()
         return float(np.sum(neural.max_over_filters(x) * d_mo)), signature
 
-    filters, cells, values = neural.max_over_filters_backward(
-        (np.arange(d_mo.size), d_mo.ravel()), neural.filter_argmax(mx, every))
+    filters, cells, values = neural.max_over_filters_backward(d_every, mx)
     analytic = np.zeros((mx.shape[0], d_mo.size))
     analytic[filters, cells] = values
     results["max_over_filters"] = gradient_check(mof_f, mx.ravel(), analytic.ravel())
@@ -167,10 +169,10 @@ def check_op_gradients(seed: int = 0) -> dict[str, GradCheckResult]:
         return float(np.sum(out * d_km)), src.tobytes()
 
     out, src = neural.kmax_per_row(kx, 3)
-    cells, values = neural.kmax_per_row_backward(d_km, src, kx.shape[1])
-    analytic = np.zeros(kx.size)
-    analytic[cells] = values
-    results["kmax_per_row"] = gradient_check(kmax_f, kx.ravel(), analytic)
+    rows, cols, values = neural.kmax_per_row_backward(d_km, src)
+    analytic = np.zeros(kx.shape)
+    analytic[rows, cols] = values
+    results["kmax_per_row"] = gradient_check(kmax_f, kx.ravel(), analytic.ravel())
 
     # softmax
     sv = rng.uniform(-2.0, 2.0, 5)

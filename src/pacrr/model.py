@@ -91,8 +91,8 @@ def conv_sizes(config: PacrrConfig) -> range:
     return range(2, config.l_g + 1)
 
 
-def init_params(config: PacrrConfig, dtype=np.float32) -> PacrrParams:
-    """Seed-determined Glorot-uniform weights, zero biases.
+def init_params(config: PacrrConfig) -> PacrrParams:
+    """Seed-determined float32 Glorot-uniform weights, zero biases.
 
     Convolution kernels use fan_in = fan_out = n*n; the recurrent input and
     recurrent weights are drawn jointly over the concatenated (x, h) input of
@@ -102,7 +102,7 @@ def init_params(config: PacrrConfig, dtype=np.float32) -> PacrrParams:
     groups: dict[str, ParamGroup] = {}
 
     def add(name, value):
-        groups[name] = ParamGroup(name, value.astype(dtype))
+        groups[name] = ParamGroup(name, value.astype(np.float32))
 
     for n in conv_sizes(config):
         limit = math.sqrt(6.0 / (n * n + n * n))
@@ -123,7 +123,7 @@ def init_params(config: PacrrConfig, dtype=np.float32) -> PacrrParams:
 @dataclass
 class ScoreCache:
     conv_caches: dict[int, neural.Conv2dCache]
-    kmax_srcs: dict[int, np.ndarray]  # key 1 = unigram matrix
+    kmax_srcs: dict[int, np.ndarray]  # per conv size n, the filter max's k-max sources
     rnn_cache: neural.RnnCache
 
 
@@ -148,7 +148,7 @@ def score(params: PacrrParams, config: PacrrConfig, distilled: DistilledInput,
     xs = np.empty((t_len, config.rnn_input_dim), dtype=params["rnn_w"].value.dtype)
     conv_caches: dict[int, neural.Conv2dCache] = {}
     kmax_srcs: dict[int, np.ndarray] = {}
-    xs[:, :n_s], kmax_srcs[1] = neural.kmax_per_row(distilled.per_n[1], n_s)
+    xs[:, :n_s] = neural.kmax_per_row(distilled.per_n[1], n_s)[0]
     for n in conv_sizes(config):
         stride = n if config.mode == KWINDOW else 1
         conv_out, conv_caches[n] = neural.conv2d(
@@ -167,14 +167,6 @@ def score(params: PacrrParams, config: PacrrConfig, distilled: DistilledInput,
     return float(rel), ScoreCache(conv_caches, kmax_srcs, rnn_cache)
 
 
-def filter_args(cache: ScoreCache, n: int) -> np.ndarray:
-    """(rows, n_s): the filter of each k-max survivor of the size-n conv,
-    the route the gradient takes below k-max."""
-    src = cache.kmax_srcs[n]
-    out = cache.conv_caches[n].out
-    return neural.filter_argmax(out.reshape(len(out), len(src), -1), src)
-
-
 def score_gradients(params: PacrrParams, config: PacrrConfig, cache: ScoreCache,
                     d_rel: float) -> dict[str, np.ndarray]:
     """Analytic gradients of d_rel * rel for every parameter group."""
@@ -186,14 +178,10 @@ def score_gradients(params: PacrrParams, config: PacrrConfig, cache: ScoreCache,
     n_s = config.n_s
     for n in conv_sizes(config):
         d_km = d_xs[:, (n - 1) * n_s : n * n_s]
-        width = cache.conv_caches[n].out.shape[1] // len(d_km)  # filter-max cells per row
-        d_pooled = neural.kmax_per_row_backward(d_km, cache.kmax_srcs[n], width)
-        d_conv = neural.max_over_filters_backward(d_pooled, filter_args(cache, n))
-        d_kernels, d_bias = neural.conv2d_backward(
-            d_conv, cache.conv_caches[n], params[f"conv{n}_kernels"].value
-        )
-        grads[f"conv{n}_kernels"] = d_kernels
-        grads[f"conv{n}_bias"] = d_bias
+        d_pooled = neural.kmax_per_row_backward(d_km, cache.kmax_srcs[n])
+        d_conv = neural.max_over_filters_backward(d_pooled, cache.conv_caches[n].out)
+        grads[f"conv{n}_kernels"], grads[f"conv{n}_bias"] = neural.conv2d_backward(
+            d_conv, cache.conv_caches[n], params[f"conv{n}_kernels"].value)
     return grads
 
 

@@ -12,9 +12,9 @@ conv2d folds its bias into the im2col matmul as the last kernel column
 mask: the active rectifiers are its positive cells.
 
 Pooling is exact and lazy: conv2d's output is filter-major, so filter-max
-is one reduction; the backward pass takes the winning filter only at the
-cells k-max keeps (`filter_argmax`) and carries the gradient at those alone.
-k-max is a few argmax passes, one per kept value.
+is one reduction, and k-max is a few argmax passes, one per kept value. Each
+pooling backward reads only its own forward's data and finds its own routes:
+k-max the cells it kept, filter-max the first winning filter at those cells.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ def _same_pad(size: int, kernel: int, stride: int) -> tuple[int, int, int]:
 @dataclass
 class Conv2dCache:
     cols: np.ndarray  # (out_h*out_w, n*n) im2col patches, no ones row; a transposed view
-    out: np.ndarray  # (n_f, out_h*out_w) the rectified output; active where > 0
+    out: np.ndarray  # (n_f, out_h, out_w) the rectified output; active where > 0
 
 
 def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, stride: int = 1):
@@ -82,9 +82,9 @@ def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, stride: int = 1
             cols[a * n + b] = padded[a:, b::stride][:out_h, :out_w]
     cols[n * n] = 1.0
     cols = cols.reshape(n * n + 1, out_h * out_w)
-    out = np.column_stack((kernels.reshape(n_f, n * n), bias)) @ cols
+    out = (np.column_stack((kernels.reshape(n_f, n * n), bias)) @ cols).reshape(n_f, out_h, out_w)
     np.maximum(out, 0.0, out=out)
-    return out.reshape(n_f, out_h, out_w), Conv2dCache(cols=cols[: n * n].T, out=out)
+    return out, Conv2dCache(cols=cols[: n * n].T, out=out)
 
 
 def conv2d_backward(d_out, cache: Conv2dCache, kernels: np.ndarray):
@@ -102,7 +102,7 @@ def conv2d_backward(d_out, cache: Conv2dCache, kernels: np.ndarray):
     filters, cells, values = filters[nonzero], cells[nonzero], values[nonzero]
     live, pos = np.unique(cells, return_inverse=True)
     d_pre = np.zeros((len(live), n_f), dtype=values.dtype)
-    d_pre[pos, filters] = values * (cache.out[filters, cells] > 0.0)
+    d_pre[pos, filters] = values * (cache.out.reshape(n_f, -1)[filters, cells] > 0.0)
     d_kernels = (d_pre.T @ cache.cols[live]).reshape(n_f, n, n)
     return d_kernels, d_pre.sum(axis=0)
 
@@ -113,26 +113,20 @@ def conv2d_backward(d_out, cache: Conv2dCache, kernels: np.ndarray):
 def max_over_filters(x: np.ndarray) -> np.ndarray:
     """Elementwise max across the leading filter axis: (n_f, H, W) -> (H, W).
 
-    Fastest on a C-contiguous x, as conv2d returns it. The routing for the
-    backward pass is left to `filter_argmax`, at the cells k-max keeps.
+    Fastest on a C-contiguous x, as conv2d returns it.
     """
     if x.ndim != 3 or x.shape[0] < 1:
         raise ValueError("expected a non-empty (n_f, H, W) array")
     return x.max(axis=0)
 
 
-def filter_argmax(x: np.ndarray, src: np.ndarray) -> np.ndarray:
-    """(rows, k): the first filter attaining the max of x (n_f, rows, W) at
-    each k-max survivor (r, src[r, j]); arbitrary where src is -1."""
-    return np.argmax(x[:, np.arange(len(src))[:, None], src], axis=0)
-
-
-def max_over_filters_backward(d_out, argmax: np.ndarray):
-    """Route the gradient at each cell, `(cells, values)` as
-    `kmax_per_row_backward` returns it, to the filter `filter_argmax` chose
-    there; returns `(filters, cells, values)` for `conv2d_backward`."""
-    cells, values = d_out
-    return argmax.ravel(), cells, values
+def max_over_filters_backward(d_out, x: np.ndarray):
+    """Route the gradient at cells of the (H, W) filter max, `(rows, cols,
+    values)` as `kmax_per_row_backward` returns it, to the first filter of
+    x (n_f, H, W) attaining the max at each cell; returns `(filters, cells,
+    values)` with cell = row * W + col, for `conv2d_backward`."""
+    rows, cols, values = d_out
+    return np.argmax(x[:, rows, cols], axis=0), rows * x.shape[2] + cols, values
 
 
 def kmax_per_row(x: np.ndarray, k: int):
@@ -159,12 +153,11 @@ def kmax_per_row(x: np.ndarray, k: int):
     return out, src
 
 
-def kmax_per_row_backward(d_out: np.ndarray, src: np.ndarray, width: int):
-    """Gradient w.r.t. the (rows, width) input at the cells k-max read, as
-    `(cells, values)`: flat indices row * width + src and d_out, one per
-    output; padding outputs carry a zero gradient."""
-    cells = np.arange(len(src))[:, None] * width + src
-    return cells.ravel(), np.where(src >= 0, d_out, 0.0).ravel()
+def kmax_per_row_backward(d_out: np.ndarray, src: np.ndarray):
+    """Gradient w.r.t. the input at the cells k-max read, row by row, as
+    `(rows, cols, values)`; padding outputs (src -1) carry none."""
+    rows, kept = np.nonzero(src >= 0)
+    return rows, src[rows, kept], d_out[rows, kept]
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,19 @@ def build_groups(qrels: JudgmentSet, train_query_ids) -> RelevanceGroups:
     return RelevanceGroups(highly, relevant, non_relevant, highly_pairs, relevant_pairs)
 
 
+def require_sampleable(groups: RelevanceGroups) -> None:
+    """Raise DataError unless some positive exists and each non-empty
+    positive bucket, which `sample_triple` may draw, holds one whose query
+    has a negative in the next bucket."""
+    if not (groups.highly_pairs or groups.relevant_pairs):
+        raise DataError("no positive documents available for sampling")
+    for pairs, negatives, pos, neg in ((groups.highly_pairs, groups.relevant, "> 1", "1"),
+                                       (groups.relevant_pairs, groups.non_relevant, "1", "<= 0")):
+        if pairs and not any(qid in negatives for qid, _ in pairs):
+            raise DataError(f"degenerate training set: no training query with a grade {pos} "
+                            f"document has a grade {neg} document to pair it with")
+
+
 def sample_triple(rng: np.random.Generator, groups: RelevanceGroups) -> Triple:
     """Draw one (query, d+, d-) training triple.
 
@@ -183,6 +196,7 @@ def train(config: PacrrConfig, docs, queries, qrels: JudgmentSet,
         train_qrels = JudgmentSet({key: grade for key, grade in qrels.entries.items()
                                    if key not in absent})
     groups = build_groups(train_qrels, train_query_ids)
+    require_sampleable(groups)
     rng = np.random.default_rng([config.seed, 1])
     state = TrainState()
 

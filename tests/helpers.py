@@ -93,6 +93,25 @@ def kmax_reference(x, k):
     return out, src
 
 
+def pooling_routes_reference(d_km, src, x):
+    """The gradient routes below k-max and filter-max, by loops: for each
+    k-max output (row r, slot j) whose source column c = src[r, j] is not
+    padding (-1), the first filter f of x (n_f, H, W) whose value at (r, c)
+    equals the max over filters there, the flat cell r * W + c and d_km[r, j];
+    returned as three lists in row, then slot order."""
+    n_f, _, width = x.shape
+    filters, cells, values = [], [], []
+    for r, row in enumerate(src.tolist()):
+        for j, c in enumerate(row):
+            if c < 0:
+                continue
+            column = [x[f, r, c] for f in range(n_f)]
+            filters.append(column.index(max(column)))
+            cells.append(r * width + c)
+            values.append(float(d_km[r, j]))
+    return [filters, cells, values]
+
+
 def conv_oracle(x, kernels, bias, stride):
     """Rectified same-padded cross-correlation of x (H, W) with the n_f
     n x n kernels, from an explicitly padded copy of x and patches unfolded

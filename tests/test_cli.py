@@ -262,6 +262,34 @@ class TestCliCommands:
         assert "Traceback" not in err
         assert not [p for p in (tmp_path / "out").rglob("*") if p.is_file()]
 
+    @pytest.mark.parametrize("case, message", [
+        ("no_train_qids", "data error: no positive documents available for sampling"),
+        ("no_grade_1", "data error: degenerate training set: no training query with a "
+                       "grade > 1 document has a grade 1 document to pair it with"),
+    ])
+    def test_unsampleable_training_set_is_data_error(self, synth_dir, tmp_path, capsys,
+                                                     case, message):
+        cfg = load_run_config(synth_dir / "config.txt")
+        if case == "no_train_qids":
+            qids = tmp_path / "train_qids.txt"
+            qids.write_text("")
+            cfg.train_qids = str(qids)
+        else:
+            train_qids = set((synth_dir / "train_qids.txt").read_text().split())
+            qrels = tmp_path / "qrels.txt"
+            qrels.write_text("".join(
+                line + "\n" for line in (synth_dir / "qrels.txt").read_text().splitlines()
+                if line.split()[0] not in train_qids or line.split()[3] != "1"))
+            cfg.qrels = str(qrels)
+        cfg.out_dir = str(tmp_path / "out")
+        bad = tmp_path / "unsampleable.cfg"
+        write_run_config(cfg, bad)
+        assert main(["--config", str(bad), "train"]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_eval_of_invalid_utf8_run_exits_2(self, synth_dir, tmp_path):
         cfg = load_run_config(synth_dir / "config.txt")
         run = tmp_path / "run.txt"

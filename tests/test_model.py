@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from helpers import all_rows_score
+from pacrr import neural
 from pacrr.corpus import EmbeddingTable, IdfTable, Query, TokenizedDocument
 from pacrr.errors import CheckpointError
 from pacrr.gradcheck import check_pipeline_gradients
-from pacrr.model import (PacrrConfig, Scorer, filter_args, init_params, load_params,
-                         save_params, score, score_gradients)
+from pacrr.model import (PacrrConfig, Scorer, init_params, load_params, save_params, score,
+                         score_gradients)
 from pacrr.simmat import distill
 
 TINY = dict(l_q=4, l_d=12, l_g=3, n_f=4, n_s=2)
@@ -105,12 +106,15 @@ class TestScore:
                 assert -1.0 < rel < 1.0
 
     @pytest.mark.parametrize("mode", ["firstk", "kwindow"])
-    def test_filter_args_only_at_kmax_survivors(self, mode):
+    def test_filter_routes_only_at_kmax_survivors(self, mode):
         config = tiny_config(mode=mode)
         distilled = random_distilled(config, np.random.default_rng(4))
         _, cache = score(init_params(config), config, distilled, np.ones(3))
         for n in (2, 3):
-            assert filter_args(cache, n).shape == (3, config.n_s)
+            src = cache.kmax_srcs[n]
+            filters, cells, _ = neural.max_over_filters_backward(
+                neural.kmax_per_row_backward(np.ones(src.shape), src), cache.conv_caches[n].out)
+            assert filters.shape == cells.shape == (3 * config.n_s,)
 
     def test_bitwise_deterministic(self):
         rng = np.random.default_rng(2)
@@ -191,9 +195,9 @@ class TestRealRowsOnly:
     @staticmethod
     def assert_matches_all_rows_reference(config, distilled, dtype, rng):
         # Nonzero biases make the padding rows' conv outputs nonzero too.
-        params = init_params(config, dtype=dtype)
+        params = init_params(config)
         for group in params:
-            group.value[...] = rng.uniform(-0.6, 0.6, group.value.shape)
+            group.value = rng.uniform(-0.6, 0.6, group.value.shape).astype(dtype)
         idf = rng.uniform(0.1, 3.0, distilled.query_len)
         rel, cache = score(params, config, distilled, idf)
         grads = score_gradients(params, config, cache, 1.0)
@@ -431,15 +435,48 @@ class TestScorer:
         want = self._fixtures(config).score_runs({"q1": ["d1", "d2"]})
 
         def fail(*args):
-            raise AssertionError("filter_argmax called")
+            raise AssertionError("max_over_filters_backward called")
 
-        monkeypatch.setattr("pacrr.neural.filter_argmax", fail)
+        monkeypatch.setattr("pacrr.neural.max_over_filters_backward", fail)
         scorer = self._fixtures(config)
         assert scorer.score_runs({"q1": ["d1", "d2"]}) == want
         assert scorer.score_docs("q1", ["d1", "d2"]) == (want["q1"], [])
         _, cache = scorer.score_with_cache("q1", "d1")
-        with pytest.raises(AssertionError, match="filter_argmax called"):
+        with pytest.raises(AssertionError, match="max_over_filters_backward called"):
             score_gradients(scorer.params, config, cache, 1.0)
+
+    @pytest.mark.parametrize("mode", ["firstk", "kwindow"])
+    @pytest.mark.parametrize("l_g", [2, 3, 4])
+    def test_every_pooling_and_conv_op_is_called_through_pacrr_neural(self, mode, l_g,
+                                                                       monkeypatch):
+        # Per-layer timing wraps these names, so a pair that bypassed one
+        # would show that layer as costing nothing.
+        calls = {}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        ops = ("conv2d", "max_over_filters", "kmax_per_row", "kmax_per_row_backward",
+               "max_over_filters_backward", "conv2d_backward")
+        for name in ops:
+            monkeypatch.setattr(neural, name, counted(name, getattr(neural, name)))
+        config = tiny_config(mode=mode, l_g=l_g)
+        scorer = self._fixtures(config)
+        for doc_id in ("d1", "d2"):
+            calls.update(dict.fromkeys(ops, 0))
+            _, cache = scorer.score_with_cache("q1", doc_id)
+            assert calls == {"conv2d": l_g - 1, "max_over_filters": l_g - 1,
+                             "kmax_per_row": l_g, "kmax_per_row_backward": 0,
+                             "max_over_filters_backward": 0, "conv2d_backward": 0}
+            calls.update(dict.fromkeys(ops, 0))
+            score_gradients(scorer.params, config, cache, 1.0)
+            assert calls == {"conv2d": 0, "max_over_filters": 0, "kmax_per_row": 0,
+                             "kmax_per_row_backward": l_g - 1,
+                             "max_over_filters_backward": l_g - 1,
+                             "conv2d_backward": l_g - 1}
 
     def test_token_without_vector_matches_itself_across_pairs(self):
         config = tiny_config()

@@ -5,8 +5,8 @@ import pytest
 
 from helpers import conv_oracle, dense_conv_param_grads, kmax_oracle, kmax_reference
 from pacrr.gradcheck import GradCheckResult, check_op_gradients, gradient_check
-from pacrr.neural import (ParamGroup, conv2d, conv2d_backward, filter_argmax,
-                          hinge_gradients, hinge_loss, kmax_per_row, max_over_filters,
+from pacrr.neural import (ParamGroup, conv2d, conv2d_backward, hinge_gradients, hinge_loss,
+                          kmax_per_row, max_over_filters, max_over_filters_backward,
                           recurrent_sequence, sgd_step, softmax)
 
 
@@ -63,7 +63,9 @@ class TestConv2d:
                 ref_out, ref_cols, ref_active = conv_oracle(x, kernels, bias, (1, stride))
                 assert out.dtype == ref_out.dtype and out.shape == ref_out.shape
                 assert np.array_equal(out, ref_out), (rows, width)
-                assert np.array_equal((cache.out > 0.0).T, ref_active), (rows, width)
+                assert cache.out.shape == out.shape
+                assert np.array_equal((cache.out > 0.0).reshape(5, -1).T, ref_active), \
+                    (rows, width)
                 assert np.array_equal(cache.cols, ref_cols), (rows, width)
 
 
@@ -88,9 +90,13 @@ class TestMaxOverFilters:
         out_perm = max_over_filters(x[rng.permutation(5)])
         np.testing.assert_array_equal(out, out_perm)
 
-    def test_filter_argmax_takes_the_first_maximal_filter_at_given_cells(self):
+    def test_backward_takes_the_first_maximal_filter_at_given_cells(self):
         x = np.array([[[1.0, 2.0, 0.0]], [[3.0, 2.0, -0.0]]])
-        np.testing.assert_array_equal(filter_argmax(x, np.array([[2, 0, 1]])), [[0, 1, 0]])
+        d_out = (np.zeros(3, dtype=np.intp), np.array([2, 0, 1]), np.array([0.5, 1.5, 2.5]))
+        filters, cells, values = max_over_filters_backward(d_out, x)
+        np.testing.assert_array_equal(filters, [0, 1, 0])
+        np.testing.assert_array_equal(cells, [2, 0, 1])
+        np.testing.assert_array_equal(values, [0.5, 1.5, 2.5])
 
 
 class TestKmaxPerRow:

@@ -1,9 +1,11 @@
 """Properties: any bytes given to a loader either load or raise DataError
 (CheckpointError is a DataError), never another exception; k-max pooling
-equals its oracles on tie-heavy rows; kwindow distillation equals its
-argsort reference byte for byte; the recurrence's backward pass equals
-its step-by-step reference byte for byte; and pairwise label accuracy
-equals its hand-listed reference exactly."""
+equals its oracles on tie-heavy rows; the pooling backward ops route each
+k-max survivor to the first maximal filter, as a loop reference does;
+kwindow distillation equals its argsort reference byte for byte; the
+recurrence's backward pass equals its step-by-step reference byte for
+byte; and pairwise label accuracy equals its hand-listed reference
+exactly."""
 
 import struct
 import tempfile
@@ -17,13 +19,15 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from helpers import (kmax_oracle, kmax_reference, kwindow_reference,  # noqa: E402
-                     pair_accuracy_reference, recurrent_backward_reference)
+                     pair_accuracy_reference, pooling_routes_reference,
+                     recurrent_backward_reference)
 from pacrr.corpus import (CANONICAL_GRADES, JudgmentSet, load_corpus,  # noqa: E402
                           load_embeddings, load_qrels, load_queries, load_run)
 from pacrr.errors import DataError  # noqa: E402
 from pacrr.evaluation import pair_accuracy  # noqa: E402
 from pacrr.model import PacrrConfig, init_params, load_params, save_params  # noqa: E402
-from pacrr.neural import kmax_per_row, recurrent_backward, recurrent_sequence  # noqa: E402
+from pacrr.neural import (kmax_per_row, kmax_per_row_backward, max_over_filters,  # noqa: E402
+                          max_over_filters_backward, recurrent_backward, recurrent_sequence)
 from pacrr.simmat import KWINDOW, distill  # noqa: E402
 
 LOADERS = [load_corpus, load_queries, load_qrels, load_run, load_embeddings, load_params]
@@ -110,6 +114,25 @@ def test_kmax_per_row_equals_its_oracles(case):
     assert src.tobytes() == ref_src.tobytes()
     for row, values in zip(x.tolist(), out.tolist()):
         assert values == kmax_oracle(row, k)
+
+
+@st.composite
+def pooling_route_cases(draw):
+    n_f, rows, width = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    x = draw(st.lists(KMAX_VALUES, min_size=n_f * rows * width, max_size=n_f * rows * width))
+    k = draw(st.integers(1, width + 2))  # k > width keeps padding
+    d_km = draw(st.lists(KMAX_VALUES, min_size=rows * k, max_size=rows * k))
+    return np.array(x).reshape(n_f, rows, width), k, np.array(d_km).reshape(rows, k)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=pooling_route_cases())
+@example(case=(np.array([[[0.5, -0.0]], [[0.5, 0.0]]]), 3, np.array([[1.0, -1.0, 0.5]])))
+def test_pooling_backward_routes_equal_their_loop_reference(case):
+    x, k, d_km = case
+    _, src = kmax_per_row(max_over_filters(x), k)
+    routes = max_over_filters_backward(kmax_per_row_backward(d_km, src), x)
+    assert [part.tolist() for part in routes] == pooling_routes_reference(d_km, src, x)
 
 
 @st.composite

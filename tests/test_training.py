@@ -191,6 +191,25 @@ class TestTrain:
                   iterations=1, batches_per_iteration=1, out_dir=tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("train_ids, dropped, message", [
+        ("none", (), "no positive documents"),
+        # grade 1 dropped: no grade > 1 positive has a negative, and no grade 1 positive
+        ("all", (1,), "no training query with a grade > 1 document has a grade 1"),
+        # grade <= 0 dropped: grade 1 positives can never be drawn with a negative
+        ("all", (0, -2), "no training query with a grade 1 document has a grade <= 0"),
+    ])
+    def test_unsampleable_training_set_rejected(self, small_synth, tmp_path, train_ids,
+                                                dropped, message):
+        data, idf = small_synth
+        train_ids = data.train_query_ids if train_ids == "all" else []
+        qrels = JudgmentSet({(qid, did): grade for (qid, did), grade in data.qrels.entries.items()
+                             if qid not in train_ids or grade not in dropped})
+        with pytest.raises(DataError, match=message):
+            train(tiny_config(), data.docs, data.queries, qrels, train_ids,
+                  data.val_query_ids, data.runs, data.embeddings, idf, iterations=1,
+                  batches_per_iteration=1, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_validation_run_rejected(self, small_synth, tmp_path):
         data, idf = small_synth
         runs = {q: r for q, r in data.runs.items() if q != data.val_query_ids[0]}
