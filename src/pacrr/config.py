@@ -40,6 +40,9 @@ class RunConfig:
         for key in ("iterations", "batches_per_iteration"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if self.run_tag.split() != [self.run_tag]:
+            raise ConfigError(f"run_tag must be one token without whitespace, got "
+                              f"{self.run_tag!r}")
 
     def parsed_grade_map(self) -> dict[int, int] | None:
         if not self.grade_map:

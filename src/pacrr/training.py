@@ -18,7 +18,6 @@ from .model import (PacrrConfig, PacrrParams, Scorer, init_params, load_params,
 logger = logging.getLogger(__name__)
 
 BATCH_SIZE = 32
-MAX_SAMPLE_ATTEMPTS = 1000
 
 
 @dataclass(frozen=True)
@@ -30,21 +29,24 @@ class Triple:
 
 @dataclass
 class RelevanceGroups:
-    """Per-query grade buckets plus flattened (query, doc) candidate lists.
+    """The drawable positives of the training queries, as (query, doc)
+    lists, and each query's documents of the two lower grade buckets.
 
-    highly: grade > 1 (HRel/Key/Nav); relevant: grade == 1; non_relevant:
-    grade <= 0 (NRel and Junk).
+    A positive is drawable when its query has a document in the next bucket
+    down: grade > 1 (HRel/Key/Nav) pairs with grade 1, and grade 1 with
+    grade <= 0 (NRel and Junk). `unpaired` counts the positives left out.
     """
 
-    highly: dict[str, list[str]]
     relevant: dict[str, list[str]]
     non_relevant: dict[str, list[str]]
     highly_pairs: list[tuple[str, str]]
     relevant_pairs: list[tuple[str, str]]
+    unpaired: int
 
 
 def build_groups(qrels: JudgmentSet, train_query_ids) -> RelevanceGroups:
-    """Bucket the judged documents of the training queries by grade."""
+    """Bucket the judged documents of the training queries by grade and keep
+    the drawable positives; raise DataError when there are none."""
     train_ids = set(train_query_ids)
     highly: dict[str, list[str]] = {}
     relevant: dict[str, list[str]] = {}
@@ -52,55 +54,34 @@ def build_groups(qrels: JudgmentSet, train_query_ids) -> RelevanceGroups:
     for (qid, did), grade in sorted(qrels.entries.items()):
         if qid not in train_ids:
             continue
-        if grade > 1:
-            highly.setdefault(qid, []).append(did)
-        elif grade == 1:
-            relevant.setdefault(qid, []).append(did)
-        else:
-            non_relevant.setdefault(qid, []).append(did)
-    highly_pairs = [(q, d) for q in sorted(highly) for d in highly[q]]
-    relevant_pairs = [(q, d) for q in sorted(relevant) for d in relevant[q]]
-    return RelevanceGroups(highly, relevant, non_relevant, highly_pairs, relevant_pairs)
-
-
-def require_sampleable(groups: RelevanceGroups) -> None:
-    """Raise DataError unless some positive exists and each non-empty
-    positive bucket, which `sample_triple` may draw, holds one whose query
-    has a negative in the next bucket."""
-    if not (groups.highly_pairs or groups.relevant_pairs):
-        raise DataError("no positive documents available for sampling")
-    for pairs, negatives, pos, neg in ((groups.highly_pairs, groups.relevant, "> 1", "1"),
-                                       (groups.relevant_pairs, groups.non_relevant, "1", "<= 0")):
-        if pairs and not any(qid in negatives for qid, _ in pairs):
-            raise DataError(f"degenerate training set: no training query with a grade {pos} "
-                            f"document has a grade {neg} document to pair it with")
+        bucket = highly if grade > 1 else relevant if grade == 1 else non_relevant
+        bucket.setdefault(qid, []).append(did)
+    highly_pairs = [(q, d) for q in sorted(highly) if q in relevant for d in highly[q]]
+    relevant_pairs = [(q, d) for q in sorted(relevant) if q in non_relevant
+                      for d in relevant[q]]
+    if not (highly_pairs or relevant_pairs):
+        raise DataError("no positive documents available for sampling: no training query "
+                        "has a grade > 1 and a grade 1 document, or a grade 1 and a "
+                        "grade <= 0 document")
+    unpaired = (sum(map(len, highly.values())) + sum(map(len, relevant.values()))
+                - len(highly_pairs) - len(relevant_pairs))
+    return RelevanceGroups(relevant, non_relevant, highly_pairs, relevant_pairs, unpaired)
 
 
 def sample_triple(rng: np.random.Generator, groups: RelevanceGroups) -> Triple:
     """Draw one (query, d+, d-) training triple.
 
-    The positive's group is chosen with probability proportional to the
-    global group sizes; d+ is uniform within the group and carries its query;
-    the negative comes from the next grade bucket of that query. Positives
-    whose query has no eligible negative are rejected and redrawn.
+    The positive's bucket is chosen in proportion to its drawable positives;
+    d+ is uniform within the bucket and carries its query, and d- is uniform
+    over that query's documents in the next bucket down.
     """
     n_high = len(groups.highly_pairs)
-    n_rel = len(groups.relevant_pairs)
-    if n_high + n_rel == 0:
-        raise DataError("no positive documents available for sampling")
-    use_highly = rng.random() < n_high / (n_high + n_rel)
-    pos_pairs = groups.highly_pairs if use_highly else groups.relevant_pairs
-    neg_lists = groups.relevant if use_highly else groups.non_relevant
-    for _ in range(MAX_SAMPLE_ATTEMPTS):
-        qid, pos = pos_pairs[rng.integers(len(pos_pairs))]
-        negatives = neg_lists.get(qid)
-        if negatives:
-            neg = negatives[rng.integers(len(negatives))]
-            return Triple(qid, pos, neg)
-    raise DataError(
-        f"degenerate training set: {MAX_SAMPLE_ATTEMPTS} consecutive rejections while "
-        "sampling a negative document"
-    )
+    use_highly = rng.random() < n_high / (n_high + len(groups.relevant_pairs))
+    pos_pairs, neg_lists = ((groups.highly_pairs, groups.relevant) if use_highly
+                            else (groups.relevant_pairs, groups.non_relevant))
+    qid, pos = pos_pairs[rng.integers(len(pos_pairs))]
+    negatives = neg_lists[qid]
+    return Triple(qid, pos, negatives[rng.integers(len(negatives))])
 
 
 def train_batch(scorer: Scorer, triples: list[Triple]) -> float:
@@ -184,19 +165,21 @@ def train(config: PacrrConfig, docs, queries, qrels: JudgmentSet,
         absent = [qid for qid in ids if qid not in known]
         if absent:
             raise DataError(f"{role} query ids missing from the query file: {absent}")
-    val_runs = {qid: val_runs[qid] for qid in val_query_ids}
 
     params = init_params(config)
     scorer = Scorer(config, params, queries, docs, embeddings, idf)
     absent = {(qid, did) for qid in set(train_query_ids) for did in qrels.for_query(qid)
               if did not in scorer.docs}
-    train_qrels = qrels
-    if absent:
-        logger.warning("skipped %d judged training documents not in the corpus", len(absent))
-        train_qrels = JudgmentSet({key: grade for key, grade in qrels.entries.items()
-                                   if key not in absent})
-    groups = build_groups(train_qrels, train_query_ids)
-    require_sampleable(groups)
+    groups = build_groups(JudgmentSet({key: grade for key, grade in qrels.entries.items()
+                                       if key not in absent}), train_query_ids)
+    runs = {qid: RunRanking(qid, [e for e in val_runs[qid].entries if e[0] in scorer.docs])
+            for qid in val_query_ids}
+    val_absent = sum(len(val_runs[qid].entries) - len(runs[qid].entries) for qid in runs)
+    if absent or groups.unpaired or val_absent:
+        logger.warning("skipped %d judged training documents not in the corpus, %d "
+                       "positives with no document in the next grade bucket down and %d "
+                       "validation-run documents not in the corpus",
+                       len(absent), groups.unpaired, val_absent)
     rng = np.random.default_rng([config.seed, 1])
     state = TrainState()
 
@@ -211,7 +194,7 @@ def train(config: PacrrConfig, docs, queries, qrels: JudgmentSet,
 
             ckpt_rel = f"checkpoints/iter_{iteration:04d}.pacrr"
             save_params(params, config, out_dir / ckpt_rel)
-            val_err, val_ndcg = _validation_metrics(scorer, val_runs, qrels)
+            val_err, val_ndcg = _validation_metrics(scorer, runs, qrels)
             entry = IterationLog(
                 iteration=iteration,
                 mean_loss=sum(batch_losses) / len(batch_losses),

@@ -12,6 +12,8 @@ import math
 import numpy as np
 
 from pacrr import neural
+from pacrr.errors import DataError
+from pacrr.training import Triple
 
 
 def kmax_oracle(row, k):
@@ -313,3 +315,42 @@ def pair_accuracy_reference(scores, qrels):
                       "volume": volume, "n_pairs": n_pairs,
                       "n_queries": len(queries_with[pt])})
     return {"pairs": pairs, "total_pairs": total, "weighted_average": weighted}
+
+
+def reference_groups(qrels, train_query_ids):
+    """Every judged document of the training queries by grade bucket:
+    (highly, relevant, non_relevant, highly_pairs, relevant_pairs), with no
+    positive left out for want of a negative."""
+    train_ids = set(train_query_ids)
+    highly, relevant, non_relevant = {}, {}, {}
+    for (qid, did), grade in sorted(qrels.entries.items()):
+        if qid not in train_ids:
+            continue
+        if grade > 1:
+            highly.setdefault(qid, []).append(did)
+        elif grade == 1:
+            relevant.setdefault(qid, []).append(did)
+        else:
+            non_relevant.setdefault(qid, []).append(did)
+    highly_pairs = [(q, d) for q in sorted(highly) for d in highly[q]]
+    relevant_pairs = [(q, d) for q in sorted(relevant) for d in relevant[q]]
+    return highly, relevant, non_relevant, highly_pairs, relevant_pairs
+
+
+def reference_sample_triple(rng, groups, max_attempts=1000):
+    """Draw a triple from `reference_groups` the rejection way: choose the
+    bucket in proportion to all its positives, then redraw the positive
+    until its query has a negative in the next bucket down."""
+    _, relevant, non_relevant, highly_pairs, relevant_pairs = groups
+    n_high, n_rel = len(highly_pairs), len(relevant_pairs)
+    if n_high + n_rel == 0:
+        raise DataError("no positive documents available for sampling")
+    use_highly = rng.random() < n_high / (n_high + n_rel)
+    pos_pairs = highly_pairs if use_highly else relevant_pairs
+    neg_lists = relevant if use_highly else non_relevant
+    for _ in range(max_attempts):
+        qid, pos = pos_pairs[rng.integers(len(pos_pairs))]
+        negatives = neg_lists.get(qid)
+        if negatives:
+            return Triple(qid, pos, negatives[rng.integers(len(negatives))])
+    raise DataError(f"{max_attempts} consecutive rejections while sampling a negative")

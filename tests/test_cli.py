@@ -143,6 +143,8 @@ class TestCliCommands:
         *[(command, ["--seed", "-3"], "", "seed") for command in ("synth", "train", "gradcheck")],
         *[(command, [], "seed = -3", "seed") for command in ("synth", "train", "gradcheck")],
         ("eval", [], "grade_map = 2:7", "grade_map"),
+        *[("eval", [], f"run_tag ={tag}", "run_tag") for tag in ("", " my tag",
+                                                                  " pacrr  # my run")],
     ])
     def test_bad_config_exits_1_naming_the_key(self, synth_dir, tmp_path, capsys,
                                                command, flags, line, key):
@@ -264,8 +266,7 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("case, message", [
         ("no_train_qids", "data error: no positive documents available for sampling"),
-        ("no_grade_1", "data error: degenerate training set: no training query with a "
-                       "grade > 1 document has a grade 1 document to pair it with"),
+        ("no_grade_1", "data error: no positive documents available for sampling"),
     ])
     def test_unsampleable_training_set_is_data_error(self, synth_dir, tmp_path, capsys,
                                                      case, message):
@@ -451,7 +452,9 @@ class TestCliCommands:
         with caplog.at_level("WARNING"):
             assert main(["--config", str(path), "train"]) == 0
         skips = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
-        assert skips == ["skipped 2 judged training documents not in the corpus"]
+        assert skips == ["skipped 2 judged training documents not in the corpus, 0 positives "
+                         "with no document in the next grade bucket down and 0 validation-run "
+                         "documents not in the corpus"]
 
     def test_corrupt_data_is_data_error(self, synth_dir, tmp_path):
         cfg = load_run_config(synth_dir / "config.txt")

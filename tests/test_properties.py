@@ -4,8 +4,9 @@ equals its oracles on tie-heavy rows; the pooling backward ops route each
 k-max survivor to the first maximal filter, as a loop reference does;
 kwindow distillation equals its argsort reference byte for byte; the
 recurrence's backward pass equals its step-by-step reference byte for
-byte; and pairwise label accuracy equals its hand-listed reference
-exactly."""
+byte; pairwise label accuracy equals its hand-listed reference exactly;
+and triple sampling draws only pairable positives, as the rejection
+sampler it replaced did whenever every positive can be paired."""
 
 import struct
 import tempfile
@@ -20,7 +21,8 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from helpers import (kmax_oracle, kmax_reference, kwindow_reference,  # noqa: E402
                      pair_accuracy_reference, pooling_routes_reference,
-                     recurrent_backward_reference)
+                     recurrent_backward_reference, reference_groups,
+                     reference_sample_triple)
 from pacrr.corpus import (CANONICAL_GRADES, JudgmentSet, load_corpus,  # noqa: E402
                           load_embeddings, load_qrels, load_queries, load_run)
 from pacrr.errors import DataError  # noqa: E402
@@ -29,6 +31,7 @@ from pacrr.model import PacrrConfig, init_params, load_params, save_params  # no
 from pacrr.neural import (kmax_per_row, kmax_per_row_backward, max_over_filters,  # noqa: E402
                           max_over_filters_backward, recurrent_backward, recurrent_sequence)
 from pacrr.simmat import KWINDOW, distill  # noqa: E402
+from pacrr.training import build_groups, sample_triple  # noqa: E402
 
 LOADERS = [load_corpus, load_queries, load_qrels, load_run, load_embeddings, load_params]
 
@@ -217,3 +220,45 @@ def pair_accuracy_cases(draw):
 def test_pair_accuracy_equals_its_reference(case):
     scores, qrels = case
     assert pair_accuracy(scores, qrels).to_dict() == pair_accuracy_reference(scores, qrels)
+
+
+@st.composite
+def sampler_cases(draw):
+    """Judgments on the canonical grades for a few queries, some holding a
+    grade 1 and a grade 0 document so that each of their positives can be
+    paired; training ids drawn from those queries and one unjudged id; and
+    a seed."""
+    grades = st.sampled_from(sorted(CANONICAL_GRADES))
+    qids = [f"q{qi}" for qi in range(draw(st.integers(1, 4)))]
+    entries = {}
+    for qid in qids:
+        entries.update({(qid, f"d{i}"): draw(grades) for i in range(draw(st.integers(0, 6)))})
+        if draw(st.booleans()):
+            entries.update({(qid, "rel"): 1, (qid, "nrel"): 0})
+    train_ids = draw(st.lists(st.sampled_from([*qids, "unjudged"]), min_size=1, unique=True))
+    return JudgmentSet(entries), train_ids, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=sampler_cases())
+def test_sample_triple_draws_pairable_positives_as_its_reference(case):
+    qrels, train_ids, seed = case
+    reference = reference_groups(qrels, train_ids)
+    _, relevant, non_relevant, highly_pairs, relevant_pairs = reference
+    pairable = ([q for q, _ in highly_pairs if q in relevant]
+                + [q for q, _ in relevant_pairs if q in non_relevant])
+    if not pairable:
+        with pytest.raises(DataError, match="no positive documents available"):
+            build_groups(qrels, train_ids)
+        return
+    rng = np.random.default_rng(seed)
+    groups = build_groups(qrels, train_ids)
+    assert groups.unpaired == len(highly_pairs) + len(relevant_pairs) - len(pairable)
+    draws = [sample_triple(rng, groups) for _ in range(40)]
+    for t in draws:
+        assert t.query_id in train_ids
+        pos, neg = qrels.grade(t.query_id, t.pos_doc_id), qrels.grade(t.query_id, t.neg_doc_id)
+        assert (pos > 1 and neg == 1) or (pos == 1 and neg <= 0), (t, pos, neg)
+    if len(pairable) == len(highly_pairs) + len(relevant_pairs):
+        ref_rng = np.random.default_rng(seed)
+        assert draws == [reference_sample_triple(ref_rng, reference) for _ in range(40)]

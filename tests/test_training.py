@@ -1,34 +1,39 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from pacrr import synth
-from pacrr.corpus import JudgmentSet, compute_idf
+from pacrr import synth, training
+from pacrr.corpus import JudgmentSet, RunRanking, compute_idf
 from pacrr.errors import DataError
 from pacrr.model import PacrrConfig, Scorer, init_params, load_params, score_gradients
 from pacrr.neural import hinge_gradients, hinge_loss
-from pacrr.training import BATCH_SIZE, build_groups, sample_triple, train, train_batch
+from pacrr.training import (BATCH_SIZE, Triple, build_groups, sample_triple, train,
+                            train_batch)
+
+EMPTY = "no positive documents available for sampling"
 
 
 class TestBuildGroups:
     def test_direct_mapping(self):
         qrels = JudgmentSet({("q", "d1"): 4, ("q", "d2"): 1, ("q", "d3"): 0})
         groups = build_groups(qrels, ["q"])
-        assert groups.highly == {"q": ["d1"]}
+        assert groups.highly_pairs == [("q", "d1")]
         assert groups.relevant == {"q": ["d2"]}
         assert groups.non_relevant == {"q": ["d3"]}
 
     def test_hrel_counts_as_highly(self):
-        groups = build_groups(JudgmentSet({("q", "d"): 2}), ["q"])
-        assert groups.highly == {"q": ["d"]}
+        groups = build_groups(JudgmentSet({("q", "d"): 2, ("q", "r"): 1}), ["q"])
+        assert groups.highly_pairs == [("q", "d")]
 
     def test_junk_is_an_eligible_negative(self):
-        groups = build_groups(JudgmentSet({("q", "d"): -2}), ["q"])
+        groups = build_groups(JudgmentSet({("q", "p"): 1, ("q", "d"): -2}), ["q"])
         assert groups.non_relevant == {"q": ["d"]}
+        assert groups.relevant_pairs == [("q", "p")]
 
     def test_restricted_to_training_queries(self):
-        qrels = JudgmentSet({("q1", "d"): 1, ("q2", "d"): 1})
+        qrels = JudgmentSet({("q1", "d"): 1, ("q1", "n"): 0, ("q2", "d"): 1, ("q2", "n"): 0})
         groups = build_groups(qrels, ["q1"])
         assert groups.relevant_pairs == [("q1", "d")]
 
@@ -61,16 +66,9 @@ class TestSampleTriple:
 
     def test_positive_outranks_negative(self):
         groups = proportional_groups()
-        qrels_grades = {}
-        for q, docs in groups.highly.items():
-            for d in docs:
-                qrels_grades[(q, d)] = 2
-        for q, docs in groups.relevant.items():
-            for d in docs:
-                qrels_grades[(q, d)] = 1
-        for q, docs in groups.non_relevant.items():
-            for d in docs:
-                qrels_grades[(q, d)] = 0
+        qrels_grades = {pair: 2 for pair in groups.highly_pairs}
+        for grade, bucket in ((1, groups.relevant), (0, groups.non_relevant)):
+            qrels_grades.update({(q, d): grade for q, docs in bucket.items() for d in docs})
         rng = np.random.default_rng(1)
         for _ in range(2000):
             t = sample_triple(rng, groups)
@@ -87,15 +85,26 @@ class TestSampleTriple:
             if t.query_id == "qa":
                 pytest.fail("query without negatives emitted a triple")
 
+    @pytest.mark.parametrize("dead_grade", [2, 1])
+    def test_only_the_pairable_query_is_drawn(self, dead_grade):
+        # One positive per bucket can be paired; 2001 positives of one bucket
+        # cannot, and must neither be drawn nor weigh the choice of bucket.
+        entries = {("live", "p"): 2, ("live", "r"): 1, ("live", "n"): 0}
+        entries.update({(f"dead{i}", "d"): dead_grade for i in range(2001)})
+        groups = build_groups(JudgmentSet(entries), [qid for qid, _ in entries])
+        assert groups.unpaired == 2001
+        rng = np.random.default_rng(0)
+        draws = Counter(sample_triple(rng, groups) for _ in range(200))
+        assert set(draws) == {Triple("live", "p", "r"), Triple("live", "r", "n")}
+        assert min(draws.values()) >= 70, draws
+
     def test_degenerate_training_set(self):
-        groups = build_groups(JudgmentSet({("q", "p"): 2}), ["q"])
-        with pytest.raises(DataError, match="degenerate|rejections"):
-            sample_triple(np.random.default_rng(3), groups)
+        with pytest.raises(DataError, match=EMPTY):
+            build_groups(JudgmentSet({("q", "p"): 2}), ["q"])
 
     def test_no_positives(self):
-        groups = build_groups(JudgmentSet({("q", "n"): 0}), ["q"])
-        with pytest.raises(DataError, match="no positive"):
-            sample_triple(np.random.default_rng(4), groups)
+        with pytest.raises(DataError, match=EMPTY):
+            build_groups(JudgmentSet({("q", "n"): 0}), ["q"])
 
     def test_seeded_sequence_identical(self):
         groups = proportional_groups(5, 10)
@@ -192,11 +201,9 @@ class TestTrain:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("train_ids, dropped, message", [
-        ("none", (), "no positive documents"),
+        ("none", (), EMPTY),
         # grade 1 dropped: no grade > 1 positive has a negative, and no grade 1 positive
-        ("all", (1,), "no training query with a grade > 1 document has a grade 1"),
-        # grade <= 0 dropped: grade 1 positives can never be drawn with a negative
-        ("all", (0, -2), "no training query with a grade 1 document has a grade <= 0"),
+        ("all", (1,), EMPTY),
     ])
     def test_unsampleable_training_set_rejected(self, small_synth, tmp_path, train_ids,
                                                 dropped, message):
@@ -209,6 +216,35 @@ class TestTrain:
                   data.val_query_ids, data.runs, data.embeddings, idf, iterations=1,
                   batches_per_iteration=1, out_dir=tmp_path / "out")
         assert not (tmp_path / "out").exists()
+
+    def test_positives_without_a_negative_are_left_out(self, small_synth, tmp_path,
+                                                       monkeypatch, caplog):
+        # grade <= 0 dropped: only the grade > 1 positives can be paired
+        data, idf = small_synth
+        train_ids = set(data.train_query_ids)
+        qrels = JudgmentSet({(qid, did): grade for (qid, did), grade in data.qrels.entries.items()
+                             if qid not in train_ids or grade > 0})
+        unpaired = sum(1 for (qid, _), grade in qrels.entries.items()
+                       if qid in train_ids and grade == 1)
+        drawn = []
+
+        def recording(rng, groups):
+            drawn.append(sample_triple(rng, groups))
+            return drawn[-1]
+
+        monkeypatch.setattr(training, "sample_triple", recording)
+        with caplog.at_level("WARNING"):
+            train(tiny_config(), data.docs, data.queries, qrels, data.train_query_ids,
+                  data.val_query_ids, data.runs, data.embeddings, idf, iterations=1,
+                  batches_per_iteration=2, out_dir=tmp_path)
+        assert len(drawn) == 2 * BATCH_SIZE
+        for t in drawn:
+            assert qrels.grade(t.query_id, t.pos_doc_id) > 1
+            assert qrels.grade(t.query_id, t.neg_doc_id) == 1
+        assert [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()] == [
+            f"skipped 0 judged training documents not in the corpus, {unpaired} positives "
+            "with no document in the next grade bucket down and 0 validation-run documents "
+            "not in the corpus"]
 
     def test_missing_validation_run_rejected(self, small_synth, tmp_path):
         data, idf = small_synth
@@ -225,15 +261,22 @@ class TestTrain:
         data, idf = small_synth
         qid = data.train_query_ids[0]
         qrels = JudgmentSet({**data.qrels.entries, (qid, "NOPE"): 2, (qid, "NOPE2"): 0})
+        val_qid = data.val_query_ids[0]
+        run = data.runs[val_qid]
+        runs = {**data.runs, val_qid: RunRanking(
+            val_qid, [*run.entries, ("NOPE3", run.entries[-1][1] + 1, -1.0)])}
         with caplog.at_level("WARNING"):
             train(tiny_config(), data.docs, data.queries, qrels,
-                  data.train_query_ids, data.val_query_ids, data.runs,
-                  data.embeddings, idf, iterations=1,
+                  data.train_query_ids, data.val_query_ids, runs,
+                  data.embeddings, idf, iterations=2,
                   batches_per_iteration=2, out_dir=tmp_path / "a")
-            run_training(data, idf, tmp_path / "b", iterations=1, batches=2)
+            run_training(data, idf, tmp_path / "b", iterations=2, batches=2)
         skips = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
-        assert skips == ["skipped 2 judged training documents not in the corpus"]
-        # Dropping them leaves the groups, hence every sampled triple, as they were.
+        assert skips == ["skipped 2 judged training documents not in the corpus, 0 positives "
+                         "with no document in the next grade bucket down and 1 validation-run "
+                         "documents not in the corpus"]
+        # Dropping them leaves the groups, hence every sampled triple, and the
+        # validation scores as they were.
         assert (tmp_path / "a" / "training_log.jsonl").read_bytes() == \
             (tmp_path / "b" / "training_log.jsonl").read_bytes()
 
