@@ -1,12 +1,13 @@
 """Flat `key = value` run-configuration files.
 
-Lines starting with `#` and blank lines are ignored. Every key has a
-documented default; unknown keys are rejected. The model keys are
-`PacrrConfig`'s fields and its checks.
+Lines starting with `#` and blank lines are ignored, and a value may not
+hold a trailing comment. Every key has a documented default; unknown keys
+are rejected. The model keys are `PacrrConfig`'s fields and its checks.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -96,9 +97,13 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
             if "=" not in stripped:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, _, raw = stripped.partition("=")
-            key, raw = key.strip(), raw.strip()
+            key = key.strip()
             if key not in _FIELD_TYPES:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            if re.search(r"\s#", raw):
+                raise ConfigError(f"{key} on {path}:{lineno} has a trailing comment; "
+                                  "comments must be whole lines")
+            raw = raw.strip()
             try:
                 if key in _INT_KEYS:
                     values[key] = int(raw)

@@ -91,6 +91,16 @@ def conv_sizes(config: PacrrConfig) -> range:
     return range(2, config.l_g + 1)
 
 
+def param_shapes(config: PacrrConfig):
+    """(name, shape) of every parameter group, in checkpoint order."""
+    for n in conv_sizes(config):
+        yield f"conv{n}_kernels", (config.n_f, n, n)
+        yield f"conv{n}_bias", (config.n_f,)
+    yield "rnn_w", (4, config.rnn_input_dim)
+    yield "rnn_u", (4,)
+    yield "rnn_b", (4,)
+
+
 def init_params(config: PacrrConfig) -> PacrrParams:
     """Seed-determined float32 Glorot-uniform weights, zero biases.
 
@@ -100,20 +110,18 @@ def init_params(config: PacrrConfig) -> PacrrParams:
     """
     rng = np.random.default_rng(config.seed)
     groups: dict[str, ParamGroup] = {}
-
-    def add(name, value):
+    for name, shape in param_shapes(config):
+        if name.endswith("_kernels"):
+            limit = math.sqrt(6.0 / (2 * shape[1] * shape[2]))
+            value = rng.uniform(-limit, limit, shape)
+        elif name == "rnn_w":
+            limit = math.sqrt(6.0 / (shape[1] + 2))
+            value, rnn_u = np.hsplit(rng.uniform(-limit, limit, (4, shape[1] + 1)), [shape[1]])
+        elif name == "rnn_u":
+            value = rnn_u[:, 0]
+        else:
+            value = np.zeros(shape)
         groups[name] = ParamGroup(name, value.astype(np.float32))
-
-    for n in conv_sizes(config):
-        limit = math.sqrt(6.0 / (n * n + n * n))
-        add(f"conv{n}_kernels", rng.uniform(-limit, limit, (config.n_f, n, n)))
-        add(f"conv{n}_bias", np.zeros(config.n_f))
-    d = config.rnn_input_dim
-    limit = math.sqrt(6.0 / (d + 2))
-    wu = rng.uniform(-limit, limit, (4, d + 1))
-    add("rnn_w", wu[:, :d])
-    add("rnn_u", wu[:, d])
-    add("rnn_b", np.zeros(4))
     return PacrrParams(groups)
 
 
@@ -197,79 +205,56 @@ def score_gradients(params: PacrrParams, config: PacrrConfig, cache: ScoreCache,
 #   per tensor: raw float32 little-endian values
 #   u32 CRC-32 of everything above
 
+def _entry(name: str, shape: tuple[int, ...]) -> bytes:
+    """One tensor-table entry, as `save_params` writes it and `load_params` checks it."""
+    encoded = name.encode("utf-8")
+    return struct.pack(f"<Q{len(encoded)}sQ{len(shape)}QQ", len(encoded), encoded,
+                       len(shape), *shape, 4 * math.prod(shape))
+
+
 def save_params(params: PacrrParams, config: PacrrConfig, path) -> None:
     """Write a self-describing binary checkpoint (bit-exact across platforms)."""
-    chunks = [CHECKPOINT_MAGIC]
     config_json = json.dumps(config.to_dict(), sort_keys=True).encode("utf-8")
-    chunks.append(struct.pack("<Q", len(config_json)))
-    chunks.append(config_json)
-    groups = list(params)
-    chunks.append(struct.pack("<Q", len(groups)))
-    blobs = []
-    for group in groups:
-        name = group.name.encode("utf-8")
-        data = np.ascontiguousarray(group.value, dtype="<f4").tobytes()
-        chunks.append(struct.pack("<Q", len(name)))
-        chunks.append(name)
-        chunks.append(struct.pack("<Q", group.value.ndim))
-        chunks.append(struct.pack(f"<{group.value.ndim}Q", *group.value.shape))
-        chunks.append(struct.pack("<Q", len(data)))
-        blobs.append(data)
-    chunks.extend(blobs)
-    body = b"".join(chunks)
+    body = b"".join([CHECKPOINT_MAGIC, struct.pack("<Q", len(config_json)), config_json,
+                     struct.pack("<Q", len(params.groups)),
+                     *(_entry(g.name, g.value.shape) for g in params),
+                     *(np.ascontiguousarray(g.value, dtype="<f4").tobytes() for g in params)])
     write_atomic(path, body + struct.pack("<I", zlib.crc32(body)))
 
 
 def load_params(path) -> tuple[PacrrParams, PacrrConfig]:
-    """Read a checkpoint; verifies magic, structure, and the trailing CRC-32."""
+    """Read a checkpoint; verifies magic, CRC-32, the config header, and that
+    the tensor table is byte for byte the one `save_params` writes for it,
+    encoding each entry only once the data it implies fits in the file."""
     raw = Path(path).read_bytes()
     if len(raw) < len(CHECKPOINT_MAGIC) + 4:
         raise CheckpointError(f"{path}: truncated checkpoint")
     if not raw.startswith(CHECKPOINT_MAGIC):
         raise CheckpointError(f"{path}: bad magic (not a PACRR1 checkpoint)")
-    body, crc_bytes = raw[:-4], raw[-4:]
-    if zlib.crc32(body) != struct.unpack("<I", crc_bytes)[0]:
+    body = raw[:-4]
+    if struct.pack("<I", zlib.crc32(body)) != raw[-4:]:
         raise CheckpointError(f"{path}: CRC mismatch, file is corrupt")
 
-    pos = len(CHECKPOINT_MAGIC)
-
-    def take(count):
-        nonlocal pos
-        if pos + count > len(body):
-            raise CheckpointError(f"{path}: truncated checkpoint")
-        piece = body[pos : pos + count]
-        pos += count
-        return piece
-
-    def take_u64():
-        return struct.unpack("<Q", take(8))[0]
-
+    start = len(CHECKPOINT_MAGIC) + 8
+    table = start + int.from_bytes(body[start - 8 : start], "little")
     try:
-        config = PacrrConfig(**json.loads(take(take_u64()).decode("utf-8")))
-        layout = [(group.name, group.value.shape) for group in init_params(config)]
-    except (ValueError, TypeError) as exc:
+        config = PacrrConfig(**json.loads(body[start:table].decode("utf-8")))
+    except (ValueError, TypeError, RecursionError) as exc:
         raise CheckpointError(f"{path}: bad config header ({exc})") from exc
-    headers = []
-    for _ in range(take_u64()):
-        try:
-            name = take(take_u64()).decode("utf-8")
-        except UnicodeDecodeError:
-            raise CheckpointError(f"{path}: tensor name is not valid UTF-8") from None
-        dims = tuple(take_u64() for _ in range(take_u64()))
-        headers.append((name, dims, take_u64()))
-    tensors = [(name, dims) for name, dims, _ in headers]
-    if tensors != layout:
-        raise CheckpointError(f"{path}: tensors {tensors} do not match its config's {layout}")
-    groups: dict[str, ParamGroup] = {}
-    for name, dims, nbytes in headers:
-        expected = int(np.prod(dims, dtype=np.int64)) * 4
-        if nbytes != expected:
-            raise CheckpointError(f"{path}: tensor {name!r} length mismatch")
-        value = np.frombuffer(take(nbytes), dtype="<f4").reshape(dims)
-        groups[name] = ParamGroup(name, value.astype(np.float32))
-    if pos != len(body):
-        raise CheckpointError(f"{path}: trailing bytes after tensor data")
-    return PacrrParams(groups), config
+    mismatch = CheckpointError(f"{path}: tensors do not match its config's layout")
+    layout, pos, nbytes = [], table + 8, 0
+    for name, shape in param_shapes(config):
+        nbytes += 4 * math.prod(shape)
+        if pos + nbytes > len(body) or not body.startswith(entry := _entry(name, shape), pos):
+            raise mismatch
+        pos += len(entry)
+        layout.append((name, shape))
+    if body[table : table + 8] != struct.pack("<Q", len(layout)) or pos + nbytes != len(body):
+        raise mismatch
+    data = np.frombuffer(body, dtype="<f4", offset=pos)
+    chunks = np.split(data, np.cumsum([math.prod(shape) for _, shape in layout])[:-1])
+    return PacrrParams({name: ParamGroup(name, chunk.reshape(shape).astype(np.float32))
+                        for (name, shape), chunk in zip(layout, chunks)}), config
 
 
 # ---------------------------------------------------------------------------

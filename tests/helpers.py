@@ -3,16 +3,27 @@
 The oracles are written with plain Python loops, deliberately sharing no code
 with the library paths they check. The dense references at the end do the
 full work that an optimised library path skips (padding rows, dead cells,
-repeated normalisation), so a test can require equal results.
+repeated normalisation), so a test can require equal results. The last
+helpers build crafted checkpoints and run a snippet in a child process whose
+memory and time are bounded.
 """
 
 import itertools
+import json
 import math
+import os
+import struct
+import subprocess
+import sys
+import tempfile
+import zlib
+from pathlib import Path
 
 import numpy as np
 
 from pacrr import neural
 from pacrr.errors import DataError
+from pacrr.model import init_params, save_params
 from pacrr.training import Triple
 
 
@@ -354,3 +365,30 @@ def reference_sample_triple(rng, groups, max_attempts=1000):
         if negatives:
             return Triple(qid, pos, negatives[rng.integers(len(negatives))])
     raise DataError(f"{max_attempts} consecutive rejections while sampling a negative")
+
+
+def checkpoint_with_header(config, **keys) -> bytes:
+    """The checkpoint `save_params` writes for config's initial weights, with
+    the given keys changed in its config header and its CRC made valid."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.pacrr"
+        save_params(init_params(config), config, path)
+        raw = path.read_bytes()
+    table = 14 + int.from_bytes(raw[6:14], "little")
+    header = json.dumps(dict(config.to_dict(), **keys), sort_keys=True).encode("utf-8")
+    body = raw[:6] + struct.pack("<Q", len(header)) + header + raw[table:-4]
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def run_bounded(code: str, max_bytes: int, timeout: float) -> subprocess.CompletedProcess:
+    """Run a Python snippet in a child process with `src/` on PYTHONPATH, one
+    BLAS thread, an address space of at most max_bytes and a timeout in
+    seconds; returns the completed process, with text stdout and stderr.
+    The child sets its own limit before it runs the snippet."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    limit = ("import resource\n"
+             f"resource.setrlimit(resource.RLIMIT_AS, ({max_bytes}, {max_bytes}))\n")
+    return subprocess.run([sys.executable, "-c", limit + code], env=env,
+                          capture_output=True, text=True, timeout=timeout)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import checkpoint_with_header, run_bounded
 from pacrr.cli import main
 from pacrr.config import RunConfig, load_run_config, write_run_config
 from pacrr.errors import ConfigError
@@ -145,6 +146,8 @@ class TestCliCommands:
         ("eval", [], "grade_map = 2:7", "grade_map"),
         *[("eval", [], f"run_tag ={tag}", "run_tag") for tag in ("", " my tag",
                                                                   " pacrr  # my run")],
+        ("eval", [], "out_dir = ev  # eval output", "out_dir"),
+        ("eval", [], "corpus = corpus.jsonl  # the documents", "corpus"),
     ])
     def test_bad_config_exits_1_naming_the_key(self, synth_dir, tmp_path, capsys,
                                                command, flags, line, key):
@@ -307,6 +310,20 @@ class TestCliCommands:
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 2
         assert f"data error: {run}: not valid UTF-8" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("keys", [dict(n_f=2**40), dict(l_g=10**6, l_d=10**6)],
+                             ids=["n_f", "l_g"])
+    def test_rerank_with_an_oversized_checkpoint_header_exits_2(self, synth_dir, tmp_path,
+                                                                keys):
+        checkpoint = tmp_path / "big.pacrr"
+        checkpoint.write_bytes(checkpoint_with_header(PacrrConfig(l_q=4, l_d=12, n_f=4), **keys))
+        args = ["--config", str(synth_dir / "config.txt"), "--out", str(tmp_path / "rr"),
+                "rerank", "--checkpoint", str(checkpoint)]
+        proc = run_bounded(f"import sys\nfrom pacrr.cli import main\nsys.exit(main({args!r}))",
+                           1 << 30, 60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"data error: {checkpoint}: ")
         assert "Traceback" not in proc.stderr
 
     def test_train_leaves_no_temp_files(self, synth_dir, tmp_path):

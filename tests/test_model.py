@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import all_rows_score
+from helpers import all_rows_score, checkpoint_with_header, run_bounded
 from pacrr import neural
 from pacrr.corpus import EmbeddingTable, IdfTable, Query, TokenizedDocument
 from pacrr.errors import CheckpointError
@@ -343,28 +343,62 @@ class TestCheckpoint:
         assert (tmp_path / "written.pacrr").read_bytes() == \
             (tmp_path / "saved.pacrr").read_bytes()
 
-    def test_tensor_name_not_utf8(self, tmp_path):
-        config = tiny_config()
-        tensors = [(g.name.encode(), g.value) for g in init_params(config)]
-        tensors[-1] = (b"\xff\xfe", tensors[-1][1])
-        write_checkpoint(tmp_path / "m.pacrr", config, tensors)
-        with pytest.raises(CheckpointError, match="tensor name is not valid UTF-8"):
-            load_params(tmp_path / "m.pacrr")
-
-    @pytest.mark.parametrize("change", ["drop conv3_bias", "transpose rnn_w", "rename rnn_b"])
+    @pytest.mark.parametrize("change", ["drop conv3_bias", "transpose rnn_w", "rename rnn_b",
+                                        "non-UTF-8 name"])
     def test_tensors_must_match_the_config(self, tmp_path, change):
         config = tiny_config()
-        tensors = {g.name: g.value for g in init_params(config)}
+        tensors = {g.name.encode(): g.value for g in init_params(config)}
         if change == "drop conv3_bias":
-            del tensors["conv3_bias"]
+            del tensors[b"conv3_bias"]
         elif change == "transpose rnn_w":
-            tensors["rnn_w"] = tensors["rnn_w"].T
+            tensors[b"rnn_w"] = tensors[b"rnn_w"].T
+        elif change == "rename rnn_b":
+            tensors[b"rnn_c"] = tensors.pop(b"rnn_b")
         else:
-            tensors["rnn_c"] = tensors.pop("rnn_b")
-        write_checkpoint(tmp_path / "m.pacrr", config,
-                         [(name.encode(), value) for name, value in tensors.items()])
+            tensors[b"\xff\xfe"] = tensors.pop(b"rnn_b")
+        write_checkpoint(tmp_path / "m.pacrr", config, list(tensors.items()))
         with pytest.raises(CheckpointError, match="do not match"):
             load_params(tmp_path / "m.pacrr")
+
+    def test_every_bit_flip_in_the_tensor_table_is_rejected(self, tmp_path):
+        """The reader accepts only the tensor table the writer writes."""
+        config = tiny_config()
+        path = tmp_path / "m.pacrr"
+        save_params(init_params(config), config, path)
+        body = path.read_bytes()[:-4]
+        table = 14 + int.from_bytes(body[6:14], "little")
+        data_start = len(body) - 4 * sum(g.value.size for g in init_params(config))
+        for pos in range(table, data_start):
+            for bit in range(8):
+                flipped = bytearray(body)
+                flipped[pos] ^= 1 << bit
+                path.write_bytes(flipped + struct.pack("<I", zlib.crc32(flipped)))
+                with pytest.raises(CheckpointError):
+                    load_params(path)
+
+    def test_bytes_after_the_tensor_data_are_rejected(self, tmp_path):
+        config = tiny_config()
+        path = tmp_path / "m.pacrr"
+        save_params(init_params(config), config, path)
+        body = path.read_bytes()[:-4] + bytes(4)
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(CheckpointError, match="do not match"):
+            load_params(path)
+
+    @pytest.mark.parametrize("keys", [dict(n_f=2**40), dict(l_g=10**6, l_d=10**6)],
+                             ids=["n_f", "l_g"])
+    def test_header_asking_for_more_than_the_file_holds(self, tmp_path, keys):
+        """Rejected before anything is allocated for it; run in a child
+        process under a 1 GiB address-space limit, so that a reader which
+        allocates what the header asks for fails here and stays bounded."""
+        path = tmp_path / "m.pacrr"
+        path.write_bytes(checkpoint_with_header(tiny_config(), **keys))
+        proc = run_bounded("from pacrr.model import load_params\n"
+                           "try:\n"
+                           f"    load_params({str(path)!r})\n"
+                           "except Exception as exc:\n"
+                           "    print(type(exc).__name__, exc)\n", 1 << 30, 30)
+        assert proc.stdout == f"CheckpointError {path}: tensors do not match its config's layout\n"
 
     def test_float_size_in_header_is_checkpoint_error(self, tmp_path):
         config = tiny_config()

@@ -19,8 +19,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from helpers import (kmax_oracle, kmax_reference, kwindow_reference,  # noqa: E402
-                     pair_accuracy_reference, pooling_routes_reference,
+from helpers import (checkpoint_with_header, kmax_oracle, kmax_reference,  # noqa: E402
+                     kwindow_reference, pair_accuracy_reference, pooling_routes_reference,
                      recurrent_backward_reference, reference_groups,
                      reference_sample_triple)
 from pacrr.corpus import (CANONICAL_GRADES, JudgmentSet, load_corpus,  # noqa: E402
@@ -81,6 +81,9 @@ INPUTS = st.one_of(st.binary(max_size=400), TEXT_LINES, edited_checkpoints(),
 @example(data=b"[" * 100_000 + b"\n")
 @example(data=b"a inf 3\n")
 @example(data=VALID_CHECKPOINT)
+@example(data=checkpoint_with_header(PacrrConfig(l_q=2, l_d=3, n_f=2), n_f=2**40))
+@example(data=checkpoint_with_header(PacrrConfig(l_q=2, l_d=3, n_f=2), n_f=2**70))
+@example(data=_with_crc(b"PACRR1" + struct.pack("<Q", 100_000) + b"[" * 100_000))
 def test_any_bytes_load_or_raise_data_error(loader, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input"
