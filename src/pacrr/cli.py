@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import evaluation, synth
-from .config import RunConfig, load_run_config, write_run_config
+from .config import RunConfig, load_run_config, run_config_text, write_run_config
 from .corpus import (compute_idf, load_corpus, load_embeddings, load_qrels,
                      load_queries, load_run, read_lines, save_run, write_atomic)
 from .errors import ConfigError, DataError
@@ -177,18 +177,22 @@ def cmd_synth(cfg: RunConfig, args) -> int:
                                seed=cfg.model.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    data = synth.generate(spec)
     out_dir = Path(cfg.out_dir)
-    paths = synth.write(data, out_dir)
     # A ready-to-train config pointing at the generated files.
     run_cfg = RunConfig(
-        **{key: str(path) for key, path in paths.items()},
+        **{key: str(path) for key, path in synth.artifact_paths(out_dir).items()},
         out_dir=str(out_dir / "train_out"),
         model=PacrrConfig(l_q=spec.query_len_max, l_d=12, n_f=4, mode="kwindow",
                           learning_rate=0.05, seed=cfg.model.seed),
         iterations=20,
         batches_per_iteration=64,
     )
+    try:
+        run_config_text(run_cfg)
+    except ConfigError as exc:
+        raise ConfigError(f"out_dir {cfg.out_dir!r} gives a config that cannot be read "
+                          f"back: {exc}") from None
+    synth.write(synth.generate(spec), out_dir)
     config_path = out_dir / "config.txt"
     write_run_config(run_cfg, config_path)
     print(f"wrote synthetic dataset under {out_dir} (config: {config_path})")

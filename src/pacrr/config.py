@@ -70,6 +70,8 @@ class RunConfig:
                 raise ConfigError(f"{name} path does not exist: {value}")
 
 
+# Whitespace then '#' in a value is read as a trailing comment and refused.
+_TRAILING_COMMENT = re.compile(r"\s#")
 _MODEL_KEYS = {f.name for f in fields(PacrrConfig)}
 _FIELD_TYPES = {f.name: f.type for f in (*fields(RunConfig), *fields(PacrrConfig))
                 if f.name != "model"}
@@ -100,7 +102,7 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
             key = key.strip()
             if key not in _FIELD_TYPES:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            if re.search(r"\s#", raw):
+            if _TRAILING_COMMENT.search(raw):
                 raise ConfigError(f"{key} on {path}:{lineno} has a trailing comment; "
                                   "comments must be whole lines")
             raw = raw.strip()
@@ -122,10 +124,24 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
     return RunConfig(model=model, **values)
 
 
-def write_run_config(config: RunConfig, path) -> None:
+def run_config_text(config: RunConfig) -> str:
+    """The text `write_run_config` writes: one `key = value` line per set
+    key. Raises ConfigError for a value holding whitespace followed by '#',
+    which `load_run_config` refuses as a trailing comment."""
     lines = []
     for f in fields(RunConfig):
         value = getattr(config, f.name)
         items = value.to_dict().items() if f.name == "model" else [(f.name, value)]
-        lines.extend(f"{key} = {item}" for key, item in items if item is not None)
-    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
+        for key, item in items:
+            if item is None:
+                continue
+            line = f"{key} = {item}"
+            if _TRAILING_COMMENT.search(line.partition("=")[2]):
+                raise ConfigError(f"{key} value {item!r} holds whitespace followed by '#', "
+                                  "which a config file reads as a trailing comment")
+            lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def write_run_config(config: RunConfig, path) -> None:
+    write_atomic(path, run_config_text(config).encode("utf-8"))

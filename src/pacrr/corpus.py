@@ -96,12 +96,13 @@ class EmbeddingTable:
     def units(self) -> np.ndarray:
         """(len(vectors) + 1, dim) float64: row i is the i-th vector scaled
         to unit length (zeros for a zero vector), and the last row is zero
-        for every token without a vector."""
+        for every token without a vector. A norm is sqrt(v @ v), as
+        `np.linalg.norm` takes it."""
+        vectors = np.array(list(self.vectors.values()), dtype=np.float64)
+        vectors = vectors.reshape(len(self.vectors), self.dim)
+        norms = np.sqrt([v @ v for v in vectors])[:, None]
         units = np.zeros((len(self.vectors) + 1, self.dim), dtype=np.float64)
-        for row, vec in enumerate(self.vectors.values()):
-            norm = float(np.linalg.norm(vec))
-            if norm > 0.0:
-                units[row] = vec / norm
+        np.divide(vectors, norms, out=units[:-1], where=norms > 0.0)
         return units
 
     def __len__(self):

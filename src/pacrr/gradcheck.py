@@ -63,14 +63,15 @@ def gradient_check(f, x0: np.ndarray, analytic: np.ndarray, h: float = 1e-5) -> 
 
 
 def pipeline_signature(cache: ScoreCache) -> tuple:
-    """Hashable record of every rectifier state and of the conv pooling
-    routes, as the pooling backward ops find them (each k-max survivor's cell
-    and winning filter); two runs with equal signatures lie on the same
+    """Hashable record of every rectifier state (where a conv output is
+    positive) and of the conv pooling routes, as the pooling backward ops
+    find them (each k-max survivor's cell and winning filter, filter 0 where
+    the rectifier blocks it); two runs with equal signatures lie on the same
     smooth piece of the pipeline."""
     parts = []
     for n, conv in sorted(cache.conv_caches.items()):
         src = cache.kmax_srcs[n]
-        d_pooled = neural.kmax_per_row_backward(np.zeros(src.shape), src)
+        d_pooled = neural.kmax_per_row_backward(np.ones(src.shape), src)
         routes = neural.max_over_filters_backward(d_pooled, conv.out)
         parts += [(conv.out > 0.0).tobytes(), routes[0].tobytes(), routes[1].tobytes()]
     return tuple(parts)
@@ -125,8 +126,9 @@ def check_op_gradients(seed: int = 0) -> dict[str, GradCheckResult]:
     rng = np.random.default_rng(seed)
     results: dict[str, GradCheckResult] = {}
 
-    # conv2d: kernels and bias of a strided same-padded layer (its input is
-    # never trained, so it has no input gradient).
+    # conv2d: kernels and bias of a strided same-padded layer, which is
+    # linear in them (its input is never trained, so it has no input
+    # gradient, and it is rectified after the filter max).
     x = rng.uniform(-1.0, 1.0, (4, 9))
     kernels = rng.uniform(-0.8, 0.8, (3, 2, 2))
     bias = rng.uniform(-0.2, 0.2, 3)
@@ -134,8 +136,8 @@ def check_op_gradients(seed: int = 0) -> dict[str, GradCheckResult]:
 
     def conv_f(flat):
         ks = flat[: kernels.size].reshape(kernels.shape)
-        out, cache = neural.conv2d(x, ks, flat[kernels.size :], stride=2)
-        return float(np.sum(out * d_out)), (cache.out > 0.0).tobytes()
+        out, _ = neural.conv2d(x, ks, flat[kernels.size :], stride=2)
+        return float(np.sum(out * d_out)), b""
 
     out, cache = neural.conv2d(x, kernels, bias, stride=2)
     d_cells = d_out.reshape(3, -1)
@@ -145,15 +147,18 @@ def check_op_gradients(seed: int = 0) -> dict[str, GradCheckResult]:
     analytic = np.concatenate([d_k.ravel(), d_b])
     results["conv2d"] = gradient_check(conv_f, flat0, analytic)
 
-    # max_over_filters, routed at every cell as if k-max kept whole rows
+    # max_over_filters and its rectifier, routed at every cell as if k-max
+    # kept whole rows; about one cell in eight has no positive filter.
     mx = rng.uniform(-1.0, 1.0, (3, 4, 5))
     d_mo = rng.uniform(-1.0, 1.0, (4, 5))
     d_every = (*np.divmod(np.arange(d_mo.size), d_mo.shape[1]), d_mo.ravel())
 
     def mof_f(flat):
         x = flat.reshape(mx.shape)
-        signature = neural.max_over_filters_backward(d_every, x)[0].tobytes()
-        return float(np.sum(neural.max_over_filters(x) * d_mo)), signature
+        out = neural.max_over_filters(x)
+        signature = (neural.max_over_filters_backward(d_every, x)[0].tobytes(),
+                     (out > 0.0).tobytes())
+        return float(np.sum(out * d_mo)), signature
 
     filters, cells, values = neural.max_over_filters_backward(d_every, mx)
     analytic = np.zeros((mx.shape[0], d_mo.size))

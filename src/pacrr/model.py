@@ -3,11 +3,13 @@
 A distilled query_len x l_d input (one row per real query term, at most
 l_q of them) is scored as:
 
-    per n in 2..l_g: conv2d (n x n kernels, rectified) -> max over filters
+    per n in 2..l_g: conv2d (n x n kernels) -> rectified max over filters
     k-max per query row (n_s strongest signals) on each result and on the
-    unigram matrix; per real query term the l_g x n_s signal block is
-    flattened, the softmax-normalized IDF is appended, and the sequence of
-    term vectors is folded by a single-unit gated recurrence into rel(q, d).
+    unigram matrix, reading only n_s columns of the zero tail that distill
+    pads a short document with; per real query term the l_g x n_s signal
+    block is flattened, the softmax-normalized IDF is appended, and the
+    sequence of term vectors is folded by a single-unit gated recurrence
+    into rel(q, d).
 """
 
 from __future__ import annotations
@@ -141,30 +143,29 @@ def score(params: PacrrParams, config: PacrrConfig, distilled: DistilledInput,
     idf_vector = np.asarray(idf_vector, dtype=np.float64)
     if distilled.mode != config.mode:
         raise ValueError(f"distilled mode {distilled.mode!r} != config mode {config.mode!r}")
+    per_n, widths = distilled.per_n, distilled.widths
     t_len = distilled.query_len
     if t_len < 1 or t_len > config.l_q:
         raise ValueError(f"query length {t_len} outside 1..{config.l_q}")
-    if any(getattr(distilled.per_n.get(n), "shape", None) != (t_len, config.l_d)
-           for n in range(1, config.l_g + 1)):
+    shape = (t_len, config.l_d)
+    if any(getattr(per_n.get(n), "shape", None) != shape for n in range(1, config.l_g + 1)):
         raise ValueError("distilled input does not match config dimensions")
     if idf_vector.shape != (t_len,):
         raise ValueError("idf vector length must equal the query length")
 
     # Per query term: the k-max signals of n-gram sizes 1..l_g, n_s columns
-    # each, then the softmax-normalized IDF.
+    # each, then the softmax-normalized IDF. The zero tail past a matrix's
+    # written width holds equal values, of which k-max keeps the earliest,
+    # so no pooling reads more than n_s columns of it.
     n_s = config.n_s
     xs = np.empty((t_len, config.rnn_input_dim), dtype=params["rnn_w"].value.dtype)
     conv_caches: dict[int, neural.Conv2dCache] = {}
     kmax_srcs: dict[int, np.ndarray] = {}
-    xs[:, :n_s] = neural.kmax_per_row(distilled.per_n[1], n_s)[0]
+    xs[:, :n_s] = neural.kmax_per_row(per_n[1][:, : widths[1] + n_s], n_s)[0]
     for n in conv_sizes(config):
-        stride = n if config.mode == KWINDOW else 1
         conv_out, conv_caches[n] = neural.conv2d(
-            distilled.per_n[n],
-            params[f"conv{n}_kernels"].value,
-            params[f"conv{n}_bias"].value,
-            stride,
-        )
+            per_n[n], params[f"conv{n}_kernels"].value, params[f"conv{n}_bias"].value,
+            n if config.mode == KWINDOW else 1, widths[n], n_s)
         xs[:, (n - 1) * n_s : n * n_s], kmax_srcs[n] = neural.kmax_per_row(
             neural.max_over_filters(conv_out), n_s)
     xs[:, -1] = neural.softmax(idf_vector)

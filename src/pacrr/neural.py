@@ -8,13 +8,19 @@ hinge) are differentiable away from ties and kinks. `pacrr.gradcheck`
 checks every backward function against central finite differences.
 
 conv2d folds its bias into the im2col matmul as the last kernel column
-(against a last im2col row of ones) and keeps its rectified output, not a
-mask: the active rectifiers are its positive cells.
+(against a last im2col row of ones) and returns the pre-activation; the
+rectifier runs after the filter max, once per cell rather than once per
+filter, since relu(max_f z) = max_f relu(z). conv2d also skips the zero
+tail that distillation pads a short document with: every output cell whose
+receptive field lies wholly in it holds the same values (the bias), and
+k-max keeps the earliest of equal values, so only the first few such
+columns are computed.
 
 Pooling is exact and lazy: conv2d's output is filter-major, so filter-max
 is one reduction, and k-max is a few argmax passes, one per kept value. Each
 pooling backward reads only its own forward's data and finds its own routes:
-k-max the cells it kept, filter-max the first winning filter at those cells.
+k-max the cells it kept, filter-max the first winning filter at those cells
+and whether the rectifier after it passes the gradient.
 """
 
 from __future__ import annotations
@@ -55,14 +61,20 @@ def _same_pad(size: int, kernel: int, stride: int) -> tuple[int, int, int]:
 @dataclass
 class Conv2dCache:
     cols: np.ndarray  # (out_h*out_w, n*n) im2col patches, no ones row; a transposed view
-    out: np.ndarray  # (n_f, out_h, out_w) the rectified output; active where > 0
+    out: np.ndarray  # (n_f, out_h, out_w) the pre-activation output, as returned
 
 
-def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, stride: int = 1):
-    """Same-padded 2-D cross-correlation with n_f square kernels, rectified.
+def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, stride: int = 1,
+           width: int | None = None, tail: int = 0):
+    """Same-padded 2-D cross-correlation with n_f square kernels, not rectified.
 
     x: (H, W); kernels: (n_f, n, n); bias: (n_f,); stride: along columns only.
     Output shape (n_f, H, ceil(W/stride)), filter-major and C-contiguous.
+
+    When x is zero from column `width` on, the output columns whose
+    receptive field lies wholly in that zero tail all hold the bias; only
+    the first `tail` of them are computed, and the output ends there, with
+    fewer columns. The padding is that of the full width W either way.
     """
     H, W = x.shape
     n_f, n, n2 = kernels.shape
@@ -72,38 +84,41 @@ def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, stride: int = 1
         raise ValueError("conv2d input must be non-empty")
     if stride < 1:
         raise ValueError("stride must be >= 1")
+    width = W if width is None else min(width, W)
     out_h, pad_top, pad_bot = _same_pad(H, n, 1)
-    out_w, pad_left, pad_right = _same_pad(W, n, stride)
-    padded = np.zeros((H + pad_top + pad_bot, W + pad_left + pad_right), dtype=x.dtype)
-    padded[pad_top : pad_top + H, pad_left : pad_left + W] = x
+    out_w, pad_left, _ = _same_pad(W, n, stride)
+    out_w = min(out_w, -(-(width + pad_left) // stride) + tail)
+    padded_w = max(out_w - 1, 0) * stride + n
+    padded = np.zeros((H + pad_top + pad_bot, padded_w), dtype=x.dtype)
+    copied = min(width, padded_w - pad_left)
+    padded[pad_top : pad_top + H, pad_left : pad_left + copied] = x[:, :copied]
+    # Patch (a, b) of every cell, read through one strided view of padded.
+    rows, step = padded.strides
+    patches = np.ndarray((n, n, out_h, out_w), x.dtype, padded, 0,
+                         (rows, step, rows, step * stride))
     cols = np.empty((n * n + 1, out_h, out_w), dtype=x.dtype)
-    for a in range(n):
-        for b in range(n):
-            cols[a * n + b] = padded[a:, b::stride][:out_h, :out_w]
+    cols[: n * n].reshape(n, n, out_h, out_w)[...] = patches
     cols[n * n] = 1.0
     cols = cols.reshape(n * n + 1, out_h * out_w)
     out = (np.column_stack((kernels.reshape(n_f, n * n), bias)) @ cols).reshape(n_f, out_h, out_w)
-    np.maximum(out, 0.0, out=out)
     return out, Conv2dCache(cols=cols[: n * n].T, out=out)
 
 
 def conv2d_backward(d_out, cache: Conv2dCache, kernels: np.ndarray):
     """Gradients w.r.t. (kernels, bias) given d(loss)/d(output).
 
-    d_out holds the gradient at a few cells as `(filters, cells, values)`,
-    cell = row * out_w + column, each (filter, cell) at most once; only
-    these enter the sums, in cell order, and the rectifier state is read
-    at these alone. No input gradient is formed: the conv inputs are fixed
-    features.
+    d_out holds the gradient at a few (filter, cell) pairs as `(filters,
+    cells, values)`, cell = row * out_w + column; these alone enter the
+    sums, in cell order, each pair as one row of the kernel gradient's
+    product (`max_over_filters_backward` gives each cell once). No input
+    gradient is formed: the conv inputs are fixed features.
     """
     n_f, n, _ = kernels.shape
     filters, cells, values = d_out
-    nonzero = values != 0.0
-    filters, cells, values = filters[nonzero], cells[nonzero], values[nonzero]
-    live, pos = np.unique(cells, return_inverse=True)
-    d_pre = np.zeros((len(live), n_f), dtype=values.dtype)
-    d_pre[pos, filters] = values * (cache.out.reshape(n_f, -1)[filters, cells] > 0.0)
-    d_kernels = (d_pre.T @ cache.cols[live]).reshape(n_f, n, n)
+    order = np.argsort(cells)
+    d_pre = np.zeros((len(order), n_f), dtype=values.dtype)
+    d_pre[np.arange(len(order)), filters[order]] = values[order]
+    d_kernels = (d_pre.T @ cache.cols[cells[order]]).reshape(n_f, n, n)
     return d_kernels, d_pre.sum(axis=0)
 
 
@@ -111,22 +126,28 @@ def conv2d_backward(d_out, cache: Conv2dCache, kernels: np.ndarray):
 # Pooling
 
 def max_over_filters(x: np.ndarray) -> np.ndarray:
-    """Elementwise max across the leading filter axis: (n_f, H, W) -> (H, W).
+    """The rectified max across the leading filter axis, relu(max_f x):
+    (n_f, H, W) -> (H, W). x is conv2d's pre-activation output.
 
     Fastest on a C-contiguous x, as conv2d returns it.
     """
     if x.ndim != 3 or x.shape[0] < 1:
         raise ValueError("expected a non-empty (n_f, H, W) array")
-    return x.max(axis=0)
+    out = x.max(axis=0)
+    return np.maximum(out, 0.0, out=out)
 
 
 def max_over_filters_backward(d_out, x: np.ndarray):
     """Route the gradient at cells of the (H, W) filter max, `(rows, cols,
     values)` as `kmax_per_row_backward` returns it, to the first filter of
-    x (n_f, H, W) attaining the max at each cell; returns `(filters, cells,
+    x (n_f, H, W) attaining the max at each cell, passing it only where
+    that max is > 0; a cell the rectifier blocks routes a zero to filter 0,
+    the first maximal filter of the rectified x. Returns `(filters, cells,
     values)` with cell = row * W + col, for `conv2d_backward`."""
     rows, cols, values = d_out
-    return np.argmax(x[:, rows, cols], axis=0), rows * x.shape[2] + cols, values
+    column = x[:, rows, cols]
+    live = column.max(axis=0) > 0.0
+    return column.argmax(axis=0) * live, rows * x.shape[2] + cols, values * live
 
 
 def kmax_per_row(x: np.ndarray, k: int):
@@ -141,22 +162,25 @@ def kmax_per_row(x: np.ndarray, k: int):
         raise ValueError("k must be >= 1")
     rows, width = x.shape
     m = min(width, k)
+    src = np.empty((rows, k), dtype=np.int64)
+    work = x.copy()
+    every = np.arange(rows)
+    for j in range(m):
+        src[:, j] = work.argmax(axis=1)
+        work[every, src[:, j]] = -np.inf
+    if m == k:
+        return x[every[:, None], src], src
+    src[:, m:] = -1
     out = np.zeros((rows, k), dtype=x.dtype)
-    src = np.full((rows, k), -1, dtype=np.int64)
-    if m > 0:
-        work = x.copy()
-        every = np.arange(rows)
-        for j in range(m):
-            src[:, j] = work.argmax(axis=1)
-            work[every, src[:, j]] = -np.inf
-        out[:, :m] = x[every[:, None], src[:, :m]]
+    out[:, :m] = x[every[:, None], src[:, :m]]
     return out, src
 
 
 def kmax_per_row_backward(d_out: np.ndarray, src: np.ndarray):
     """Gradient w.r.t. the input at the cells k-max read, row by row, as
-    `(rows, cols, values)`; padding outputs (src -1) carry none."""
-    rows, kept = np.nonzero(src >= 0)
+    `(rows, cols, values)`; padding outputs (src -1) and zero gradients
+    carry none."""
+    rows, kept = np.nonzero((src >= 0) & (d_out != 0.0))
     return rows, src[rows, kept], d_out[rows, kept]
 
 

@@ -25,11 +25,13 @@ class DistilledInput:
     Under firstk every per_n entry is the same matrix object. Under kwindow
     the n that keep every window of the document share that same matrix,
     and each other n has its own window-selected one. A matrix may thus
-    serve several n, so no reader may write into it.
+    serve several n, so no reader may write into it. widths[n] counts the
+    leading columns of per_n[n] that distill wrote; the rest are zero.
     """
 
     mode: str
     per_n: dict[int, np.ndarray]
+    widths: dict[int, int]
 
     @property
     def query_len(self) -> int:
@@ -68,9 +70,12 @@ def distill(sim: np.ndarray, mode: str, l_d: int, l_g: int) -> DistilledInput:
     maximum similarity (padding columns contribute 0). Every window scoring
     above the k-th largest score t is kept, and then the earliest windows
     scoring exactly t until k are kept (a stable sort's tie rule), found by
-    one partition. The kept windows are concatenated in document order and
-    zero-padded to l_d. An n with at most k windows keeps them all, which is
-    the `firstk` matrix, so those n share it.
+    one partition. The window means are summed column by column with strided
+    adds, which equal numpy's mean up to the sign of a zero, and `>`, `==`
+    and the partition treat both zeros alike. The kept windows are
+    concatenated in document order and zero-padded to l_d. An n with at most
+    k windows keeps them all, which is the `firstk` matrix, so those n share
+    it.
     """
     if l_g > l_d:
         raise ValueError(f"l_g={l_g} exceeds l_d={l_d}")
@@ -79,12 +84,12 @@ def distill(sim: np.ndarray, mode: str, l_d: int, l_g: int) -> DistilledInput:
     rows, cols = sim.shape
     sizes = range(1, l_g + 1)
     ranked = [n for n in sizes if -(-cols // n) > l_d // n] if mode == KWINDOW else []
-    per_n = {}
+    per_n, widths = {}, {}
     if len(ranked) < l_g:
         matrix = np.zeros((rows, l_d), dtype=np.float32)
         width = min(cols, l_d)
         matrix[:, :width] = sim[:, :width]
-        per_n = dict.fromkeys(sizes, matrix)
+        per_n, widths = dict.fromkeys(sizes, matrix), dict.fromkeys(sizes, width)
     if ranked:
         # The column max does not depend on n: a prefix of one zero-padded
         # copy serves every window length up to l_g.
@@ -92,7 +97,10 @@ def distill(sim: np.ndarray, mode: str, l_d: int, l_g: int) -> DistilledInput:
         col_max[:cols] = sim.max(axis=0)
     for n in ranked:
         n_windows, k = -(-cols // n), l_d // n
-        scores = col_max[: n_windows * n].reshape(n_windows, n).mean(axis=1)
+        scores = col_max[: n_windows * n : n].copy()
+        for j in range(1, n):
+            scores += col_max[j : n_windows * n : n]
+        scores /= n
         t = np.partition(scores, n_windows - k)[n_windows - k]
         keep = scores > t
         keep[np.flatnonzero(scores == t)[: k - np.count_nonzero(keep)]] = True
@@ -100,4 +108,5 @@ def distill(sim: np.ndarray, mode: str, l_d: int, l_g: int) -> DistilledInput:
         kept = np.compress(np.repeat(keep, n)[:cols], sim, axis=1)
         out = per_n[n] = np.zeros((rows, l_d), dtype=np.float32)
         out[:, : kept.shape[1]] = kept
-    return DistilledInput(mode, per_n)
+        widths[n] = kept.shape[1]
+    return DistilledInput(mode, per_n, widths)

@@ -150,11 +150,10 @@ def generate(spec: SynthSpec) -> SynthData:
     )
 
 
-def write(data: SynthData, out_dir) -> dict[str, Path]:
-    """Write every artifact in its loadable on-disk format."""
+def artifact_paths(out_dir) -> dict[str, Path]:
+    """Where `write` puts each artifact under out_dir."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = {
+    return {
         "corpus": out / "corpus.jsonl",
         "queries": out / "queries.jsonl",
         "qrels": out / "qrels.txt",
@@ -163,6 +162,12 @@ def write(data: SynthData, out_dir) -> dict[str, Path]:
         "train_qids": out / "train_qids.txt",
         "val_qids": out / "val_qids.txt",
     }
+
+
+def write(data: SynthData, out_dir) -> dict[str, Path]:
+    """Write every artifact in its loadable on-disk format."""
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    paths = artifact_paths(out_dir)
     save_corpus(data.docs, paths["corpus"])
     save_queries(data.queries, paths["queries"])
     save_qrels(data.qrels, paths["qrels"])

@@ -3,7 +3,8 @@
 The oracles are written with plain Python loops, deliberately sharing no code
 with the library paths they check. The dense references at the end do the
 full work that an optimised library path skips (padding rows, dead cells,
-repeated normalisation), so a test can require equal results. The last
+the zero tail of a short document, a rectifier per filter, repeated
+normalisation), so a test can require equal results. The last
 helpers build crafted checkpoints and run a snippet in a child process whose
 memory and time are bounded.
 """
@@ -107,31 +108,33 @@ def kmax_reference(x, k):
 
 
 def pooling_routes_reference(d_km, src, x):
-    """The gradient routes below k-max and filter-max, by loops: for each
-    k-max output (row r, slot j) whose source column c = src[r, j] is not
-    padding (-1), the first filter f of x (n_f, H, W) whose value at (r, c)
-    equals the max over filters there, the flat cell r * W + c and d_km[r, j];
-    returned as three lists in row, then slot order."""
+    """The gradient routes below k-max and the rectified filter-max, by
+    loops: for each k-max output (row r, slot j) whose source column
+    c = src[r, j] is not padding (-1) and whose gradient d_km[r, j] is not
+    zero, the first filter f of x (n_f, H, W) whose value at (r, c) equals
+    the max over filters there, or filter 0 when that max is not positive;
+    the flat cell r * W + c; and d_km[r, j], or a zero when that max is not
+    positive. Returned as three lists in row, then slot order."""
     n_f, _, width = x.shape
     filters, cells, values = [], [], []
     for r, row in enumerate(src.tolist()):
         for j, c in enumerate(row):
-            if c < 0:
+            if c < 0 or d_km[r, j] == 0.0:
                 continue
             column = [x[f, r, c] for f in range(n_f)]
-            filters.append(column.index(max(column)))
+            live = max(column) > 0.0
+            filters.append(column.index(max(column)) if live else 0)
             cells.append(r * width + c)
-            values.append(float(d_km[r, j]))
+            values.append(float(d_km[r, j]) if live else 0.0)
     return [filters, cells, values]
 
 
 def conv_oracle(x, kernels, bias, stride):
-    """Rectified same-padded cross-correlation of x (H, W) with the n_f
-    n x n kernels, from an explicitly padded copy of x and patches unfolded
-    by loops: returns (out, cols, active) with out (n_f, out_h, out_w), cols
-    the (cells, n*n) patches and active the (cells, n_f) rectifier state,
-    cell = row * out_w + column. The extra zero of an odd padding goes after
-    the data."""
+    """Same-padded cross-correlation of x (H, W) with the n_f n x n kernels,
+    not rectified, from an explicitly padded copy of x and patches unfolded
+    by loops: returns (out, cols) with out (n_f, out_h, out_w) and cols the
+    (cells, n*n) patches, cell = row * out_w + column. The extra zero of an
+    odd padding goes after the data."""
     H, W = x.shape
     n_f, n, _ = kernels.shape
     s_q, s_d = stride
@@ -143,8 +146,7 @@ def conv_oracle(x, kernels, bias, stride):
     cols = np.array([[padded[r * s_q + a, c * s_d + b] for a in range(n) for b in range(n)]
                      for r in range(out_h) for c in range(out_w)], dtype=x.dtype)
     pre = kernels.reshape(n_f, n * n) @ np.ascontiguousarray(cols.T) + bias[:, None]
-    active = pre > 0.0
-    return (pre * active).reshape(n_f, out_h, out_w), cols, active.T
+    return pre.reshape(n_f, out_h, out_w), cols
 
 
 def dense_conv_param_grads(d_out, cols, mask):
@@ -158,9 +160,9 @@ def dense_conv_param_grads(d_out, cols, mask):
 def all_rows_score(params, config, distilled, idf_vector):
     """rel and the parameter gradients of rel for the PACRR pipeline run over
     all l_q rows, the distilled real rows zero-padded to l_q, with its own
-    convolution (`conv_oracle`) and pooling (a dense filter argmax at every
-    cell, `kmax_reference`), the pooling routes undone by loops and dense
-    conv gradient sums."""
+    convolution (`conv_oracle`, rectified per filter) and pooling (a dense
+    filter argmax at every cell, `kmax_reference`), the pooling routes undone
+    by loops and dense conv gradient sums."""
     dtype = params["rnn_w"].value.dtype
     t_len, n_s = distilled.query_len, config.n_s
 
@@ -173,8 +175,10 @@ def all_rows_score(params, config, distilled, idf_vector):
     routes = []
     for n in range(2, config.l_g + 1):
         stride = (1, n) if config.mode == "kwindow" else (1, 1)
-        out, cols, active = conv_oracle(padded(n), params[f"conv{n}_kernels"].value,
-                                        params[f"conv{n}_bias"].value, stride)
+        pre, cols = conv_oracle(padded(n), params[f"conv{n}_kernels"].value,
+                                params[f"conv{n}_bias"].value, stride)
+        active = (pre > 0.0).reshape(pre.shape[0], -1).T
+        out = pre * (pre > 0.0)
         arg = np.argmax(out, axis=0)
         pooled = np.take_along_axis(out, arg[None], axis=0)[0]
         km, src = kmax_reference(pooled, n_s)
@@ -196,6 +200,70 @@ def all_rows_score(params, config, distilled, idf_vector):
         d_k, d_bias = dense_conv_param_grads(d_conv, cols, active)
         grads[f"conv{n}_kernels"] = d_k.reshape(params[f"conv{n}_kernels"].value.shape)
         grads[f"conv{n}_bias"] = d_bias
+    return float(rel), grads
+
+
+def conv2d_reference(x, kernels, bias, stride=1):
+    """Rectified same-padded convolution over the whole width of x (H, W),
+    as `neural.conv2d` computed it with the rectifier inside: the same
+    im2col matmul with the bias as the last kernel column, rectified in
+    place. Returns (out, cols), out (n_f, H, ceil(W/stride)) and cols the
+    (cells, n*n) patches."""
+    H, W = x.shape
+    n_f, n, _ = kernels.shape
+    out_w = -(-W // stride)
+    pad_h, pad_w = n - 1, max((out_w - 1) * stride + n - W, 0)
+    padded = np.zeros((H + pad_h, W + pad_w), dtype=x.dtype)
+    padded[pad_h // 2 : pad_h // 2 + H, pad_w // 2 : pad_w // 2 + W] = x
+    cols = np.empty((n * n + 1, H, out_w), dtype=x.dtype)
+    for a in range(n):
+        for b in range(n):
+            cols[a * n + b] = padded[a:, b::stride][:H, :out_w]
+    cols[n * n] = 1.0
+    cols = cols.reshape(n * n + 1, H * out_w)
+    out = (np.column_stack((kernels.reshape(n_f, n * n), bias)) @ cols).reshape(n_f, H, out_w)
+    np.maximum(out, 0.0, out=out)
+    return out, cols[: n * n].T
+
+
+def score_reference(params, config, distilled, idf_vector):
+    """rel and the parameter gradients of rel for one pair, computed the way
+    `model.score` and `score_gradients` did with a rectifier per filter and
+    no zero tail skipped: `conv2d_reference` over all l_d columns, the max
+    of its rectified output, `kmax_reference` over whole rows, each k-max
+    survivor routed to the first maximal filter of the rectified output,
+    and conv gradients summed over the distinct cells with a nonzero
+    gradient, in cell order, each masked by its rectifier state."""
+    dtype = params["rnn_w"].value.dtype
+    n_s = config.n_s
+    t_len = distilled.query_len
+    xs = np.empty((t_len, config.rnn_input_dim), dtype=dtype)
+    xs[:, :n_s] = kmax_reference(distilled.per_n[1], n_s)[0]
+    convs = {}
+    for n in range(2, config.l_g + 1):
+        stride = n if config.mode == "kwindow" else 1
+        out, cols = conv2d_reference(distilled.per_n[n], params[f"conv{n}_kernels"].value,
+                                     params[f"conv{n}_bias"].value, stride)
+        xs[:, (n - 1) * n_s : n * n_s], src = kmax_reference(out.max(axis=0), n_s)
+        convs[n] = out, cols, src
+    xs[:, -1] = neural.softmax(np.asarray(idf_vector, dtype=np.float64))
+    w, u = params["rnn_w"].value, params["rnn_u"].value
+    rel, rnn_cache = neural.recurrent_sequence(xs, w, u, params["rnn_b"].value)
+    d_xs, d_w, d_u, d_b = neural.recurrent_backward(1.0, rnn_cache, w, u)
+    grads = {"rnn_w": d_w, "rnn_u": d_u, "rnn_b": d_b}
+    for n, (out, cols, src) in convs.items():
+        n_f, _, width = out.shape
+        d_km = d_xs[:, (n - 1) * n_s : n * n_s]
+        rows, kept = np.nonzero(src >= 0)
+        r, c, values = rows, src[rows, kept], d_km[rows, kept]
+        filters, cells = np.argmax(out[:, r, c], axis=0), r * width + c
+        nonzero = values != 0.0
+        filters, cells, values = filters[nonzero], cells[nonzero], values[nonzero]
+        live, pos = np.unique(cells, return_inverse=True)
+        d_pre = np.zeros((len(live), n_f), dtype=values.dtype)
+        d_pre[pos, filters] = values * (out.reshape(n_f, -1)[filters, cells] > 0.0)
+        grads[f"conv{n}_kernels"] = (d_pre.T @ cols[live]).reshape(n_f, n, n)
+        grads[f"conv{n}_bias"] = d_pre.sum(axis=0)
     return float(rel), grads
 
 

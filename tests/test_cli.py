@@ -140,6 +140,20 @@ class TestCliCommands:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
+    def test_synth_out_dir_its_config_cannot_hold_exits_1_writing_nothing(self, tmp_path,
+                                                                          capsys):
+        # The written config's paths would hold " #", which its reader refuses.
+        out = tmp_path / "sy #1"
+        assert main(["--out", str(out), "synth", "--docs", "40"]) == 1
+        err = capsys.readouterr().err
+        assert "out_dir" in err and "trailing comment" in err
+        assert not out.exists()
+        with pytest.raises(ConfigError, match="out_dir"):
+            write_run_config(RunConfig(out_dir="x #y"), tmp_path / "c.cfg")
+        assert not (tmp_path / "c.cfg").exists()
+        write_run_config(RunConfig(run_tag="a#b", out_dir="x#y"), tmp_path / "c.cfg")
+        assert load_run_config(tmp_path / "c.cfg").out_dir == "x#y"
+
     @pytest.mark.parametrize("command, flags, line, key", [
         *[(command, ["--seed", "-3"], "", "seed") for command in ("synth", "train", "gradcheck")],
         *[(command, [], "seed = -3", "seed") for command in ("synth", "train", "gradcheck")],

@@ -12,8 +12,10 @@ from pacrr.neural import (ParamGroup, conv2d, conv2d_backward, hinge_gradients, 
 
 class TestConv2d:
     def test_identity_kernel_with_rectification(self):
+        # conv2d is not rectified; the filter max is.
         out, _ = conv2d(np.array([[2.0, -3.0]]), np.ones((1, 1, 1)), np.zeros(1))
-        np.testing.assert_array_equal(out[0], [[2.0, 0.0]])
+        np.testing.assert_array_equal(out[0], [[2.0, -3.0]])
+        np.testing.assert_array_equal(max_over_filters(out), [[2.0, 0.0]])
 
     def test_hand_cross_correlation(self):
         out, _ = conv2d(np.array([[1.0, 2.0], [3.0, 4.0]]), np.ones((1, 2, 2)), np.zeros(1))
@@ -25,7 +27,8 @@ class TestConv2d:
 
     def test_bias_added_before_rectification(self):
         out, _ = conv2d(np.array([[1.0]]), np.ones((1, 1, 1)), np.array([-2.0]))
-        assert out[0, 0, 0] == 0.0
+        assert out[0, 0, 0] == -1.0
+        assert max_over_filters(out)[0, 0] == 0.0
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -33,7 +36,8 @@ class TestConv2d:
 
     @pytest.mark.parametrize("density", [1.0, 0.05, 0.0])
     def test_param_gradients_equal_dense_sums(self, density):
-        # Dead cells are skipped; the sums must not change.
+        # Cells without a gradient are skipped; the sums must not change. The
+        # conv is linear in its parameters: no rectifier masks the sums.
         rng = np.random.default_rng(17)
         kernels = rng.uniform(-1, 1, (4, 3, 3))
         x, bias = rng.uniform(-1, 1, (6, 20)), rng.uniform(-0.5, 0.5, 4)
@@ -42,8 +46,8 @@ class TestConv2d:
         d_cells = d_out.reshape(4, -1)
         filters, cells = np.nonzero(d_cells)
         d_k, d_b = conv2d_backward((filters, cells, d_cells[filters, cells]), cache, kernels)
-        _, cols, active = conv_oracle(x, kernels, bias, stride=(1, 3))
-        ref_k, ref_b = dense_conv_param_grads(d_out, cols, active)
+        _, cols = conv_oracle(x, kernels, bias, stride=(1, 3))
+        ref_k, ref_b = dense_conv_param_grads(d_out, cols, np.ones((len(cols), 4)))
         np.testing.assert_allclose(d_k.reshape(4, -1), ref_k, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(d_b, ref_b, rtol=1e-12, atol=1e-15)
         assert (d_k.any() and d_b.any()) == (density > 0.0)
@@ -60,20 +64,51 @@ class TestConv2d:
             for width in (1, n - 1, n, n + 1, 2 * n + 1, 17):
                 x = rng.uniform(-1, 1, (rows, width)).astype(dtype)
                 out, cache = conv2d(x, kernels, bias, stride)
-                ref_out, ref_cols, ref_active = conv_oracle(x, kernels, bias, (1, stride))
+                ref_out, ref_cols = conv_oracle(x, kernels, bias, (1, stride))
                 assert out.dtype == ref_out.dtype and out.shape == ref_out.shape
                 assert np.array_equal(out, ref_out), (rows, width)
-                assert cache.out.shape == out.shape
-                assert np.array_equal((cache.out > 0.0).reshape(5, -1).T, ref_active), \
+                assert cache.out is out
+                # The rectifier runs once per cell, after the filter max.
+                pooled = max_over_filters(out)
+                assert np.array_equal(pooled, (ref_out * (ref_out > 0.0)).max(axis=0)), \
                     (rows, width)
+                assert np.array_equal(pooled > 0.0, (ref_out > 0.0).any(axis=0)), (rows, width)
                 assert np.array_equal(cache.cols, ref_cols), (rows, width)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_zero_tail_is_cut_after_tail_columns(self, dtype, n, strided):
+        # Every output column whose receptive field lies wholly past the
+        # written width holds the bias, so only `tail` of them are computed.
+        rng = np.random.default_rng(n + 10 * strided)
+        stride = n if strided else 1
+        kernels = rng.uniform(-1, 1, (5, n, n)).astype(dtype)
+        bias = rng.uniform(-0.5, 0.5, 5).astype(dtype)
+        for W in (n, 2 * n + 1, 17):
+            full_w = -(-W // stride)
+            for width in range(W + 1):
+                x = np.zeros((3, W), dtype=dtype)
+                x[:, :width] = rng.uniform(-1, 1, (3, width))
+                full, _ = conv2d(x, kernels, bias, stride)
+                for tail in (1, 2, 4):
+                    out, cache = conv2d(x, kernels, bias, stride, width, tail)
+                    cut = out.shape[2]
+                    assert out.shape[:2] == full.shape[:2] and cut <= full_w
+                    assert out.tobytes() == full[:, :, :cut].tobytes(), (W, width, tail)
+                    assert cache.cols.shape == (3 * cut, n * n)
+                    if cut < full_w:  # the last `tail` kept and every cut column
+                        zero_field = full[:, :, cut - tail :]
+                        assert np.array_equal(zero_field, np.broadcast_to(
+                            bias[:, None, None], zero_field.shape)), (W, width, tail)
 
 
 class TestMaxOverFilters:
     def test_single_filter_identity(self):
+        # One filter: its values, rectified.
         x = np.array([[[1.0, -2.0]]])
         out = max_over_filters(x)
-        np.testing.assert_array_equal(out, x[0])
+        np.testing.assert_array_equal(out, [[1.0, 0.0]])
 
     def test_two_scalars(self):
         out = max_over_filters(np.array([[[1.0]], [[3.0]]]))
@@ -91,12 +126,15 @@ class TestMaxOverFilters:
         np.testing.assert_array_equal(out, out_perm)
 
     def test_backward_takes_the_first_maximal_filter_at_given_cells(self):
-        x = np.array([[[1.0, 2.0, 0.0]], [[3.0, 2.0, -0.0]]])
-        d_out = (np.zeros(3, dtype=np.intp), np.array([2, 0, 1]), np.array([0.5, 1.5, 2.5]))
+        # Where the max over filters is not positive the rectifier blocks the
+        # gradient, and the cell routes a zero to filter 0.
+        x = np.array([[[1.0, 2.0, 0.0, -1.0]], [[3.0, 2.0, -0.0, -0.5]]])
+        d_out = (np.zeros(4, dtype=np.intp), np.array([2, 0, 1, 3]),
+                 np.array([0.5, 1.5, 2.5, -3.5]))
         filters, cells, values = max_over_filters_backward(d_out, x)
-        np.testing.assert_array_equal(filters, [0, 1, 0])
-        np.testing.assert_array_equal(cells, [2, 0, 1])
-        np.testing.assert_array_equal(values, [0.5, 1.5, 2.5])
+        np.testing.assert_array_equal(filters, [0, 1, 0, 0])
+        np.testing.assert_array_equal(cells, [2, 0, 1, 3])
+        np.testing.assert_array_equal(values, [0.0, 1.5, 2.5, 0.0])
 
 
 class TestKmaxPerRow:

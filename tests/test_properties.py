@@ -1,7 +1,10 @@
 """Properties: any bytes given to a loader either load or raise DataError
 (CheckpointError is a DataError), never another exception; k-max pooling
 equals its oracles on tie-heavy rows; the pooling backward ops route each
-k-max survivor to the first maximal filter, as a loop reference does;
+k-max survivor to the first maximal filter, and pass its gradient only
+where the rectified filter max is positive, as a loop reference does;
+scoring and its gradients equal, byte for byte, a full-width reference
+with a rectifier per filter, whatever the width of the zero tail;
 kwindow distillation equals its argsort reference byte for byte; the
 recurrence's backward pass equals its step-by-step reference byte for
 byte; pairwise label accuracy equals its hand-listed reference exactly;
@@ -22,15 +25,16 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from helpers import (checkpoint_with_header, kmax_oracle, kmax_reference,  # noqa: E402
                      kwindow_reference, pair_accuracy_reference, pooling_routes_reference,
                      recurrent_backward_reference, reference_groups,
-                     reference_sample_triple)
+                     reference_sample_triple, score_reference)
 from pacrr.corpus import (CANONICAL_GRADES, JudgmentSet, load_corpus,  # noqa: E402
                           load_embeddings, load_qrels, load_queries, load_run)
 from pacrr.errors import DataError  # noqa: E402
 from pacrr.evaluation import pair_accuracy  # noqa: E402
-from pacrr.model import PacrrConfig, init_params, load_params, save_params  # noqa: E402
+from pacrr.model import (PacrrConfig, init_params, load_params, save_params,  # noqa: E402
+                         score, score_gradients)
 from pacrr.neural import (kmax_per_row, kmax_per_row_backward, max_over_filters,  # noqa: E402
                           max_over_filters_backward, recurrent_backward, recurrent_sequence)
-from pacrr.simmat import KWINDOW, distill  # noqa: E402
+from pacrr.simmat import KWINDOW, MODES, distill  # noqa: E402
 from pacrr.training import build_groups, sample_triple  # noqa: E402
 
 LOADERS = [load_corpus, load_queries, load_qrels, load_run, load_embeddings, load_params]
@@ -165,6 +169,49 @@ def test_kwindow_distill_equals_its_reference(case):
         got, want = distilled.per_n[n], kwindow_reference(sim, n, l_d)
         assert got.dtype == want.dtype == np.float32
         assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def score_cases(draw):
+    """A small model in either mode with float32 weights: as initialised
+    (zero conv biases), random, or with conv biases so negative that every
+    conv output is <= 0; a similarity matrix of a document from empty to
+    past 2 l_d long, so that the zero tail takes every width, l_d - n_s
+    and more included, tie-heavy or not; and IDF weights."""
+    mode = draw(st.sampled_from(MODES))
+    l_g = draw(st.integers(2, 4))
+    config = PacrrConfig(l_q=4, l_d=draw(st.integers(l_g, 16)), l_g=l_g,
+                         n_f=draw(st.integers(1, 4)), n_s=draw(st.integers(1, 4)), mode=mode)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = init_params(config)
+    weights = draw(st.sampled_from(["init", "random", "dead"]))
+    if weights != "init":
+        for group in params:
+            group.value[...] = rng.uniform(-0.6, 0.6, group.value.shape)
+    if weights == "dead":  # |kernels . x| <= 0.6 * 16 < 10
+        for n in range(2, l_g + 1):
+            params[f"conv{n}_bias"].value[...] = -10.0
+    shape = (draw(st.integers(1, 4)), draw(st.integers(0, 2 * config.l_d + 3)))
+    if draw(st.booleans()):
+        sim = rng.choice([0.0, -0.0, 0.5, -0.5, 1.0, -1.0], shape)
+    else:
+        sim = rng.uniform(-1.0, 1.0, shape)
+    distilled = distill(sim, mode, config.l_d, config.l_g)
+    return params, config, distilled, rng.uniform(0.1, 3.0, shape[0])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=score_cases())
+def test_score_and_gradients_equal_the_full_width_reference(case):
+    params, config, distilled, idf = case
+    rel, cache = score(params, config, distilled, idf)
+    grads = score_gradients(params, config, cache, 1.0)
+    ref_rel, ref_grads = score_reference(params, config, distilled, idf)
+    assert np.float64(rel).tobytes() == np.float64(ref_rel).tobytes()
+    assert grads.keys() == ref_grads.keys()
+    for name, grad in grads.items():
+        assert grad.dtype == ref_grads[name].dtype and grad.shape == ref_grads[name].shape
+        assert grad.tobytes() == ref_grads[name].tobytes(), name
 
 
 @st.composite

@@ -215,6 +215,16 @@ class TestDistillKwindow:
         out = kwindow(sim, n=2, l_d=4)
         np.testing.assert_array_equal(out, f32([[0.9, 0.9, 0.5, 0.5]]))
 
+    def test_tied_windows_keep_the_earliest_whatever_the_sign_of_zero(self):
+        # Windows of n = 2 scoring 0.5, -0.0 (the strided sum of two -0.0
+        # maxima), 0.0, -0.0 and 0.0; keeping l_d // n = 3 takes the 0.5
+        # window and the two earliest zero windows, which the reversed tie
+        # rule would not.
+        sim = np.array([[-0.0, -0.0, 0.5, 0.5, 0.0, -0.0, -0.0, -0.0, 0.0, 0.0]])
+        distilled = distill(sim, KWINDOW, l_d=6, l_g=2)
+        assert distilled.per_n[2].tobytes() == f32(sim[:, :6]).tobytes()
+        assert distilled.widths == {1: 6, 2: 6}
+
     def test_unselected_column_permutation_invariance(self):
         # permuting columns strictly outside the n=1 selection changes nothing
         values = np.array([[0.9, 0.8, 0.7, 0.1, 0.2, 0.3]])
