@@ -44,6 +44,7 @@ class RunConfig:
         if self.run_tag.split() != [self.run_tag]:
             raise ConfigError(f"run_tag must be one token without whitespace, got "
                               f"{self.run_tag!r}")
+        self.parsed_grade_map()
 
     def parsed_grade_map(self) -> dict[int, int] | None:
         if not self.grade_map:

@@ -132,7 +132,9 @@ def read_lines(path):
 
 
 def _read_jsonl(path, id_field):
-    records = []
+    """(line number, id, tokens) per record; the first bad or repeated one
+    raises DataError."""
+    seen = set()
     for lineno, line in read_lines(path):
         if not line.strip():
             continue
@@ -150,34 +152,36 @@ def _read_jsonl(path, id_field):
             raise DataError(f"{path}:{lineno}: '{id_field}' must be a non-empty string")
         if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
             raise DataError(f"{path}:{lineno}: 'tokens' must be a list of strings")
-        records.append((lineno, rid, tuple(tokens)))
-    return records
+        if rid in seen:
+            raise DataError(f"{path}:{lineno}: duplicate {id_field} {rid!r}")
+        seen.add(rid)
+        yield lineno, rid, tuple(tokens)
 
 
 def load_corpus(path) -> list[TokenizedDocument]:
     """Load line-delimited JSON documents ({"doc_id": ..., "tokens": [...]})."""
-    docs = []
-    seen = set()
-    for lineno, doc_id, tokens in _read_jsonl(path, "doc_id"):
-        if doc_id in seen:
-            raise DataError(f"{path}:{lineno}: duplicate doc_id {doc_id!r}")
-        seen.add(doc_id)
-        docs.append(TokenizedDocument(doc_id, tokens))
-    return docs
+    return [TokenizedDocument(doc_id, tokens)
+            for _, doc_id, tokens in _read_jsonl(path, "doc_id")]
 
 
 def load_queries(path) -> list[Query]:
     """Load queries whole; `Scorer` truncates them to the model's l_q."""
     queries = []
-    seen = set()
     for lineno, query_id, tokens in _read_jsonl(path, "query_id"):
-        if query_id in seen:
-            raise DataError(f"{path}:{lineno}: duplicate query_id {query_id!r}")
         if not tokens:
             raise DataError(f"{path}:{lineno}: query {query_id!r} has no tokens")
-        seen.add(query_id)
         queries.append(Query(query_id, tokens))
     return queries
+
+
+def _rows(path, n_fields):
+    """(line number, fields) per non-blank line of exactly `n_fields` fields."""
+    for lineno, line in read_lines(path):
+        parts = line.split()
+        if len(parts) == n_fields:
+            yield lineno, parts
+        elif parts:
+            raise DataError(f"{path}:{lineno}: expected {n_fields} fields, got {len(parts)}")
 
 
 def load_qrels(path, grade_map: dict[int, int] | None = None) -> JudgmentSet:
@@ -187,13 +191,7 @@ def load_qrels(path, grade_map: dict[int, int] | None = None) -> JudgmentSet:
     if grade_map:
         mapping.update(grade_map)
     entries: dict[tuple[str, str], int] = {}
-    for lineno, line in read_lines(path):
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != 4:
-            raise DataError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
-        qid, _, did, raw = parts
+    for lineno, (qid, _, did, raw) in _rows(path, 4):
         try:
             raw_grade = int(raw)
         except ValueError:
@@ -209,13 +207,7 @@ def load_qrels(path, grade_map: dict[int, int] | None = None) -> JudgmentSet:
 def load_run(path) -> dict[str, RunRanking]:
     """Load a TREC run file (`query_id Q0 doc_id rank score tag`), grouped by query."""
     grouped: dict[str, list[tuple[str, int, float]]] = {}
-    for lineno, line in read_lines(path):
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != 6:
-            raise DataError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
-        qid, _, did, rank, score, _ = parts
+    for lineno, (qid, _, did, rank, score, _) in _rows(path, 6):
         try:
             grouped.setdefault(qid, []).append((did, int(rank), float(score)))
         except ValueError:

@@ -47,15 +47,13 @@ class RelevanceGroups:
 def build_groups(qrels: JudgmentSet, train_query_ids) -> RelevanceGroups:
     """Bucket the judged documents of the training queries by grade and keep
     the drawable positives; raise DataError when there are none."""
-    train_ids = set(train_query_ids)
     highly: dict[str, list[str]] = {}
     relevant: dict[str, list[str]] = {}
     non_relevant: dict[str, list[str]] = {}
-    for (qid, did), grade in sorted(qrels.entries.items()):
-        if qid not in train_ids:
-            continue
-        bucket = highly if grade > 1 else relevant if grade == 1 else non_relevant
-        bucket.setdefault(qid, []).append(did)
+    for qid in sorted(set(train_query_ids)):
+        for did, grade in sorted(qrels.for_query(qid).items()):
+            bucket = highly if grade > 1 else relevant if grade == 1 else non_relevant
+            bucket.setdefault(qid, []).append(did)
     highly_pairs = [(q, d) for q in sorted(highly) if q in relevant for d in highly[q]]
     relevant_pairs = [(q, d) for q in sorted(relevant) if q in non_relevant
                       for d in relevant[q]]
@@ -132,9 +130,10 @@ class TrainState:
     best_checkpoint_path: str = ""
 
 
-def _validation_metrics(scorer: Scorer, val_runs: dict[str, RunRanking],
-                        qrels: JudgmentSet):
-    scores = scorer.score_runs({qid: run.doc_ids() for qid, run in val_runs.items()})
+def _validation_metrics(scorer: Scorer, val_docs: dict[str, list[str]],
+                        val_runs: dict[str, RunRanking], qrels: JudgmentSet):
+    """Mean ERR@K and nDCG@K of `val_runs` re-ranked by scoring `val_docs`."""
+    scores = scorer.score_runs(val_docs)
     reranked = {qid: evaluation.rerank_run(val_runs[qid], per_query, qrels)
                 for qid, per_query in scores.items()}
     report = evaluation.report_for_runs(reranked, qrels)
@@ -143,8 +142,8 @@ def _validation_metrics(scorer: Scorer, val_runs: dict[str, RunRanking],
 
 def train(config: PacrrConfig, docs, queries, qrels: JudgmentSet,
           train_query_ids, val_query_ids, val_runs: dict[str, RunRanking],
-          embeddings, idf, *, iterations: int = 150,
-          batches_per_iteration: int = 64, out_dir) -> tuple[PacrrParams, TrainState]:
+          embeddings, idf, *, iterations: int, batches_per_iteration: int,
+          out_dir) -> tuple[PacrrParams, TrainState]:
     """Mini-batch max-margin training with per-iteration validation.
 
     Each iteration runs `batches_per_iteration` batches of BATCH_SIZE sampled
@@ -168,18 +167,19 @@ def train(config: PacrrConfig, docs, queries, qrels: JudgmentSet,
 
     params = init_params(config)
     scorer = Scorer(config, params, queries, docs, embeddings, idf)
-    absent = {(qid, did) for qid in set(train_query_ids) for did in qrels.for_query(qid)
-              if did not in scorer.docs}
-    groups = build_groups(JudgmentSet({key: grade for key, grade in qrels.entries.items()
-                                       if key not in absent}), train_query_ids)
-    runs = {qid: RunRanking(qid, [e for e in val_runs[qid].entries if e[0] in scorer.docs])
-            for qid in val_query_ids}
-    val_absent = sum(len(val_runs[qid].entries) - len(runs[qid].entries) for qid in runs)
+    train_ids = set(train_query_ids)
+    judged = {(qid, did): grade for qid in train_ids
+              for did, grade in qrels.for_query(qid).items() if did in scorer.docs}
+    absent = sum(len(qrels.for_query(qid)) for qid in train_ids) - len(judged)
+    groups = build_groups(JudgmentSet(judged), train_ids)
+    val_docs = {qid: [did for did, _, _ in val_runs[qid].entries if did in scorer.docs]
+                for qid in val_query_ids}
+    val_absent = sum(len(val_runs[qid].entries) - len(kept) for qid, kept in val_docs.items())
     if absent or groups.unpaired or val_absent:
         logger.warning("skipped %d judged training documents not in the corpus, %d "
                        "positives with no document in the next grade bucket down and %d "
                        "validation-run documents not in the corpus",
-                       len(absent), groups.unpaired, val_absent)
+                       absent, groups.unpaired, val_absent)
     rng = np.random.default_rng([config.seed, 1])
     state = TrainState()
 
@@ -194,7 +194,7 @@ def train(config: PacrrConfig, docs, queries, qrels: JudgmentSet,
 
             ckpt_rel = f"checkpoints/iter_{iteration:04d}.pacrr"
             save_params(params, config, out_dir / ckpt_rel)
-            val_err, val_ndcg = _validation_metrics(scorer, runs, qrels)
+            val_err, val_ndcg = _validation_metrics(scorer, val_docs, val_runs, qrels)
             entry = IterationLog(
                 iteration=iteration,
                 mean_loss=sum(batch_losses) / len(batch_losses),

@@ -162,12 +162,15 @@ class TestCliCommands:
                                                                   " pacrr  # my run")],
         ("eval", [], "out_dir = ev  # eval output", "out_dir"),
         ("eval", [], "corpus = corpus.jsonl  # the documents", "corpus"),
+        *[(command, [], "grade_map = 2:7", "grade_map")
+          for command in ("score --checkpoint none.pacrr", "gradcheck", "synth")],
     ])
     def test_bad_config_exits_1_naming_the_key(self, synth_dir, tmp_path, capsys,
                                                command, flags, line, key):
         path = tmp_path / "bad.cfg"
         path.write_text((synth_dir / "config.txt").read_text() + line + "\n")
-        code = main(["--config", str(path), "--out", str(tmp_path / "out"), *flags, command])
+        code = main(["--config", str(path), "--out", str(tmp_path / "out"), *flags,
+                     *command.split()])
         err = capsys.readouterr().err
         assert code == 1
         assert f"config error: {key}" in err

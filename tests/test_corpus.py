@@ -53,6 +53,17 @@ class TestLoadQueries:
             load_queries(path)
 
 
+@pytest.mark.parametrize("loader, id_field", [(load_corpus, "doc_id"),
+                                               (load_queries, "query_id")])
+def test_first_fault_in_the_file_is_reported(tmp_path, loader, id_field):
+    # Line 2 repeats line 1's id and line 5 is not JSON: line 2 is named.
+    record = '{"%s":"%s","tokens":["a"]}\n'
+    text = (record % (id_field, "x") * 2 + record % (id_field, "y")
+            + record % (id_field, "z") + "not json\n")
+    with pytest.raises(DataError, match=f":2: duplicate {id_field} 'x'"):
+        loader(write(tmp_path, "f.jsonl", text))
+
+
 class TestLoadQrels:
     def test_identity_mapping(self, tmp_path):
         qrels = load_qrels(write(tmp_path, "qrels.txt", "101 0 d7 2\n"))

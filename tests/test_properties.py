@@ -8,8 +8,9 @@ with a rectifier per filter, whatever the width of the zero tail;
 kwindow distillation equals its argsort reference byte for byte; the
 recurrence's backward pass equals its step-by-step reference byte for
 byte; pairwise label accuracy equals its hand-listed reference exactly;
-and triple sampling draws only pairable positives, as the rejection
-sampler it replaced did whenever every positive can be paired."""
+triple sampling draws only pairable positives, as the rejection sampler
+it replaced did whenever every positive can be paired; and the training
+set reads no judgment of a query outside the training ids."""
 
 import struct
 import tempfile
@@ -312,3 +313,22 @@ def test_sample_triple_draws_pairable_positives_as_its_reference(case):
     if len(pairable) == len(highly_pairs) + len(relevant_pairs):
         ref_rng = np.random.default_rng(seed)
         assert draws == [reference_sample_triple(ref_rng, reference) for _ in range(40)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=sampler_cases(), others=st.dictionaries(
+    st.tuples(st.sampled_from(["q0", "q1", "q2", "q3", "other"]),
+              st.sampled_from(["d0", "d1", "rel", "nrel", "x"])),
+    st.sampled_from(sorted(CANONICAL_GRADES)), max_size=12))
+def test_build_groups_ignores_judgments_of_other_queries(case, others):
+    # Drop every judgment of a non-training query, then add others.
+    qrels, train_ids, _ = case
+    entries = {key: grade for key, grade in qrels.entries.items() if key[0] in train_ids}
+    entries.update({key: grade for key, grade in others.items() if key[0] not in train_ids})
+    results = []
+    for judgments in (qrels, JudgmentSet(entries)):
+        try:
+            results.append(build_groups(judgments, train_ids))
+        except DataError as exc:
+            results.append(str(exc))
+    assert results[0] == results[1]
