@@ -9,8 +9,10 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -35,14 +37,20 @@ class Query:
 
 @dataclass
 class JudgmentSet:
-    """Graded judgments keyed by (query_id, doc_id)."""
+    """Graded judgments keyed by (query_id, doc_id).
+
+    `load_qrels` passes the per-query index it builds while it reads, over
+    grades it has checked; without one, the grades are checked and the
+    index is built here."""
 
     entries: dict[tuple[str, str], int]
-    _by_query: dict[str, dict[str, int]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
+    _by_query: dict[str, dict[str, int]] | None = field(default=None, repr=False,
+                                                        compare=False)
 
     def __post_init__(self):
+        if self._by_query is not None:
+            return
+        self._by_query = {}
         for (qid, did), grade in self.entries.items():
             if grade not in CANONICAL_GRADES:
                 raise DataError(f"grade {grade} for ({qid}, {did}) is not on the canonical scale")
@@ -133,8 +141,10 @@ def read_lines(path):
 
 def _read_jsonl(path, id_field):
     """(line number, id, tokens) per record; the first bad or repeated one
-    raises DataError."""
+    raises DataError. Equal tokens of the file share one `str`, so a token
+    costs a tuple slot of 8 bytes, not a string of its own."""
     seen = set()
+    shared: dict[str, str] = {}
     for lineno, line in read_lines(path):
         if not line.strip():
             continue
@@ -150,12 +160,12 @@ def _read_jsonl(path, id_field):
         tokens = rec["tokens"]
         if not isinstance(rid, str) or not rid:
             raise DataError(f"{path}:{lineno}: '{id_field}' must be a non-empty string")
-        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        if not isinstance(tokens, list) or not all(map(str.__instancecheck__, tokens)):
             raise DataError(f"{path}:{lineno}: 'tokens' must be a list of strings")
         if rid in seen:
             raise DataError(f"{path}:{lineno}: duplicate {id_field} {rid!r}")
         seen.add(rid)
-        yield lineno, rid, tuple(tokens)
+        yield lineno, rid, tuple(map(shared.setdefault, tokens, tokens))
 
 
 def load_corpus(path) -> list[TokenizedDocument]:
@@ -186,11 +196,14 @@ def _rows(path, n_fields):
 
 def load_qrels(path, grade_map: dict[int, int] | None = None) -> JudgmentSet:
     """Load TREC qrels (`query_id 0 doc_id grade`), mapping raw grades to the
-    canonical scale. The default map is the identity on canonical grades."""
+    canonical scale. The default map is the identity on canonical grades.
+    Equal ids of the file share one `str`."""
     mapping = {g: g for g in CANONICAL_GRADES}
     if grade_map:
         mapping.update(grade_map)
+    shared: dict[str, str] = {}
     entries: dict[tuple[str, str], int] = {}
+    by_query: dict[str, dict[str, int]] = {}
     for lineno, (qid, _, did, raw) in _rows(path, 4):
         try:
             raw_grade = int(raw)
@@ -198,18 +211,25 @@ def load_qrels(path, grade_map: dict[int, int] | None = None) -> JudgmentSet:
             raise DataError(f"{path}:{lineno}: grade {raw!r} is not an integer") from None
         if raw_grade not in mapping:
             raise DataError(f"{path}:{lineno}: raw grade {raw_grade} has no mapping")
-        if (qid, did) in entries:
+        key = qid, did = shared.setdefault(qid, qid), shared.setdefault(did, did)
+        if key in entries:
             raise DataError(f"{path}:{lineno}: duplicate judgment for ({qid}, {did})")
-        entries[(qid, did)] = mapping[raw_grade]
+        entries[key] = by_query.setdefault(qid, {})[did] = mapping[raw_grade]
+    if all(grade in CANONICAL_GRADES for grade in mapping.values()):
+        return JudgmentSet(entries, by_query)
+    # JudgmentSet names the first judgment whose grade is off the scale.
     return JudgmentSet(entries)
 
 
 def load_run(path) -> dict[str, RunRanking]:
-    """Load a TREC run file (`query_id Q0 doc_id rank score tag`), grouped by query."""
+    """Load a TREC run file (`query_id Q0 doc_id rank score tag`), grouped by
+    query. Equal doc ids of the file share one `str`."""
+    shared: dict[str, str] = {}
     grouped: dict[str, list[tuple[str, int, float]]] = {}
     for lineno, (qid, _, did, rank, score, _) in _rows(path, 6):
         try:
-            grouped.setdefault(qid, []).append((did, int(rank), float(score)))
+            grouped.setdefault(qid, []).append(
+                (shared.setdefault(did, did), int(rank), float(score)))
         except ValueError:
             raise DataError(f"{path}:{lineno}: bad rank/score field") from None
     return {qid: RunRanking(qid, entries) for qid, entries in grouped.items()}
@@ -267,10 +287,7 @@ def compute_idf(corpus: list[TokenizedDocument]) -> IdfTable:
     if not corpus:
         raise DataError("cannot compute IDF over an empty corpus")
     n = len(corpus)
-    df: dict[str, int] = {}
-    for doc in corpus:
-        for token in set(doc.tokens):
-            df[token] = df.get(token, 0) + 1
+    df = Counter(chain.from_iterable(set(doc.tokens) for doc in corpus))
     values = {t: math.log((n + 1) / (c + 1)) for t, c in df.items()}
     return IdfTable(doc_count=n, values=values)
 

@@ -268,13 +268,17 @@ class Scorer:
     A query is truncated to the model's l_q (the checkpoint's when scoring,
     the run config's when training) and given its token ids and IDF vector
     once, at construction; a document is given its token ids the first
-    time it is read. Distilled pairs are cached; scoring is read-only over
-    the parameters, so training may interleave updates with fresh scoring
+    time it is read. A pair's distilled input is kept only when the pair is
+    in `keep`, the (query id, doc id) pairs the caller will score again, so
+    the cache never outgrows that set; every other pair is distilled each
+    time it is scored and kept nowhere. Scoring is read-only over the
+    parameters, so training may interleave updates with fresh scoring
     passes.
     """
 
     def __init__(self, config: PacrrConfig, params: PacrrParams,
-                 queries, docs, embeddings: EmbeddingTable, idf: IdfTable):
+                 queries, docs, embeddings: EmbeddingTable, idf: IdfTable,
+                 keep=frozenset()):
         self.config = config
         self.params = params
         self.embeddings = embeddings
@@ -297,6 +301,7 @@ class Scorer:
                            len(truncated), config.l_q, " ".join(truncated))
         self.docs: dict[str, TokenizedDocument] = {d.doc_id: d for d in docs}
         self._doc_ids: dict[str, np.ndarray] = {}
+        self._keep = frozenset(keep)
         self._distilled: dict[tuple[str, str], DistilledInput] = {}
 
     def token_ids(self, tokens) -> np.ndarray:
@@ -316,7 +321,8 @@ class Scorer:
                 d_ids = self._doc_ids[doc_id] = self.token_ids(self.docs[doc_id].tokens)
             sim = build_sim_matrix(self._query_ids[query_id], d_ids, self.embeddings.units)
             cached = distill(sim, self.config.mode, self.config.l_d, self.config.l_g)
-            self._distilled[key] = cached
+            if key in self._keep:
+                self._distilled[key] = cached
         return cached
 
     def score_with_cache(self, query_id: str, doc_id: str) -> tuple[float, ScoreCache]:

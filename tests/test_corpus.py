@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -84,6 +85,70 @@ class TestLoadQrels:
     def test_duplicate_entry(self, tmp_path):
         with pytest.raises(DataError, match="duplicate"):
             load_qrels(write(tmp_path, "qrels.txt", "1 0 d1 1\n1 0 d1 2\n"))
+
+    def test_grade_mapped_off_the_scale_names_its_judgment(self, tmp_path):
+        path = write(tmp_path, "qrels.txt", "101 0 d1 1\n101 0 d7 5\n102 0 d8 5\n")
+        with pytest.raises(DataError, match=r"^grade 7 for \(101, d7\) is not on the canonical"):
+            load_qrels(path, {5: 7})
+        # A target off the scale that no line maps to is never read.
+        assert load_qrels(path, {5: 4, 6: 7}).grade("102", "d8") == 4
+
+    def test_directly_built_judgments_are_checked(self):
+        with pytest.raises(DataError, match=r"^grade 5 for \(q, d\) is not on the canonical"):
+            JudgmentSet({("q", "a"): 1, ("q", "d"): 5})
+
+    def test_index_built_while_reading_equals_the_checked_one(self, tmp_path):
+        path = write(tmp_path, "qrels.txt",
+                     "q2 0 b 1\nq1 0 c 0\nq2 0 a -2\nq1 0 a 4\nq3 0 b 2\n")
+        loaded = load_qrels(path)
+        built = JudgmentSet(dict(loaded.entries))
+        assert loaded == built
+        assert loaded.query_ids() == built.query_ids() == ["q1", "q2", "q3"]
+        for qid in built.query_ids():
+            assert list(loaded.for_query(qid).items()) == list(built.for_query(qid).items())
+
+
+class TestSharedStrings:
+    """Each loader holds one `str` per distinct token or id of its file."""
+
+    def test_equal_tokens_are_one_object(self, tmp_path):
+        # json.loads gives each occurrence its own string.
+        path = write(tmp_path, "c.jsonl", '{"doc_id":"d1","tokens":["dog","cat","dog"]}\n'
+                                          '{"doc_id":"d2","tokens":["cat","dog"]}\n')
+        (d1, d2) = load_corpus(path)
+        assert d1.tokens[0] is d1.tokens[2] is d2.tokens[1]
+        assert d1.tokens[1] is d2.tokens[0]
+        (q1, q2) = load_queries(write(tmp_path, "q.jsonl",
+                                      '{"query_id":"q1","tokens":["dog","cat"]}\n'
+                                      '{"query_id":"q2","tokens":["cat"]}\n'))
+        assert q1.tokens[1] is q2.tokens[0]
+
+    def test_equal_ids_are_one_object(self, tmp_path):
+        qrels = load_qrels(write(tmp_path, "qrels.txt", "q1 0 d1 1\nq1 0 d2 0\nq2 0 d1 2\n"))
+        (k1, k2, k3) = qrels.entries
+        assert k1[0] is k2[0] and k1[1] is k3[1]
+        assert next(iter(qrels.for_query("q2"))) is k1[1]
+        runs = load_run(write(tmp_path, "run.txt",
+                              "q1 Q0 d1 1 2.0 t\nq1 Q0 d2 2 1.0 t\nq2 Q0 d1 1 3.0 t\n"))
+        assert runs["q1"].entries[0][0] is runs["q2"].entries[0][0]
+
+    def test_a_loaded_token_costs_at_most_16_bytes(self, tmp_path):
+        # 120 documents of 400 tokens over 50 distinct words: a `str` per
+        # token would take over 50 bytes each, a shared one 8 per tuple slot.
+        rng = np.random.default_rng(0)
+        vocab = [f"word{i}" for i in range(50)]
+        docs = [TokenizedDocument(f"d{i}", tuple(vocab[j] for j in rng.integers(50, size=400)))
+                for i in range(120)]
+        save_corpus(docs, tmp_path / "c.jsonl")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loaded = load_corpus(tmp_path / "c.jsonl")
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert loaded == docs
+        assert held <= 16 * 120 * 400, held / (120 * 400)
 
 
 class TestLoadEmbeddings:

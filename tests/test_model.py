@@ -460,7 +460,7 @@ class TestCheckpoint:
 
 
 class TestScorer:
-    def _fixtures(self, config):
+    def _fixtures(self, config, keep=frozenset()):
         rng = np.random.default_rng(10)
         emb = EmbeddingTable(dim=4, vectors={f"t{i}": rng.standard_normal(4)
                                              for i in range(10)})
@@ -468,7 +468,24 @@ class TestScorer:
                 TokenizedDocument("d2", ("t4", "t5"))]
         queries = [Query("q1", ("t1", "t9"))]
         idf = IdfTable(doc_count=2, values={"t1": 0.5})
-        return Scorer(config, init_params(config), queries, docs, emb, idf)
+        return Scorer(config, init_params(config), queries, docs, emb, idf, keep)
+
+    @pytest.mark.parametrize("mode", ["firstk", "kwindow"])
+    def test_pairs_not_kept_are_distilled_each_time_and_held_nowhere(self, mode):
+        config = tiny_config(mode=mode)
+        pairs = {"q1": ["d1", "d2"]}
+        kept = self._fixtures(config, keep={("q1", "d1"), ("q1", "d2")})
+        want = kept.score_runs(pairs)
+        scorer = self._fixtures(config)
+        assert scorer.score_runs(pairs) == want == kept.score_runs(pairs)
+        assert scorer._distilled == {}
+        assert scorer.distilled("q1", "d1") is not scorer.distilled("q1", "d1")
+        assert kept.distilled("q1", "d1") is kept.distilled("q1", "d1")
+
+    def test_only_the_pairs_to_keep_are_held(self):
+        scorer = self._fixtures(tiny_config(), keep={("q1", "d2"), ("q1", "d3")})
+        scorer.score_runs({"q1": ["d1", "d2"]})
+        assert list(scorer._distilled) == [("q1", "d2")]
 
     def test_missing_docs_reported(self):
         scorer = self._fixtures(tiny_config())

@@ -1,16 +1,18 @@
 """Properties: any bytes given to a loader either load or raise DataError
-(CheckpointError is a DataError), never another exception; k-max pooling
-equals its oracles on tie-heavy rows; the pooling backward ops route each
-k-max survivor to the first maximal filter, and pass its gradient only
-where the rectified filter max is positive, as a loop reference does;
-scoring and its gradients equal, byte for byte, a full-width reference
-with a rectifier per filter, whatever the width of the zero tail;
-kwindow distillation equals its argsort reference byte for byte; the
-recurrence's backward pass equals its step-by-step reference byte for
-byte; pairwise label accuracy equals its hand-listed reference exactly;
-triple sampling draws only pairable positives, as the rejection sampler
-it replaced did whenever every positive can be paired; and the training
-set reads no judgment of a query outside the training ids."""
+(CheckpointError is a DataError), never another exception; a saved
+corpus or query file loads back equal, with one object per distinct
+token; k-max pooling equals its oracles on tie-heavy rows; the pooling
+backward ops route each k-max survivor to the first maximal filter, and
+pass its gradient only where the rectified filter max is positive, as a
+loop reference does; scoring and its gradients equal, byte for byte, a
+full-width reference with a rectifier per filter, whatever the width of
+the zero tail; kwindow distillation equals its argsort reference byte
+for byte; the recurrence's backward pass equals its step-by-step
+reference byte for byte; pairwise label accuracy equals its hand-listed
+reference exactly; triple sampling draws only pairable positives, as the
+rejection sampler it replaced did whenever every positive can be paired;
+and the training set reads no judgment of a query outside the training
+ids."""
 
 import struct
 import tempfile
@@ -27,8 +29,9 @@ from helpers import (checkpoint_with_header, kmax_oracle, kmax_reference,  # noq
                      kwindow_reference, pair_accuracy_reference, pooling_routes_reference,
                      recurrent_backward_reference, reference_groups,
                      reference_sample_triple, score_reference)
-from pacrr.corpus import (CANONICAL_GRADES, JudgmentSet, load_corpus,  # noqa: E402
-                          load_embeddings, load_qrels, load_queries, load_run)
+from pacrr.corpus import (CANONICAL_GRADES, JudgmentSet, Query,  # noqa: E402
+                          TokenizedDocument, load_corpus, load_embeddings, load_qrels,
+                          load_queries, load_run, save_corpus, save_queries)
 from pacrr.errors import DataError  # noqa: E402
 from pacrr.evaluation import pair_accuracy  # noqa: E402
 from pacrr.model import (PacrrConfig, init_params, load_params, save_params,  # noqa: E402
@@ -97,6 +100,26 @@ def test_any_bytes_load_or_raise_data_error(loader, data):
             loader(path)
         except DataError:
             pass
+
+
+# Tokens of two or more characters: CPython keeps one object per one-character
+# string anyway. Two letters make most tokens repeat.
+ROUND_TRIP_TOKENS = st.lists(st.text(alphabet="aé", min_size=2, max_size=3), max_size=8)
+
+
+@pytest.mark.parametrize("record, save, load", [
+    (TokenizedDocument, save_corpus, load_corpus), (Query, save_queries, load_queries)],
+    ids=["corpus", "queries"])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(token_lists=st.lists(ROUND_TRIP_TOKENS.filter(bool), max_size=6))
+def test_save_load_round_trip_shares_equal_tokens(record, save, load, token_lists):
+    records = [record(f"r{i}", tuple(tokens)) for i, tokens in enumerate(token_lists)]
+    with tempfile.TemporaryDirectory() as tmp:
+        save(records, Path(tmp) / "records.jsonl")
+        loaded = load(Path(tmp) / "records.jsonl")
+    assert loaded == records
+    tokens = [t for r in loaded for t in r.tokens]
+    assert len({id(t) for t in tokens}) == len(set(tokens))
 
 
 # Few distinct values, signed zeros among them, so that most rows hold ties.

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from pacrr import synth, training
+from pacrr import model, synth, training
 from pacrr.corpus import JudgmentSet, RunRanking, compute_idf
 from pacrr.errors import DataError
 from pacrr.model import PacrrConfig, Scorer, init_params, load_params, score_gradients
@@ -282,6 +282,60 @@ class TestTrain:
 
     def test_batch_size_constant(self):
         assert BATCH_SIZE == 32
+
+
+class TestFeatureCache:
+    def test_train_keeps_only_judged_training_and_validation_pairs(self, small_synth, tmp_path,
+                                                                   monkeypatch, caplog):
+        data, idf = small_synth
+        scorers, first_batch = [], []
+
+        class Recording(Scorer):
+            def __init__(self, *args):
+                super().__init__(*args)
+                scorers.append(self)
+
+        def recording_batch(scorer, triples):
+            first_batch.append(len(caplog.records))
+            return train_batch(scorer, triples)
+
+        monkeypatch.setattr(training, "Scorer", Recording)
+        monkeypatch.setattr(training, "train_batch", recording_batch)
+        with caplog.at_level("INFO", logger="pacrr.training"):
+            run_training(data, idf, tmp_path, iterations=2, batches=2)
+        [scorer] = scorers
+        train_ids = set(data.train_query_ids)
+        judged = {key for key in data.qrels.entries if key[0] in train_ids}
+        val = {(qid, did) for qid in data.val_query_ids for did in data.runs[qid].doc_ids()}
+        assert val <= set(scorer._distilled) <= judged | val
+        assert scorer._keep == judged | val
+        # The bound is logged once, before the first batch.
+        bound = [i for i, r in enumerate(caplog.records) if "feature cache" in r.getMessage()]
+        assert bound == [0] and first_batch[0] == 1
+        assert caplog.records[0].levelname == "INFO"
+        assert caplog.records[0].getMessage() == (
+            f"feature cache holds at most {len(judged | val)} pairs: {len(judged)} judged "
+            f"training pairs and {len(val)} validation pairs")
+
+    def test_each_pair_train_scores_is_distilled_once(self, small_synth, tmp_path,
+                                                      monkeypatch):
+        # Every pair scored again is kept, so `train` distils once per
+        # distinct pair, as when every pair was kept.
+        data, idf = small_synth
+        looked_up, distilled = [], []
+        lookup, distill = Scorer.distilled, model.distill
+
+        def counted_lookup(self, query_id, doc_id):
+            looked_up.append((query_id, doc_id))
+            return lookup(self, query_id, doc_id)
+
+        monkeypatch.setattr(Scorer, "distilled", counted_lookup)
+        monkeypatch.setattr(model, "distill", lambda *args: distilled.append(args) or
+                            distill(*args))
+        run_training(data, idf, tmp_path, iterations=3, batches=4)
+        assert len(looked_up) == 3 * (4 * 2 * BATCH_SIZE + sum(
+            len(data.runs[qid].entries) for qid in data.val_query_ids))
+        assert len(distilled) == len(set(looked_up)) < len(looked_up)
 
 
 class TestTrainBatch:
