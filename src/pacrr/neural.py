@@ -5,7 +5,8 @@ function consumes the cache plus the upstream gradient and produces exact
 gradients for inputs and parameters (parameters only for conv2d, whose input
 is never trained). The piecewise-linear ops (rectification, max pooling,
 hinge) are differentiable away from ties and kinks. `pacrr.gradcheck`
-checks every backward function against central finite differences.
+checks every backward function against central finite differences, one
+entry of its `OP_CHECKS` table per differentiable forward function.
 
 conv2d folds its bias into the im2col matmul as the last kernel column
 (against a last im2col row of ones) and returns the pre-activation; the

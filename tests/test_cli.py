@@ -178,12 +178,17 @@ class TestCliCommands:
         assert not (tmp_path / "out").exists()
 
     def test_gradcheck_passes(self, capsys):
-        assert main(["gradcheck"]) == 0
-        out = capsys.readouterr().out
-        for op in ("conv2d", "max_over_filters", "kmax_per_row", "softmax",
-                   "recurrent_sequence", "hinge_loss", "pipeline_firstk",
-                   "pipeline_kwindow"):
-            assert op in out
+        # Each check draws the same inputs at every seed, so the lines, their
+        # order and their counts are fixed.
+        expected = [("conv2d", "15"), ("max_over_filters", "60"), ("kmax_per_row", "28"),
+                    ("softmax", "5"), ("recurrent_sequence", "43"), ("hinge_loss", "2"),
+                    ("pipeline_firstk", "96"), ("pipeline_kwindow", "96")]
+        for seed in ("0", "42"):
+            assert main(["--seed", seed, "gradcheck"]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert [line.split(":")[0] for line in lines] == [name for name, _ in expected]
+            for line, (name, checked) in zip(lines, expected):
+                assert f" checked={checked} excluded=0 [ok]" in line, (seed, line)
 
     def test_gradcheck_deterministic(self, capsys):
         reports = []
@@ -526,10 +531,27 @@ class TestCliCommands:
         from pacrr import cli
         from pacrr.gradcheck import GradCheckResult
 
-        monkeypatch.setattr(cli, "gradcheck_report", lambda seed: {
-            "conv2d": GradCheckResult(max_rel_error=0.5, checked=10, excluded=0)})
+        # A large error fails, and so does a check that checked nothing.
+        for result in (GradCheckResult(max_rel_error=0.5, checked=10, excluded=0),
+                       GradCheckResult(max_rel_error=0.0, checked=0, excluded=0)):
+            monkeypatch.setattr(cli, "gradcheck_report", lambda seed: {"conv2d": result})
+            assert main(["gradcheck"]) == 3
+            assert "FAIL" in capsys.readouterr().out
+
+    def test_gradcheck_fails_on_a_nan_gradient(self, monkeypatch, capsys):
+        from pacrr import neural
+
+        backward = neural.recurrent_backward
+
+        def nan_d_w(*args):
+            d_xs, d_w, d_u, d_b = backward(*args)
+            return d_xs, d_w * float("nan"), d_u, d_b
+
+        monkeypatch.setattr(neural, "recurrent_backward", nan_d_w)
         assert main(["gradcheck"]) == 3
-        assert "FAIL" in capsys.readouterr().out
+        failed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
+                  if line.endswith("[FAIL]")]
+        assert failed == ["recurrent_sequence", "pipeline_firstk", "pipeline_kwindow"]
 
     def test_train_is_deterministic(self, synth_dir, tmp_path):
         cfg = load_run_config(synth_dir / "config.txt")

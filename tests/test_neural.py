@@ -312,6 +312,20 @@ class TestGradientCheck:
         assert result.excluded == 2
         assert result.checked == 0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_gradient_fails(self, bad):
+        def f(flat):
+            return float(flat @ flat), b""
+
+        result = gradient_check(f, np.array([3.0, 1.0]), np.array([bad, 2.0]))
+        assert result.max_rel_error == math.inf
+        assert result.checked == 2
+
+    def test_non_finite_value_fails(self):
+        result = gradient_check(lambda flat: (math.nan, b""), np.array([1.0]), np.array([0.0]))
+        assert result.max_rel_error == math.inf
+        assert result.checked == 1
+
     def test_result_type(self):
         def f(flat):
             return float(flat[0] ** 2), b""
