@@ -1,7 +1,9 @@
 """Ingestion of corpora, queries, judgments, run files, and word embeddings.
 
-All loaders are pure functions over their input files; the returned
-structures are treated as immutable once built.
+Each loader returns what its input file holds, and the returned structures
+are treated as immutable once built. Of the loaders, only `load_embeddings`
+writes: it keeps a binary sidecar of the table it parsed beside the text,
+so a later load of the unchanged text reads that in place of parsing it.
 """
 
 from __future__ import annotations
@@ -9,6 +11,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
+import struct
+import zlib
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -235,12 +240,100 @@ def load_run(path) -> dict[str, RunRanking]:
     return {qid: RunRanking(qid, entries) for qid, entries in grouped.items()}
 
 
+# Embeddings sidecar `.<name>.pacrrvec` (all integers little-endian):
+#   magic "PACRRVEC1"
+#   u64 text length | u32 text CRC-32   (the key of the text it was parsed from)
+#   u64 count | u64 dim
+#   the count tokens in file order, UTF-8, joined by "\n"
+#   count x dim float64 little-endian values, one row per token
+#   u32 CRC-32 of everything above
+SIDECAR_MAGIC = b"PACRRVEC1"
+_SIDECAR_HEAD = struct.Struct("<9sQIQQ")
+_KEY_CHUNK = 1 << 20
+
+
 def load_embeddings(path) -> EmbeddingTable:
     """Load whitespace-delimited word vectors; an optional first line may hold
     the `count dim` header, which must then agree with the vectors read. A
     first line of exactly two integers is always that header, so a 1-dim
     file whose first token is an integer needs one. A token listed twice is
-    a DataError."""
+    a DataError.
+
+    A regular file is keyed by its byte length and CRC-32. The table comes
+    from the sidecar `.<name>.pacrrvec` beside it when that holds the same
+    key and checks out whole; otherwise the text is parsed and the sidecar
+    written, unless the directory refuses it. Both give the same table."""
+    key = _text_key(path)
+    if key is None:
+        return _parse_embeddings(path)
+    sidecar = Path(path).with_name(f".{Path(path).name}.pacrrvec")
+    table = _read_sidecar(sidecar, key)
+    if table is None:
+        table = _parse_embeddings(path)
+        try:
+            _write_sidecar(sidecar, key, table)
+        except OSError:
+            pass  # the next load parses again
+    return table
+
+
+def _text_key(path) -> tuple[int, int] | None:
+    """(byte length, CRC-32) of a regular file, read in 1 MiB chunks; None
+    for any other path, or one that cannot be read."""
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None
+        length = crc = 0
+        chunk = bytearray(_KEY_CHUNK)
+        view = memoryview(chunk)
+        with open(path, "rb") as f:
+            while n := f.readinto(chunk):
+                length += n
+                crc = zlib.crc32(view[:n], crc)
+    except OSError:
+        return None
+    return length, crc
+
+
+def _read_sidecar(path, key) -> EmbeddingTable | None:
+    """The table a sidecar holds for text of this key; None unless its magic,
+    key, size and CRC match, its tokens are `count` distinct ones and every
+    value is finite. The rows are views of one (count, dim) matrix."""
+    try:
+        with open(path, "rb") as f:
+            head = f.read(_SIDECAR_HEAD.size)
+            magic, length, text_crc, count, dim = _SIDECAR_HEAD.unpack(head)
+            n_token_bytes = os.fstat(f.fileno()).st_size - len(head) - 8 * count * dim - 4
+            if (magic != SIDECAR_MAGIC or (length, text_crc) != key or n_token_bytes < 0
+                    or not count * dim):
+                return None
+            token_bytes = f.read(n_token_bytes)
+            matrix = np.empty((count, dim), dtype="<f8")
+            f.readinto(matrix)
+            crc = zlib.crc32(matrix, zlib.crc32(token_bytes, zlib.crc32(head)))
+            if f.read() != struct.pack("<I", crc):
+                return None
+        tokens = token_bytes.decode("utf-8").split("\n")
+    except (OSError, struct.error, UnicodeDecodeError):
+        return None
+    vectors = dict(zip(tokens, matrix))
+    if len(tokens) != count or len(vectors) != count or not np.isfinite(matrix).all():
+        return None
+    return EmbeddingTable(dim=dim, vectors=vectors)
+
+
+def _write_sidecar(path, key, table: EmbeddingTable) -> None:
+    parts = [_SIDECAR_HEAD.pack(SIDECAR_MAGIC, *key, len(table), table.dim),
+             "\n".join(table.vectors).encode("utf-8"),
+             *(np.asarray(v, dtype="<f8") for v in table.vectors.values())]
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    write_atomic(path, *parts, struct.pack("<I", crc))
+
+
+def _parse_embeddings(path) -> EmbeddingTable:
+    """The text parse of `load_embeddings`, with every check."""
     vectors: dict[str, np.ndarray] = {}
     first_line: dict[str, int] = {}
     dim = header = None
@@ -295,15 +388,15 @@ def compute_idf(corpus: list[TokenizedDocument]) -> IdfTable:
 # ---------------------------------------------------------------------------
 # Writers (round-trip counterparts of the loaders; also used by `synth`).
 
-def write_atomic(path, data: bytes) -> None:
-    """Write through a temp file in the same directory and `os.replace`, so
-    the path holds either its old bytes or all of the new ones. A failure
-    raises an OSError that names the path."""
+def write_atomic(path, *chunks) -> None:
+    """Write the bytes-like chunks, in order, through a temp file in the same
+    directory and `os.replace`, so the path holds either its old bytes or
+    all of the new ones. A failure raises an OSError that names the path."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with tmp.open("wb") as f:
-            f.write(data)
+            f.writelines(chunks)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)

@@ -440,6 +440,26 @@ class TestCliCommands:
         assert (out / "reranked_run.txt").read_text() == "old\n"
         assert [p.name for p in out.iterdir()] == ["reranked_run.txt"]
 
+    def test_second_rerank_reads_the_embeddings_sidecar(self, synth_dir, trained_checkpoint,
+                                                        tmp_path, monkeypatch):
+        cfg = load_run_config(synth_dir / "config.txt")
+        embeddings = tmp_path / "embeddings.txt"
+        embeddings.write_bytes((synth_dir / "embeddings.txt").read_bytes())
+        cfg.embeddings = str(embeddings)
+        config = tmp_path / "run.cfg"
+        write_run_config(cfg, config)
+        args = ["--config", str(config), "rerank", "--checkpoint", str(trained_checkpoint)]
+        assert main(["--out", str(tmp_path / "cold"), *args]) == 0
+        assert (tmp_path / ".embeddings.txt.pacrrvec").is_file()
+
+        def refuse_to_parse(path):
+            raise AssertionError(f"{path} was parsed")
+
+        monkeypatch.setattr("pacrr.corpus._parse_embeddings", refuse_to_parse)
+        assert main(["--out", str(tmp_path / "warm"), *args]) == 0
+        assert ((tmp_path / "warm" / "reranked_run.txt").read_bytes()
+                == (tmp_path / "cold" / "reranked_run.txt").read_bytes())
+
     def test_unwritable_out_is_an_io_error(self, synth_dir, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")

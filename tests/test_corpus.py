@@ -1,3 +1,4 @@
+import logging
 import math
 import os
 import tracemalloc
@@ -205,6 +206,103 @@ class TestLoadEmbeddings:
         np.testing.assert_array_equal(table.units,
                                       [[0.6, 0.8], [0.0, 0.0], [0.0, -1.0], [0.0, 0.0]])
         assert table.units is table.units
+
+
+def sidecar_of(path):
+    return path.with_name(f".{path.name}.pacrrvec")
+
+
+def assert_same_table(a, b):
+    assert a.dim == b.dim and list(a.vectors) == list(b.vectors)
+    for token, vec in a.vectors.items():
+        assert vec.dtype == b.vectors[token].dtype
+        assert vec.tobytes() == b.vectors[token].tobytes()
+    assert a.units.tobytes() == b.units.tobytes()
+
+
+def refuse_to_parse(path):
+    raise AssertionError(f"{path} was parsed")
+
+
+class TestEmbeddingsSidecar:
+    """`load_embeddings` keeps a `.<name>.pacrrvec` sidecar of the parsed
+    table, keyed by the text's length and CRC-32, and reads it only when it
+    checks out whole; every other case parses the text as before."""
+
+    TEXT = "3 2\nb 0.5 -1.25\na 1e-3 2\nzero 0 0\n"
+
+    def test_warm_load_equals_cold_load_and_does_not_parse(self, tmp_path, monkeypatch):
+        path = write(tmp_path, "e.txt", self.TEXT)
+        cold = load_embeddings(path)
+        assert sidecar_of(path).is_file()
+        monkeypatch.setattr("pacrr.corpus._parse_embeddings", refuse_to_parse)
+        warm = load_embeddings(path)
+        assert_same_table(warm, cold)
+        assert list(warm.vectors) == ["b", "a", "zero"]
+
+    def test_text_of_the_same_length_and_mtime_is_parsed_again(self, tmp_path, monkeypatch):
+        path = write(tmp_path, "e.txt", self.TEXT)
+        load_embeddings(path)
+        before = os.stat(path)
+        write(tmp_path, "e.txt", self.TEXT.replace("0.5", "0.7"))
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert os.stat(path).st_size == before.st_size
+        table = load_embeddings(path)
+        np.testing.assert_array_equal(table.vectors["b"], [0.7, -1.25])
+        monkeypatch.setattr("pacrr.corpus._parse_embeddings", refuse_to_parse)
+        assert_same_table(load_embeddings(path), table)
+
+    def test_every_bit_flip_and_truncation_of_the_sidecar_is_rewritten(self, tmp_path):
+        path = write(tmp_path, "e.txt", self.TEXT)
+        parsed = load_embeddings(path)
+        good = sidecar_of(path).read_bytes()
+        damaged = [good[:n] for n in range(len(good))]
+        for pos in range(len(good)):
+            for bit in range(8):
+                flipped = bytearray(good)
+                flipped[pos] ^= 1 << bit
+                damaged.append(bytes(flipped))
+        for data in damaged:
+            sidecar_of(path).write_bytes(data)
+            assert_same_table(load_embeddings(path), parsed)
+            assert sidecar_of(path).read_bytes() == good
+
+    def test_failed_sidecar_write_is_silent(self, tmp_path, monkeypatch, caplog, capsys):
+        path = write(tmp_path, "e.txt", self.TEXT)
+        parsed = load_embeddings(path)
+        sidecar_of(path).unlink()
+
+        def fail(src, dst):
+            raise OSError("read-only file system")
+
+        monkeypatch.setattr("pacrr.corpus.os.replace", fail)
+        with caplog.at_level(logging.DEBUG):
+            assert_same_table(load_embeddings(path), parsed)
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("text", ["3 2\nb 0.5 -1.25\na 1e-3\nzero 0 0\n",
+                                      "3 2\nb 0.5 -1.25\na 1e-3 nan\nzero 0 0\n",
+                                      "3 2\nb 0.5 -1.25\nb 1e-3 2\nzero 0 0\n",
+                                      "4 2\nb 0.5 -1.25\na 1e-3 2\nzero 0 0\n",
+                                      "3 2\nb 0.5 -1.25\na 1e-3 2\n\xe9 0 0\n"],
+                             ids=["dim", "non-finite", "listed-again", "header", "utf-8"])
+    def test_text_made_invalid_raises_what_it_raises_without_a_sidecar(self, tmp_path,
+                                                                       text):
+        path = write(tmp_path, "e.txt", self.TEXT)
+        load_embeddings(path)
+        if text.isascii():
+            write(tmp_path, "e.txt", text)
+        else:
+            path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(DataError) as with_sidecar:
+            load_embeddings(path)
+        sidecar_of(path).unlink()
+        with pytest.raises(DataError) as without:
+            load_embeddings(path)
+        assert str(with_sidecar.value) == str(without.value)
+        assert not sidecar_of(path).exists()
 
 
 @pytest.mark.parametrize("loader", [load_corpus, load_queries, load_qrels, load_run,

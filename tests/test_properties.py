@@ -1,18 +1,19 @@
 """Properties: any bytes given to a loader either load or raise DataError
 (CheckpointError is a DataError), never another exception; a saved
 corpus or query file loads back equal, with one object per distinct
-token; k-max pooling equals its oracles on tie-heavy rows; the pooling
-backward ops route each k-max survivor to the first maximal filter, and
-pass its gradient only where the rectified filter max is positive, as a
-loop reference does; scoring and its gradients equal, byte for byte, a
-full-width reference with a rectifier per filter, whatever the width of
-the zero tail; kwindow distillation equals its argsort reference byte
-for byte; the recurrence's backward pass equals its step-by-step
-reference byte for byte; pairwise label accuracy equals its hand-listed
-reference exactly; triple sampling draws only pairable positives, as the
-rejection sampler it replaced did whenever every positive can be paired;
-and the training set reads no judgment of a query outside the training
-ids."""
+token; an embeddings file loads the table its text holds, whatever bytes
+lie in its sidecar; k-max pooling equals its oracles on tie-heavy rows;
+the pooling backward ops route each k-max survivor to the first maximal
+filter, and pass its gradient only where the rectified filter max is
+positive, as a loop reference does; scoring and its gradients equal,
+byte for byte, a full-width reference with a rectifier per filter,
+whatever the width of the zero tail; kwindow distillation equals its
+argsort reference byte for byte; the recurrence's backward pass equals
+its step-by-step reference byte for byte; pairwise label accuracy equals
+its hand-listed reference exactly; triple sampling draws only pairable
+positives, as the rejection sampler it replaced did whenever every
+positive can be paired; and the training set reads no judgment of a
+query outside the training ids."""
 
 import struct
 import tempfile
@@ -120,6 +121,51 @@ def test_save_load_round_trip_shares_equal_tokens(record, save, load, token_list
     assert loaded == records
     tokens = [t for r in loaded for t in r.tokens]
     assert len({id(t) for t in tokens}) == len(set(tokens))
+
+
+EMBEDDINGS_TEXT = b"2 2\nb 0.5 -1.25\na 3 4\n"
+# The sidecar's magic and the key of EMBEDDINGS_TEXT: its length and CRC-32.
+SIDECAR_KEYED = b"PACRRVEC1" + struct.pack("<QI", len(EMBEDDINGS_TEXT),
+                                           zlib.crc32(EMBEDDINGS_TEXT))
+
+
+def _sidecar(tokens, rows, count=None) -> bytes:
+    """A CRC-valid sidecar keyed to EMBEDDINGS_TEXT that holds these tokens
+    and rows, with `count` in its header (default: the number of tokens)."""
+    rows = np.asarray(rows, dtype="<f8")
+    return _with_crc(SIDECAR_KEYED + struct.pack("<QQ", len(tokens) if count is None
+                                                 else count, rows.shape[1])
+                     + "\n".join(tokens).encode("utf-8") + rows.tobytes())
+
+
+def test_sidecar_helper_builds_what_load_embeddings_writes():
+    # So each example below fails only the check it is named for.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "e.txt"
+        path.write_bytes(EMBEDDINGS_TEXT)
+        load_embeddings(path)
+        written = (Path(tmp) / ".e.txt.pacrrvec").read_bytes()
+    assert written == _sidecar(["b", "a"], [[0.5, -1.25], [3.0, 4.0]])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.one_of(st.binary(max_size=200),
+                      st.binary(max_size=120).map(lambda b: _with_crc(SIDECAR_KEYED + b)),
+                      st.binary(max_size=120).map(lambda b: SIDECAR_KEYED + b)))
+@example(data=_sidecar(["b", "a"], [[0.5, -1.25], [3.0, 4.0]])[:-1])
+@example(data=_sidecar(["b", "a"], [[0.5, -1.25], [np.nan, 4.0]]))
+@example(data=_sidecar(["b", "b"], [[0.5, -1.25], [3.0, 4.0]]))
+@example(data=_sidecar(["x", "b", "a"], [[0.5, -1.25], [3.0, 4.0]], count=2))
+@example(data=_with_crc(SIDECAR_KEYED + struct.pack("<QQ", 2**63, 0) + b"b\na"))
+def test_any_sidecar_bytes_give_the_parsed_table(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "e.txt"
+        path.write_bytes(EMBEDDINGS_TEXT)
+        (Path(tmp) / ".e.txt.pacrrvec").write_bytes(data)
+        table = load_embeddings(path)
+    assert table.dim == 2 and list(table.vectors) == ["b", "a"]
+    np.testing.assert_array_equal(np.array(list(table.vectors.values())),
+                                  [[0.5, -1.25], [3.0, 4.0]])
 
 
 # Few distinct values, signed zeros among them, so that most rows hold ties.
