@@ -329,9 +329,6 @@ class Scorer:
         return score(self.params, self.config, self.distilled(query_id, doc_id),
                      self._query_idf[query_id])
 
-    def score(self, query_id: str, doc_id: str) -> float:
-        return self.score_with_cache(query_id, doc_id)[0]
-
     def score_docs(self, query_id: str, doc_ids) -> tuple[dict[str, float], list[str]]:
         """Scores for the given documents; unknown doc ids are skipped and
         returned separately."""
@@ -339,7 +336,7 @@ class Scorer:
         missing: list[str] = []
         for did in doc_ids:
             if did in self.docs:
-                scores[did] = self.score(query_id, did)
+                scores[did] = self.score_with_cache(query_id, did)[0]
             else:
                 missing.append(did)
         return scores, missing

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import evaluation, neural
 from .corpus import JudgmentSet, RunRanking
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .model import (PacrrConfig, PacrrParams, Scorer, init_params, load_params,
                     save_params, score_gradients)
 
@@ -140,6 +140,14 @@ def _validation_metrics(scorer: Scorer, val_docs: dict[str, list[str]],
     return report.mean_err, report.mean_ndcg
 
 
+def _first_run_file(out_dir: Path) -> Path | None:
+    """The first file of an earlier training run in `out_dir`, or None."""
+    for path in (out_dir / "training_log.jsonl", out_dir / "best.pacrr"):
+        if path.exists():
+            return path
+    return min((out_dir / "checkpoints").glob("iter_*"), default=None)
+
+
 def train(config: PacrrConfig, docs, queries, qrels: JudgmentSet,
           train_query_ids, val_query_ids, val_runs: dict[str, RunRanking],
           embeddings, idf, *, iterations: int, batches_per_iteration: int,
@@ -150,7 +158,9 @@ def train(config: PacrrConfig, docs, queries, qrels: JudgmentSet,
     triples, saves a checkpoint, and re-ranks the validation runs; the
     checkpoint with the highest validation ERR@K is returned. Checkpoint
     paths in the log are relative to `out_dir`, which is created only once
-    every input has been checked.
+    every input has been checked. An `out_dir` that already holds a run's
+    log, `best.pacrr` or a checkpoint is refused, and nothing in it is
+    touched.
     """
     if iterations < 1 or batches_per_iteration < 1:
         raise ValueError("iterations and batches_per_iteration must be >= 1")
@@ -164,6 +174,11 @@ def train(config: PacrrConfig, docs, queries, qrels: JudgmentSet,
         absent = [qid for qid in ids if qid not in known]
         if absent:
             raise DataError(f"{role} query ids missing from the query file: {absent}")
+    out_dir = Path(out_dir)
+    used = _first_run_file(out_dir)
+    if used is not None:
+        raise ConfigError(f"output directory {out_dir} already holds a training run "
+                          f"({used}); train into a new directory")
 
     doc_ids = {d.doc_id for d in docs}
     train_ids = set(train_query_ids)
@@ -191,7 +206,6 @@ def train(config: PacrrConfig, docs, queries, qrels: JudgmentSet,
     rng = np.random.default_rng([config.seed, 1])
     state = TrainState()
 
-    out_dir = Path(out_dir)
     (out_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
     with (out_dir / "training_log.jsonl").open("w", encoding="utf-8") as log_file:
         for iteration in range(1, iterations + 1):

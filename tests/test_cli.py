@@ -582,3 +582,107 @@ class TestCliCommands:
             assert main(["--config", str(path), "train"]) == 0
         assert (tmp_path / "r1" / "training_log.jsonl").read_bytes() == \
             (tmp_path / "r2" / "training_log.jsonl").read_bytes()
+
+
+def _tree(root: Path) -> dict[str, bytes | None]:
+    """Every path under `root`: a file's bytes, None for a directory."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None
+            for p in sorted(root.rglob("*"))}
+
+
+@pytest.fixture(scope="module")
+def small_train(tmp_path_factory):
+    """A `synth --docs 40` config trained 2 iterations x 1 batch, and the
+    tree of that uninterrupted run."""
+    root = tmp_path_factory.mktemp("small-train")
+    assert main(["--out", str(root / "data"), "synth", "--docs", "40"]) == 0
+    cfg = load_run_config(root / "data" / "config.txt")
+    cfg.iterations = 2
+    cfg.batches_per_iteration = 1
+    config = root / "run.cfg"
+    write_run_config(cfg, config)
+    assert main(["--config", str(config), "--out", str(root / "ref"), "train"]) == 0
+    return config, _tree(root / "ref")
+
+
+class TestTrainOutputDirectory:
+    RUN_FILES = ["checkpoints/iter_0001.pacrr", "checkpoints/iter_0002.pacrr",
+                 "training_log.jsonl", "best.pacrr"]
+
+    def test_reference_run_writes_the_run_files(self, small_train):
+        _, ref = small_train
+        assert sorted(ref) == sorted(["checkpoints", *self.RUN_FILES])
+        assert ref["training_log.jsonl"].count(b"\n") == 2
+
+    def test_second_train_into_the_same_directory_exits_1_and_keeps_the_first(
+            self, small_train, tmp_path, capsys):
+        config, _ = small_train
+        out = tmp_path / "out"
+        args = ["--config", str(config), "--out", str(out), "train"]
+        assert main(args) == 0
+        first = _tree(out)
+        capsys.readouterr()
+        assert main(args) == 1
+        assert capsys.readouterr().err == (
+            f"config error: output directory {out} already holds a training run "
+            f"({out / 'training_log.jsonl'}); train into a new directory\n")
+        assert _tree(out) == first
+
+    @pytest.mark.parametrize("name", ["training_log.jsonl", "best.pacrr",
+                                      "checkpoints/iter_0007.pacrr"])
+    def test_any_run_file_is_refused_and_nothing_is_written(self, small_train, tmp_path,
+                                                            capsys, name):
+        config, _ = small_train
+        out = tmp_path / "out"
+        (out / name).parent.mkdir(parents=True)
+        (out / name).write_bytes(b"earlier run")
+        before = _tree(out)
+        assert main(["--config", str(config), "--out", str(out), "train"]) == 1
+        assert f"({out / name})" in capsys.readouterr().err
+        assert _tree(out) == before
+
+    def test_directory_of_unrelated_files_still_trains(self, small_train, tmp_path):
+        config, ref = small_train
+        out = tmp_path / "out"
+        (out / "checkpoints").mkdir(parents=True)
+        (out / "notes.txt").write_bytes(b"mine")
+        (out / "checkpoints" / "old.pacrr").write_bytes(b"mine too")
+        assert main(["--config", str(config), "--out", str(out), "train"]) == 0
+        assert _tree(out) == {**ref, "notes.txt": b"mine", "checkpoints/old.pacrr": b"mine too"}
+
+    @pytest.mark.parametrize("target, iterations_done", [
+        ("checkpoints/iter_0001.pacrr", 0), ("checkpoints/iter_0002.pacrr", 1),
+        ("best.pacrr", 2)])
+    def test_failed_write_exits_2_leaving_a_prefix_of_the_run(self, small_train, tmp_path,
+                                                              monkeypatch, capsys, target,
+                                                              iterations_done):
+        config, ref = small_train
+        out = tmp_path / "out"
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if Path(dst) == out / target:
+                raise OSError("injected")
+            real_replace(src, dst)
+
+        monkeypatch.setattr("pacrr.corpus.os.replace", replace)
+        assert main(["--config", str(config), "--out", str(out), "train"]) == 2
+        assert capsys.readouterr().err == f"I/O error: cannot write {out / target}: injected\n"
+        left = _tree(out)
+        assert sorted(left) == sorted(["checkpoints", "training_log.jsonl",
+                                       *self.RUN_FILES[:iterations_done]])
+        for name in self.RUN_FILES[:iterations_done]:
+            assert left[name] == ref[name], name
+        lines = ref["training_log.jsonl"].splitlines(keepends=True)
+        assert left["training_log.jsonl"] == b"".join(lines[:iterations_done])
+
+
+def test_importing_pacrr_makes_no_ctypes_call():
+    # The library sets no process-wide state, such as allocator thresholds,
+    # through ctypes; numpy, which uses ctypes itself, is imported first.
+    proc = run_bounded("import sys\nimport numpy\nevents = []\n"
+                       "sys.addaudithook(lambda event, args: event.startswith('ctypes')"
+                       " and events.append(event))\n"
+                       "import pacrr\nprint(events)", 1 << 30, 60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -268,7 +268,8 @@ class TestPipelineInvariants:
                           [TokenizedDocument("d", base_tokens)], emb, idf)
         scorer_b = Scorer(config, params, [query],
                           [TokenizedDocument("d", mutated)], emb, idf)
-        assert scorer_a.score("q", "d") == scorer_b.score("q", "d")
+        assert (scorer_a.score_with_cache("q", "d")[0]
+                == scorer_b.score_with_cache("q", "d")[0])
 
     def test_kwindow_block_swap_outside_selection(self):
         # l_g=2: swapping two unselected 2-term windows (whose columns are
@@ -485,8 +486,8 @@ class TestScorer:
         scorer = self._fixtures(tiny_config())
         with caplog.at_level("WARNING", logger="pacrr.model"):
             scores = scorer.score_runs({"q1": ["d1", "nope", "d2"], "q-unknown": ["d1"]})
-        assert scores == {"q1": {"d1": scorer.score("q1", "d1"),
-                                 "d2": scorer.score("q1", "d2")}}
+        assert scores == {"q1": {"d1": scorer.score_with_cache("q1", "d1")[0],
+                                 "d2": scorer.score_with_cache("q1", "d2")[0]}}
         [record] = caplog.records
         assert "1 query ids not in the query file" in record.getMessage()
         assert "1 documents not in the corpus" in record.getMessage()
@@ -574,8 +575,8 @@ class TestScorer:
         mapped = []
         token_ids = scorer.token_ids
         scorer.token_ids = lambda tokens: mapped.append(tuple(tokens)) or token_ids(tokens)
-        scorer.score("q1", "d")
-        scorer.score("q2", "d")
+        scorer.score_with_cache("q1", "d")
+        scorer.score_with_cache("q2", "d")
         assert mapped == [doc.tokens]
 
     def test_query_truncated_to_l_q(self):
@@ -587,7 +588,7 @@ class TestScorer:
         scorer = Scorer(config, init_params(config), [long_query],
                         [TokenizedDocument("d", ("t0",))], emb, idf)
         assert len(scorer.queries["q"].tokens) == config.l_q
-        assert np.isfinite(scorer.score("q", "d"))
+        assert np.isfinite(scorer.score_with_cache("q", "d")[0])
 
     def test_truncation_warned_once_with_ids(self, caplog):
         config = tiny_config()
