@@ -127,8 +127,9 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
 
 def run_config_text(config: RunConfig) -> str:
     """The text `write_run_config` writes: one `key = value` line per set
-    key. Raises ConfigError for a value holding whitespace followed by '#',
-    which `load_run_config` refuses as a trailing comment."""
+    key. Raises ConfigError, naming the key, for a value `load_run_config`
+    would not read back unchanged: one holding whitespace followed by '#'
+    (a trailing comment), a line break, or leading or trailing whitespace."""
     lines = []
     for f in fields(RunConfig):
         value = getattr(config, f.name)
@@ -136,11 +137,15 @@ def run_config_text(config: RunConfig) -> str:
         for key, item in items:
             if item is None:
                 continue
-            line = f"{key} = {item}"
-            if _TRAILING_COMMENT.search(line.partition("=")[2]):
+            text = str(item)
+            if _TRAILING_COMMENT.search(f" {text}"):
                 raise ConfigError(f"{key} value {item!r} holds whitespace followed by '#', "
                                   "which a config file reads as a trailing comment")
-            lines.append(line)
+            if text != text.strip() or len(text.splitlines()) > 1:
+                raise ConfigError(f"{key} value {item!r} holds a line break or leading or "
+                                  "trailing whitespace, which a config file does not read "
+                                  "back")
+            lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"
 
 

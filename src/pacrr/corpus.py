@@ -15,7 +15,7 @@ import stat
 import struct
 import zlib
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
@@ -42,36 +42,25 @@ class Query:
 
 @dataclass
 class JudgmentSet:
-    """Graded judgments keyed by (query_id, doc_id).
+    """Graded judgments: per query, its judged doc ids in the order they
+    were read, each with its canonical grade. Every grade is checked here."""
 
-    `load_qrels` passes the per-query index it builds while it reads, over
-    grades it has checked; without one, the grades are checked and the
-    index is built here."""
-
-    entries: dict[tuple[str, str], int]
-    _by_query: dict[str, dict[str, int]] | None = field(default=None, repr=False,
-                                                        compare=False)
+    by_query: dict[str, dict[str, int]]
 
     def __post_init__(self):
-        if self._by_query is not None:
+        grades = set().union(*map(dict.values, self.by_query.values()))
+        if grades.issubset(CANONICAL_GRADES):
             return
-        self._by_query = {}
-        for (qid, did), grade in self.entries.items():
-            if grade not in CANONICAL_GRADES:
-                raise DataError(f"grade {grade} for ({qid}, {did}) is not on the canonical scale")
-            self._by_query.setdefault(qid, {})[did] = grade
-
-    def grade(self, query_id: str, doc_id: str, default=None):
-        return self.entries.get((query_id, doc_id), default)
+        qid, did, grade = next((qid, did, grade) for qid, judged in self.by_query.items()
+                               for did, grade in judged.items()
+                               if grade not in CANONICAL_GRADES)
+        raise DataError(f"grade {grade} for ({qid}, {did}) is not on the canonical scale")
 
     def for_query(self, query_id: str) -> dict[str, int]:
-        return self._by_query.get(query_id, {})
+        return self.by_query.get(query_id, {})
 
     def query_ids(self) -> list[str]:
-        return sorted(self._by_query)
-
-    def __len__(self):
-        return len(self.entries)
+        return sorted(self.by_query)
 
 
 @dataclass
@@ -207,7 +196,6 @@ def load_qrels(path, grade_map: dict[int, int] | None = None) -> JudgmentSet:
     if grade_map:
         mapping.update(grade_map)
     shared: dict[str, str] = {}
-    entries: dict[tuple[str, str], int] = {}
     by_query: dict[str, dict[str, int]] = {}
     for lineno, (qid, _, did, raw) in _rows(path, 4):
         try:
@@ -216,14 +204,12 @@ def load_qrels(path, grade_map: dict[int, int] | None = None) -> JudgmentSet:
             raise DataError(f"{path}:{lineno}: grade {raw!r} is not an integer") from None
         if raw_grade not in mapping:
             raise DataError(f"{path}:{lineno}: raw grade {raw_grade} has no mapping")
-        key = qid, did = shared.setdefault(qid, qid), shared.setdefault(did, did)
-        if key in entries:
+        judged = by_query.setdefault(qid, {})
+        did = shared.setdefault(did, did)
+        if did in judged:
             raise DataError(f"{path}:{lineno}: duplicate judgment for ({qid}, {did})")
-        entries[key] = by_query.setdefault(qid, {})[did] = mapping[raw_grade]
-    if all(grade in CANONICAL_GRADES for grade in mapping.values()):
-        return JudgmentSet(entries, by_query)
-    # JudgmentSet names the first judgment whose grade is off the scale.
-    return JudgmentSet(entries)
+        judged[did] = mapping[raw_grade]
+    return JudgmentSet(by_query)
 
 
 def load_run(path) -> dict[str, RunRanking]:
@@ -419,8 +405,8 @@ def save_queries(queries: list[Query], path) -> None:
 
 
 def save_qrels(qrels: JudgmentSet, path) -> None:
-    write_atomic(path, "".join(f"{qid} 0 {did} {grade}\n"
-                               for (qid, did), grade in sorted(qrels.entries.items())
+    write_atomic(path, "".join(f"{qid} 0 {did} {grade}\n" for qid in qrels.query_ids()
+                               for did, grade in sorted(qrels.for_query(qid).items())
                                ).encode("utf-8"))
 
 

@@ -65,6 +65,8 @@ class PacrrConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if type(self.learning_rate) not in (int, float):
+            raise ValueError(f"learning_rate must be a number, got {self.learning_rate!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 

@@ -120,11 +120,8 @@ def generate(spec: SynthSpec) -> SynthData:
         planted.append(cls)
         docs.append(TokenizedDocument(f"d{di:04d}", tuple(tokens)))
 
-    entries = {}
-    for q in queries:
-        for d in docs:
-            entries[(q.query_id, d.doc_id)] = planted_grade(q.tokens, d.tokens)
-    qrels = JudgmentSet(entries)
+    qrels = JudgmentSet({q.query_id: {d.doc_id: planted_grade(q.tokens, d.tokens)
+                                      for d in docs} for q in queries})
 
     runs = {}
     for q in queries:

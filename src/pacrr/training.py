@@ -182,18 +182,23 @@ def train(config: PacrrConfig, docs, queries, qrels: JudgmentSet,
 
     doc_ids = {d.doc_id for d in docs}
     train_ids = set(train_query_ids)
-    judged = {(qid, did): grade for qid in train_ids
-              for did, grade in qrels.for_query(qid).items() if did in doc_ids}
     val_docs = {qid: [did for did, _, _ in val_runs[qid].entries if did in doc_ids]
                 for qid in val_query_ids}
     # Batches score judged training pairs and validation passes score
     # `val_docs`: the only pairs scored again, and so the only ones whose
     # features the scorer keeps, a bound known before the first batch.
     val_pairs = {(qid, did) for qid, kept in val_docs.items() for did in kept}
-    keep = judged.keys() | val_pairs
+    judged: dict[str, dict[str, int]] = {}
+    keep = set(val_pairs)
+    absent = 0
+    for qid in train_ids:
+        judged[qid] = {did: grade for did, grade in qrels.for_query(qid).items()
+                       if did in doc_ids}
+        absent += len(qrels.for_query(qid)) - len(judged[qid])
+        keep.update((qid, did) for did in judged[qid])
+    n_judged = sum(map(len, judged.values()))
     params = init_params(config)
     scorer = Scorer(config, params, queries, docs, embeddings, idf, keep)
-    absent = sum(len(qrels.for_query(qid)) for qid in train_ids) - len(judged)
     groups = build_groups(JudgmentSet(judged), train_ids)
     val_absent = sum(len(val_runs[qid].entries) - len(kept) for qid, kept in val_docs.items())
     if absent or groups.unpaired or val_absent:
@@ -202,7 +207,7 @@ def train(config: PacrrConfig, docs, queries, qrels: JudgmentSet,
                        "validation-run documents not in the corpus",
                        absent, groups.unpaired, val_absent)
     logger.info("feature cache holds at most %d pairs: %d judged training pairs and "
-                "%d validation pairs", len(keep), len(judged), len(val_pairs))
+                "%d validation pairs", len(keep), n_judged, len(val_pairs))
     rng = np.random.default_rng([config.seed, 1])
     state = TrainState()
 

@@ -402,9 +402,8 @@ def reference_groups(qrels, train_query_ids):
     positive left out for want of a negative."""
     train_ids = set(train_query_ids)
     highly, relevant, non_relevant = {}, {}, {}
-    for (qid, did), grade in sorted(qrels.entries.items()):
-        if qid not in train_ids:
-            continue
+    for qid, did, grade in sorted((qid, did, grade) for qid in train_ids
+                                  for did, grade in qrels.for_query(qid).items()):
         if grade > 1:
             highly.setdefault(qid, []).append(did)
         elif grade == 1:

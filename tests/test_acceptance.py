@@ -244,8 +244,8 @@ def test_criterion_7_sampling_fidelity():
         high_count = 0
         for _ in range(draws):
             triple = training.sample_triple(rng, groups)
-            pos = data.qrels.grade(triple.query_id, triple.pos_doc_id)
-            neg = data.qrels.grade(triple.query_id, triple.neg_doc_id)
+            judged = data.qrels.for_query(triple.query_id)
+            pos, neg = judged[triple.pos_doc_id], judged[triple.neg_doc_id]
             assert pos > neg
             if pos > 1:
                 high_count += 1

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -140,16 +141,24 @@ class TestCliCommands:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
-    def test_synth_out_dir_its_config_cannot_hold_exits_1_writing_nothing(self, tmp_path,
-                                                                          capsys):
-        # The written config's paths would hold " #", which its reader refuses.
-        out = tmp_path / "sy #1"
-        assert main(["--out", str(out), "synth", "--docs", "40"]) == 1
+    @pytest.mark.parametrize("name, message", [
+        ("sy #1", "trailing comment"),
+        ("sy\nx", "line break"),
+        ("sy\u2028x", "line break"),
+        (" sy", "leading or trailing whitespace"),
+    ], ids=["trailing-comment", "newline", "line-separator", "leading-space"])
+    def test_synth_out_dir_its_config_cannot_hold_exits_1_writing_nothing(
+            self, tmp_path, capsys, monkeypatch, name, message):
+        # The written config's paths would hold what its reader refuses or
+        # reads back changed.
+        monkeypatch.chdir(tmp_path)
+        assert main(["--out", name, "synth", "--docs", "40"]) == 1
         err = capsys.readouterr().err
-        assert "out_dir" in err and "trailing comment" in err
-        assert not out.exists()
-        with pytest.raises(ConfigError, match="out_dir"):
-            write_run_config(RunConfig(out_dir="x #y"), tmp_path / "c.cfg")
+        assert "out_dir" in err and message in err
+        assert list(tmp_path.iterdir()) == []
+        for value in (name, f"{name} "):
+            with pytest.raises(ConfigError, match=f"^out_dir value {re.escape(repr(value))}"):
+                write_run_config(RunConfig(out_dir=value), tmp_path / "c.cfg")
         assert not (tmp_path / "c.cfg").exists()
         write_run_config(RunConfig(run_tag="a#b", out_dir="x#y"), tmp_path / "c.cfg")
         assert load_run_config(tmp_path / "c.cfg").out_dir == "x#y"

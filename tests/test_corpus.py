@@ -69,11 +69,11 @@ def test_first_fault_in_the_file_is_reported(tmp_path, loader, id_field):
 class TestLoadQrels:
     def test_identity_mapping(self, tmp_path):
         qrels = load_qrels(write(tmp_path, "qrels.txt", "101 0 d7 2\n"))
-        assert qrels.grade("101", "d7") == 2
+        assert qrels.for_query("101") == {"d7": 2}
 
     def test_junk_grade(self, tmp_path):
         qrels = load_qrels(write(tmp_path, "qrels.txt", "101 0 d8 -2\n"))
-        assert qrels.grade("101", "d8") == -2
+        assert qrels.for_query("101") == {"d8": -2}
 
     def test_unknown_grade_without_mapping(self, tmp_path):
         with pytest.raises(DataError, match="no mapping"):
@@ -81,7 +81,7 @@ class TestLoadQrels:
 
     def test_grade_map(self, tmp_path):
         qrels = load_qrels(write(tmp_path, "qrels.txt", "101 0 d7 5\n"), {5: 4})
-        assert qrels.grade("101", "d7") == 4
+        assert qrels.for_query("101") == {"d7": 4}
 
     def test_duplicate_entry(self, tmp_path):
         with pytest.raises(DataError, match="duplicate"):
@@ -92,21 +92,27 @@ class TestLoadQrels:
         with pytest.raises(DataError, match=r"^grade 7 for \(101, d7\) is not on the canonical"):
             load_qrels(path, {5: 7})
         # A target off the scale that no line maps to is never read.
-        assert load_qrels(path, {5: 4, 6: 7}).grade("102", "d8") == 4
+        assert load_qrels(path, {5: 4, 6: 7}).for_query("102") == {"d8": 4}
+        # The first off the scale in index order: queries in the order first
+        # read, each one's documents in file order; here not the first line.
+        path = write(tmp_path, "qrels.txt", "q2 0 a 1\nq1 0 b 5\nq2 0 c 5\n")
+        with pytest.raises(DataError, match=r"^grade 7 for \(q2, c\) is not on the canonical"):
+            load_qrels(path, {5: 7})
 
     def test_directly_built_judgments_are_checked(self):
         with pytest.raises(DataError, match=r"^grade 5 for \(q, d\) is not on the canonical"):
-            JudgmentSet({("q", "a"): 1, ("q", "d"): 5})
+            JudgmentSet({"q": {"a": 1, "d": 5}})
 
     def test_index_built_while_reading_equals_the_checked_one(self, tmp_path):
+        # The one index: each query's documents in file order, queries sorted.
         path = write(tmp_path, "qrels.txt",
                      "q2 0 b 1\nq1 0 c 0\nq2 0 a -2\nq1 0 a 4\nq3 0 b 2\n")
         loaded = load_qrels(path)
-        built = JudgmentSet(dict(loaded.entries))
-        assert loaded == built
-        assert loaded.query_ids() == built.query_ids() == ["q1", "q2", "q3"]
-        for qid in built.query_ids():
-            assert list(loaded.for_query(qid).items()) == list(built.for_query(qid).items())
+        assert loaded.query_ids() == ["q1", "q2", "q3"]
+        assert list(loaded.for_query("q1").items()) == [("c", 0), ("a", 4)]
+        assert list(loaded.for_query("q2").items()) == [("b", 1), ("a", -2)]
+        assert list(loaded.for_query("q3").items()) == [("b", 2)]
+        assert loaded.for_query("q4") == {}
 
 
 class TestSharedStrings:
@@ -126,9 +132,8 @@ class TestSharedStrings:
 
     def test_equal_ids_are_one_object(self, tmp_path):
         qrels = load_qrels(write(tmp_path, "qrels.txt", "q1 0 d1 1\nq1 0 d2 0\nq2 0 d1 2\n"))
-        (k1, k2, k3) = qrels.entries
-        assert k1[0] is k2[0] and k1[1] is k3[1]
-        assert next(iter(qrels.for_query("q2"))) is k1[1]
+        (d1, _), (d1_again,) = qrels.for_query("q1"), qrels.for_query("q2")
+        assert d1 is d1_again
         runs = load_run(write(tmp_path, "run.txt",
                               "q1 Q0 d1 1 2.0 t\nq1 Q0 d2 2 1.0 t\nq2 Q0 d1 1 3.0 t\n"))
         assert runs["q1"].entries[0][0] is runs["q2"].entries[0][0]
@@ -150,6 +155,21 @@ class TestSharedStrings:
             tracemalloc.stop()
         assert loaded == docs
         assert held <= 16 * 120 * 400, held / (120 * 400)
+
+    def test_a_loaded_judgment_costs_at_most_40_bytes(self, tmp_path):
+        # 40 queries judging the same 300 documents: a judgment is a slot of
+        # its query's dict, not a (query, doc) key of its own (about 128 bytes).
+        path = write(tmp_path, "qrels.txt", "".join(
+            f"q{q} 0 d{d} {d % 3}\n" for q in range(40) for d in range(300)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loaded = load_qrels(path)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert sum(len(loaded.for_query(qid)) for qid in loaded.query_ids()) == 40 * 300
+        assert held <= 40 * 40 * 300, held / (40 * 300)
 
 
 class TestLoadEmbeddings:
@@ -376,7 +396,7 @@ class TestRoundTrips:
         assert load_queries(tmp_path / "q.jsonl") == queries
 
     def test_qrels(self, tmp_path):
-        qrels = JudgmentSet({("q1", "d1"): 2, ("q1", "d2"): -2, ("q2", "d1"): 0})
+        qrels = JudgmentSet({"q1": {"d1": 2, "d2": -2}, "q2": {"d1": 0}})
         save_qrels(qrels, tmp_path / "qrels.txt")
         assert load_qrels(tmp_path / "qrels.txt") == qrels
 
@@ -406,7 +426,7 @@ WRITERS = {
     "corpus.jsonl": lambda out: save_corpus([TokenizedDocument("d1", ("a",))],
                                             out / "corpus.jsonl"),
     "queries.jsonl": lambda out: save_queries([Query("q1", ("a",))], out / "queries.jsonl"),
-    "qrels.txt": lambda out: save_qrels(JudgmentSet({("q1", "d1"): 1}), out / "qrels.txt"),
+    "qrels.txt": lambda out: save_qrels(JudgmentSet({"q1": {"d1": 1}}), out / "qrels.txt"),
     "embeddings.txt": lambda out: save_embeddings(
         EmbeddingTable(dim=1, vectors={"a": np.ones(1)}), out / "embeddings.txt"),
     "train_qids.txt": write_synth,

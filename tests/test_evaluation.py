@@ -103,19 +103,19 @@ def _run(qid, doc_ids):
 
 class TestRerankRun:
     def test_reversal(self):
-        qrels = JudgmentSet({("q", d): 1 for d in "abc"})
+        qrels = JudgmentSet({"q": {d: 1 for d in "abc"}})
         run = _run("q", ["a", "b", "c"])
         out = rerank_run(run, {"a": 1.0, "b": 2.0, "c": 3.0}, qrels)
         assert out.doc_ids() == ["c", "b", "a"]
 
     def test_constant_scores_preserve_order(self):
-        qrels = JudgmentSet({("q", d): 1 for d in "abc"})
+        qrels = JudgmentSet({"q": {d: 1 for d in "abc"}})
         run = _run("q", ["a", "b", "c"])
         out = rerank_run(run, {d: 0.5 for d in "abc"}, qrels)
         assert out.doc_ids() == ["a", "b", "c"]
 
     def test_unjudged_documents_dropped(self):
-        qrels = JudgmentSet({("q", "a"): 1, ("q", "c"): 0})
+        qrels = JudgmentSet({"q": {"a": 1, "c": 0}})
         run = _run("q", ["a", "b", "c"])
         out = rerank_run(run, {"a": 1.0, "b": 5.0, "c": 2.0}, qrels)
         assert out.doc_ids() == ["c", "a"]
@@ -123,18 +123,18 @@ class TestRerankRun:
     def test_output_is_permutation_of_judged_scored_input(self):
         rng = np.random.default_rng(3)
         docs = [f"d{i}" for i in range(20)]
-        qrels = JudgmentSet({("q", d): int(rng.integers(0, 3)) for d in docs[:15]})
+        qrels = JudgmentSet({"q": {d: int(rng.integers(0, 3)) for d in docs[:15]}})
         run = _run("q", docs)
         scores = {d: float(rng.uniform()) for d in docs[5:]}
         out = rerank_run(run, scores, qrels)
-        expected = {d for d in docs if ("q", d) in qrels.entries and d in scores}
+        expected = {d for d in docs if d in qrels.for_query("q") and d in scores}
         assert set(out.doc_ids()) == expected
         assert [r for _, r, _ in out.entries] == list(range(1, len(expected) + 1))
 
 
 class TestRunMetrics:
     def test_report_aggregates_means(self):
-        qrels = JudgmentSet({("q1", "a"): 4, ("q2", "a"): 0})
+        qrels = JudgmentSet({"q1": {"a": 4}, "q2": {"a": 0}})
         runs = {"q1": _run("q1", ["a"]), "q2": _run("q2", ["a"])}
         report = report_for_runs(runs, qrels)
         per = {m.query_id: m.err for m in report.per_query}
@@ -142,14 +142,14 @@ class TestRunMetrics:
         assert report.mean_err == pytest.approx((15.0 / 16.0) / 2)
 
     def test_unjudged_scored_as_zero(self):
-        qrels = JudgmentSet({("q1", "b"): 1})
+        qrels = JudgmentSet({"q1": {"b": 1}})
         metrics = run_metrics(_run("q1", ["a", "b"]), qrels)
         assert metrics.err == pytest.approx(err_at_k([0, 1]))
 
 
 class TestPairAccuracy:
     def test_perfect_scorer(self):
-        qrels = JudgmentSet({("q", "a"): 4, ("q", "b"): 2, ("q", "c"): 1, ("q", "d"): 0})
+        qrels = JudgmentSet({"q": {"a": 4, "b": 2, "c": 1, "d": 0}})
         scores = {"q": {"a": 4.0, "b": 2.0, "c": 1.0, "d": 0.0}}
         report = pair_accuracy(scores, qrels)
         for stats in report.stats.values():
@@ -158,13 +158,13 @@ class TestPairAccuracy:
         assert report.weighted_average == pytest.approx(1.0)
 
     def test_negated_scorer(self):
-        qrels = JudgmentSet({("q", "a"): 4, ("q", "b"): 1, ("q", "c"): 0})
+        qrels = JudgmentSet({"q": {"a": 4, "b": 1, "c": 0}})
         scores = {"q": {"a": -4.0, "b": -1.0, "c": 0.0}}
         report = pair_accuracy(scores, qrels)
         assert report.weighted_average == 0.0
 
     def test_three_label_worked_example(self):
-        qrels = JudgmentSet({("q", "a"): 4, ("q", "b"): 1, ("q", "c"): 0})
+        qrels = JudgmentSet({"q": {"a": 4, "b": 1, "c": 0}})
         scores = {"q": {"a": 3.0, "b": 1.0, "c": 2.0}}
         report = pair_accuracy(scores, qrels)
         assert report.stats[("Nav", "Rel")].accuracy == 1.0
@@ -174,24 +174,23 @@ class TestPairAccuracy:
 
     def test_volume_shares_sum_to_one(self):
         rng = np.random.default_rng(4)
-        entries = {}
+        by_query = {}
         scores = {}
         for qi in range(5):
             qid = f"q{qi}"
-            scores[qid] = {}
+            by_query[qid], scores[qid] = {}, {}
             for di in range(8):
                 did = f"d{di}"
-                entries[(qid, did)] = int(rng.choice([-2, 0, 1, 2, 3, 4]))
+                by_query[qid][did] = int(rng.choice([-2, 0, 1, 2, 3, 4]))
                 scores[qid][did] = float(rng.uniform())
-        report = pair_accuracy(scores, JudgmentSet(entries))
+        report = pair_accuracy(scores, JudgmentSet(by_query))
         assert sum(s.volume for s in report.stats.values()) == pytest.approx(1.0)
         recomputed = sum(s.accuracy * s.volume for s in report.stats.values())
         assert report.weighted_average == pytest.approx(recomputed)
 
     def test_scorer_plus_negation_sums_to_one_without_ties(self):
         rng = np.random.default_rng(5)
-        entries = {("q", f"d{i}"): int(rng.choice([0, 1, 2, 4])) for i in range(10)}
-        qrels = JudgmentSet(entries)
+        qrels = JudgmentSet({"q": {f"d{i}": int(rng.choice([0, 1, 2, 4])) for i in range(10)}})
         base = {f"d{i}": float(i) * 1.37 for i in range(10)}  # all distinct
         fwd = pair_accuracy({"q": base}, qrels)
         rev = pair_accuracy({"q": {d: -s for d, s in base.items()}}, qrels)
@@ -200,6 +199,6 @@ class TestPairAccuracy:
                 assert fwd.stats[pt].accuracy + rev.stats[pt].accuracy == pytest.approx(1.0)
 
     def test_ties_count_as_incorrect(self):
-        qrels = JudgmentSet({("q", "a"): 1, ("q", "b"): 0})
+        qrels = JudgmentSet({"q": {"a": 1, "b": 0}})
         report = pair_accuracy({"q": {"a": 0.5, "b": 0.5}}, qrels)
         assert report.stats[("Rel", "NRel")].accuracy == 0.0

@@ -39,7 +39,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             PacrrConfig(l_q=4, l_d=12, mode="bogus")
 
-    @pytest.mark.parametrize("learning_rate", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("learning_rate", [0.0, -1.0, float("nan"), float("inf"), True])
     def test_learning_rate_finite_and_positive(self, learning_rate):
         with pytest.raises(ValueError, match="learning_rate"):
             PacrrConfig(l_q=4, l_d=12, learning_rate=learning_rate)

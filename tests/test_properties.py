@@ -321,18 +321,18 @@ def pair_accuracy_cases(draw):
     scored documents without a judgment and judged ones without a score."""
     grades = st.none() | st.sampled_from(sorted(CANONICAL_GRADES))
     values = st.sampled_from([0.0, -0.0, 0.5, 1.0]) | st.floats(-2.0, 2.0)
-    entries, scores = {}, {}
+    by_query, scores = {}, {}
     for qi in range(draw(st.integers(0, 4))):
         qid = f"q{qi}"
         docs = [f"d{i}" for i in range(draw(st.integers(0, 12)))]
         for doc in docs:
             grade = draw(grades)
             if grade is not None:
-                entries[(qid, doc)] = grade
+                by_query.setdefault(qid, {})[doc] = grade
         if draw(st.booleans()):
             scored = draw(st.permutations(docs))[: draw(st.integers(0, len(docs)))]
             scores[qid] = {doc: draw(values) for doc in scored}
-    return scores, JudgmentSet(entries)
+    return scores, JudgmentSet(by_query)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -350,13 +350,13 @@ def sampler_cases(draw):
     a seed."""
     grades = st.sampled_from(sorted(CANONICAL_GRADES))
     qids = [f"q{qi}" for qi in range(draw(st.integers(1, 4)))]
-    entries = {}
+    by_query = {}
     for qid in qids:
-        entries.update({(qid, f"d{i}"): draw(grades) for i in range(draw(st.integers(0, 6)))})
+        by_query[qid] = {f"d{i}": draw(grades) for i in range(draw(st.integers(0, 6)))}
         if draw(st.booleans()):
-            entries.update({(qid, "rel"): 1, (qid, "nrel"): 0})
+            by_query[qid].update(rel=1, nrel=0)
     train_ids = draw(st.lists(st.sampled_from([*qids, "unjudged"]), min_size=1, unique=True))
-    return JudgmentSet(entries), train_ids, draw(st.integers(0, 2**32 - 1))
+    return JudgmentSet(by_query), train_ids, draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -377,7 +377,8 @@ def test_sample_triple_draws_pairable_positives_as_its_reference(case):
     draws = [sample_triple(rng, groups) for _ in range(40)]
     for t in draws:
         assert t.query_id in train_ids
-        pos, neg = qrels.grade(t.query_id, t.pos_doc_id), qrels.grade(t.query_id, t.neg_doc_id)
+        judged = qrels.for_query(t.query_id)
+        pos, neg = judged[t.pos_doc_id], judged[t.neg_doc_id]
         assert (pos > 1 and neg == 1) or (pos == 1 and neg <= 0), (t, pos, neg)
     if len(pairable) == len(highly_pairs) + len(relevant_pairs):
         ref_rng = np.random.default_rng(seed)
@@ -392,10 +393,12 @@ def test_sample_triple_draws_pairable_positives_as_its_reference(case):
 def test_build_groups_ignores_judgments_of_other_queries(case, others):
     # Drop every judgment of a non-training query, then add others.
     qrels, train_ids, _ = case
-    entries = {key: grade for key, grade in qrels.entries.items() if key[0] in train_ids}
-    entries.update({key: grade for key, grade in others.items() if key[0] not in train_ids})
+    by_query = {qid: dict(qrels.for_query(qid)) for qid in train_ids}
+    for (qid, did), grade in others.items():
+        if qid not in train_ids:
+            by_query.setdefault(qid, {})[did] = grade
     results = []
-    for judgments in (qrels, JudgmentSet(entries)):
+    for judgments in (qrels, JudgmentSet(by_query)):
         try:
             results.append(build_groups(judgments, train_ids))
         except DataError as exc:

@@ -40,7 +40,7 @@ class TestGenerate:
         n_queries = len(data.queries)
         for i, doc in enumerate(data.docs):
             target = data.queries[i % n_queries]
-            assert data.qrels.grade(target.query_id, doc.doc_id) == \
+            assert data.qrels.for_query(target.query_id)[doc.doc_id] == \
                 data.planted_classes[i]
 
     def test_qrels_follow_rule_for_every_pair(self):
@@ -48,7 +48,7 @@ class TestGenerate:
         data = generate(spec)
         for q in data.queries:
             for d in data.docs:
-                assert data.qrels.grade(q.query_id, d.doc_id) == \
+                assert data.qrels.for_query(q.query_id)[d.doc_id] == \
                     planted_grade(q.tokens, d.tokens)
 
     def test_class_distribution_matches_proportions(self):

@@ -17,37 +17,32 @@ EMPTY = "no positive documents available for sampling"
 
 class TestBuildGroups:
     def test_direct_mapping(self):
-        qrels = JudgmentSet({("q", "d1"): 4, ("q", "d2"): 1, ("q", "d3"): 0})
+        qrels = JudgmentSet({"q": {"d1": 4, "d2": 1, "d3": 0}})
         groups = build_groups(qrels, ["q"])
         assert groups.highly_pairs == [("q", "d1")]
         assert groups.relevant == {"q": ["d2"]}
         assert groups.non_relevant == {"q": ["d3"]}
 
     def test_hrel_counts_as_highly(self):
-        groups = build_groups(JudgmentSet({("q", "d"): 2, ("q", "r"): 1}), ["q"])
+        groups = build_groups(JudgmentSet({"q": {"d": 2, "r": 1}}), ["q"])
         assert groups.highly_pairs == [("q", "d")]
 
     def test_junk_is_an_eligible_negative(self):
-        groups = build_groups(JudgmentSet({("q", "p"): 1, ("q", "d"): -2}), ["q"])
+        groups = build_groups(JudgmentSet({"q": {"p": 1, "d": -2}}), ["q"])
         assert groups.non_relevant == {"q": ["d"]}
         assert groups.relevant_pairs == [("q", "p")]
 
     def test_restricted_to_training_queries(self):
-        qrels = JudgmentSet({("q1", "d"): 1, ("q1", "n"): 0, ("q2", "d"): 1, ("q2", "n"): 0})
+        qrels = JudgmentSet({"q1": {"d": 1, "n": 0}, "q2": {"d": 1, "n": 0}})
         groups = build_groups(qrels, ["q1"])
         assert groups.relevant_pairs == [("q1", "d")]
 
 
 def proportional_groups(n_high=30, n_rel=70):
-    entries = {}
-    for i in range(n_high):
-        entries[(f"qh{i}", "pos")] = 2
-        entries[(f"qh{i}", "mid")] = 1
-    for i in range(n_rel):
-        entries[(f"qr{i}", "pos")] = 1
-        entries[(f"qr{i}", "neg")] = 0
-    # the highly queries also need relevant docs; counted once above
-    qrels = JudgmentSet(entries)
+    # the highly queries also need relevant docs; counted once here
+    by_query = {f"qh{i}": {"pos": 2, "mid": 1} for i in range(n_high)}
+    by_query.update({f"qr{i}": {"pos": 1, "neg": 0} for i in range(n_rel)})
+    qrels = JudgmentSet(by_query)
     return build_groups(qrels, qrels.query_ids())
 
 
@@ -77,8 +72,8 @@ class TestSampleTriple:
 
     def test_rejection_skips_queries_without_negatives(self):
         # one highly query has no relevant docs: its positives can never emit
-        entries = {("qa", "p"): 2, ("qb", "p"): 2, ("qb", "r"): 1, ("qb", "n"): 0}
-        groups = build_groups(JudgmentSet(entries), ["qa", "qb"])
+        by_query = {"qa": {"p": 2}, "qb": {"p": 2, "r": 1, "n": 0}}
+        groups = build_groups(JudgmentSet(by_query), ["qa", "qb"])
         rng = np.random.default_rng(2)
         for _ in range(500):
             t = sample_triple(rng, groups)
@@ -89,9 +84,9 @@ class TestSampleTriple:
     def test_only_the_pairable_query_is_drawn(self, dead_grade):
         # One positive per bucket can be paired; 2001 positives of one bucket
         # cannot, and must neither be drawn nor weigh the choice of bucket.
-        entries = {("live", "p"): 2, ("live", "r"): 1, ("live", "n"): 0}
-        entries.update({(f"dead{i}", "d"): dead_grade for i in range(2001)})
-        groups = build_groups(JudgmentSet(entries), [qid for qid, _ in entries])
+        by_query = {"live": {"p": 2, "r": 1, "n": 0}}
+        by_query.update({f"dead{i}": {"d": dead_grade} for i in range(2001)})
+        groups = build_groups(JudgmentSet(by_query), list(by_query))
         assert groups.unpaired == 2001
         rng = np.random.default_rng(0)
         draws = Counter(sample_triple(rng, groups) for _ in range(200))
@@ -100,11 +95,11 @@ class TestSampleTriple:
 
     def test_degenerate_training_set(self):
         with pytest.raises(DataError, match=EMPTY):
-            build_groups(JudgmentSet({("q", "p"): 2}), ["q"])
+            build_groups(JudgmentSet({"q": {"p": 2}}), ["q"])
 
     def test_no_positives(self):
         with pytest.raises(DataError, match=EMPTY):
-            build_groups(JudgmentSet({("q", "n"): 0}), ["q"])
+            build_groups(JudgmentSet({"q": {"n": 0}}), ["q"])
 
     def test_seeded_sequence_identical(self):
         groups = proportional_groups(5, 10)
@@ -209,8 +204,9 @@ class TestTrain:
                                                 dropped, message):
         data, idf = small_synth
         train_ids = data.train_query_ids if train_ids == "all" else []
-        qrels = JudgmentSet({(qid, did): grade for (qid, did), grade in data.qrels.entries.items()
-                             if qid not in train_ids or grade not in dropped})
+        qrels = JudgmentSet({qid: {did: grade for did, grade in judged.items()
+                                   if qid not in train_ids or grade not in dropped}
+                             for qid, judged in data.qrels.by_query.items()})
         with pytest.raises(DataError, match=message):
             train(tiny_config(), data.docs, data.queries, qrels, train_ids,
                   data.val_query_ids, data.runs, data.embeddings, idf, iterations=1,
@@ -222,10 +218,11 @@ class TestTrain:
         # grade <= 0 dropped: only the grade > 1 positives can be paired
         data, idf = small_synth
         train_ids = set(data.train_query_ids)
-        qrels = JudgmentSet({(qid, did): grade for (qid, did), grade in data.qrels.entries.items()
-                             if qid not in train_ids or grade > 0})
-        unpaired = sum(1 for (qid, _), grade in qrels.entries.items()
-                       if qid in train_ids and grade == 1)
+        qrels = JudgmentSet({qid: {did: grade for did, grade in judged.items()
+                                   if qid not in train_ids or grade > 0}
+                             for qid, judged in data.qrels.by_query.items()})
+        unpaired = sum(1 for qid in train_ids for grade in qrels.for_query(qid).values()
+                       if grade == 1)
         drawn = []
 
         def recording(rng, groups):
@@ -239,8 +236,8 @@ class TestTrain:
                   batches_per_iteration=2, out_dir=tmp_path)
         assert len(drawn) == 2 * BATCH_SIZE
         for t in drawn:
-            assert qrels.grade(t.query_id, t.pos_doc_id) > 1
-            assert qrels.grade(t.query_id, t.neg_doc_id) == 1
+            assert qrels.for_query(t.query_id)[t.pos_doc_id] > 1
+            assert qrels.for_query(t.query_id)[t.neg_doc_id] == 1
         assert [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()] == [
             f"skipped 0 judged training documents not in the corpus, {unpaired} positives "
             "with no document in the next grade bucket down and 0 validation-run documents "
@@ -260,7 +257,8 @@ class TestTrain:
                                                                   tmp_path, caplog):
         data, idf = small_synth
         qid = data.train_query_ids[0]
-        qrels = JudgmentSet({**data.qrels.entries, (qid, "NOPE"): 2, (qid, "NOPE2"): 0})
+        qrels = JudgmentSet({**data.qrels.by_query,
+                             qid: {**data.qrels.for_query(qid), "NOPE": 2, "NOPE2": 0}})
         val_qid = data.val_query_ids[0]
         run = data.runs[val_qid]
         runs = {**data.runs, val_qid: RunRanking(
@@ -305,7 +303,7 @@ class TestFeatureCache:
             run_training(data, idf, tmp_path, iterations=2, batches=2)
         [scorer] = scorers
         train_ids = set(data.train_query_ids)
-        judged = {key for key in data.qrels.entries if key[0] in train_ids}
+        judged = {(qid, did) for qid in train_ids for did in data.qrels.for_query(qid)}
         val = {(qid, did) for qid in data.val_query_ids for did in data.runs[qid].doc_ids()}
         assert val <= set(scorer._distilled) <= judged | val
         assert scorer._keep == judged | val
