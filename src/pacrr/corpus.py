@@ -8,16 +8,16 @@ so a later load of the unchanged text reads that in place of parsing it.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 import stat
 import struct
 import zlib
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -28,10 +28,33 @@ from .errors import DataError
 CANONICAL_GRADES = {-2: "Junk", 0: "NRel", 1: "Rel", 2: "HRel", 3: "Key", 4: "Nav"}
 
 
-@dataclass(frozen=True)
-class TokenizedDocument:
-    doc_id: str
-    tokens: tuple[str, ...]
+@dataclass(frozen=True, eq=False)
+class Corpus:
+    """Documents as token ids over one vocabulary, made by `build` alone:
+    `vocab` gives each token its id in first-seen order, `doc_ids` each
+    document its position in file order, and document i's int32 ids are
+    `ids[offsets[i]:offsets[i + 1]]`."""
+
+    doc_ids: dict[str, int]
+    vocab: dict[str, int]
+    ids: np.ndarray
+    offsets: np.ndarray
+
+    @classmethod
+    def build(cls, docs) -> Corpus:
+        """The corpus of (doc id, tokens) pairs, taken in order."""
+        vocab = defaultdict(itertools.count().__next__)
+        doc_ids, parts = {}, [np.zeros(0, np.int32)]  # the empty part gives offset 0
+        for doc_id, tokens in docs:
+            if doc_ids.setdefault(doc_id, len(parts) - 1) != len(parts) - 1:
+                raise ValueError(f"doc id {doc_id!r} is listed twice")
+            parts.append(np.fromiter(map(vocab.__getitem__, tokens), np.int32, len(tokens)))
+        return cls(doc_ids, dict(vocab), np.concatenate(parts),
+                   np.cumsum([len(p) for p in parts], dtype=np.int64))
+
+    def doc(self, doc_id: str) -> np.ndarray:
+        i = self.doc_ids[doc_id]
+        return self.ids[self.offsets[i] : self.offsets[i + 1]]
 
 
 @dataclass(frozen=True)
@@ -111,18 +134,6 @@ class EmbeddingTable:
         return len(self.vectors)
 
 
-@dataclass
-class IdfTable:
-    """Smoothed inverse document frequencies: idf(t) = ln((N+1)/(df(t)+1))."""
-
-    doc_count: int
-    values: dict[str, float]
-
-    def idf(self, token: str) -> float:
-        # Tokens never seen in the corpus have df 0 under the same smoothing.
-        return self.values.get(token, math.log(self.doc_count + 1))
-
-
 def read_lines(path):
     """(line number, line) over a UTF-8 text file; bytes that are not UTF-8
     raise DataError naming the file."""
@@ -135,10 +146,8 @@ def read_lines(path):
 
 def _read_jsonl(path, id_field):
     """(line number, id, tokens) per record; the first bad or repeated one
-    raises DataError. Equal tokens of the file share one `str`, so a token
-    costs a tuple slot of 8 bytes, not a string of its own."""
+    raises DataError."""
     seen = set()
-    shared: dict[str, str] = {}
     for lineno, line in read_lines(path):
         if not line.strip():
             continue
@@ -159,13 +168,12 @@ def _read_jsonl(path, id_field):
         if rid in seen:
             raise DataError(f"{path}:{lineno}: duplicate {id_field} {rid!r}")
         seen.add(rid)
-        yield lineno, rid, tuple(map(shared.setdefault, tokens, tokens))
+        yield lineno, rid, tokens
 
 
-def load_corpus(path) -> list[TokenizedDocument]:
+def load_corpus(path) -> Corpus:
     """Load line-delimited JSON documents ({"doc_id": ..., "tokens": [...]})."""
-    return [TokenizedDocument(doc_id, tokens)
-            for _, doc_id, tokens in _read_jsonl(path, "doc_id")]
+    return Corpus.build((doc_id, tokens) for _, doc_id, tokens in _read_jsonl(path, "doc_id"))
 
 
 def load_queries(path) -> list[Query]:
@@ -174,7 +182,7 @@ def load_queries(path) -> list[Query]:
     for lineno, query_id, tokens in _read_jsonl(path, "query_id"):
         if not tokens:
             raise DataError(f"{path}:{lineno}: query {query_id!r} has no tokens")
-        queries.append(Query(query_id, tokens))
+        queries.append(Query(query_id, tuple(tokens)))
     return queries
 
 
@@ -361,14 +369,20 @@ def _parse_embeddings(path) -> EmbeddingTable:
     return EmbeddingTable(dim=dim, vectors=vectors)
 
 
-def compute_idf(corpus: list[TokenizedDocument]) -> IdfTable:
-    """Smoothed IDF over a corpus, from its document frequencies."""
-    if not corpus:
+def compute_idf(corpus: Corpus) -> np.ndarray:
+    """Smoothed IDF per vocabulary id, ln((N+1)/(df+1)) over N documents; df
+    counts the first of each run of (document, id) keys, sorted in place. The
+    logs are `math.log`'s, whose last bit `np.log` does not always match."""
+    n, size = len(corpus.doc_ids), len(corpus.vocab)
+    if not n:
         raise DataError("cannot compute IDF over an empty corpus")
-    n = len(corpus)
-    df = Counter(chain.from_iterable(set(doc.tokens) for doc in corpus))
-    values = {t: math.log((n + 1) / (c + 1)) for t, c in df.items()}
-    return IdfTable(doc_count=n, values=values)
+    keys = np.repeat(np.arange(n, dtype=np.int64) * size, np.diff(corpus.offsets))
+    keys += corpus.ids
+    keys.sort()
+    first = keys != np.r_[-1, keys[:-1]]
+    keys %= size
+    df = np.bincount(keys[first], minlength=size)
+    return np.array([math.log((n + 1) / (c + 1)) for c in df.tolist()], dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -392,10 +406,11 @@ def write_atomic(path, *chunks) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def save_corpus(docs: list[TokenizedDocument], path) -> None:
+def save_corpus(corpus: Corpus, path) -> None:
+    words = np.array(list(corpus.vocab), dtype=object)
     write_atomic(path, "".join(
-        json.dumps({"doc_id": doc.doc_id, "tokens": list(doc.tokens)}) + "\n"
-        for doc in docs).encode("utf-8"))
+        json.dumps({"doc_id": doc_id, "tokens": words[corpus.doc(doc_id)].tolist()}) + "\n"
+        for doc_id in corpus.doc_ids).encode("utf-8"))
 
 
 def save_queries(queries: list[Query], path) -> None:

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import neural
-from .corpus import EmbeddingTable, IdfTable, Query, TokenizedDocument, write_atomic
+from .corpus import Corpus, EmbeddingTable, write_atomic
 from .errors import CheckpointError
 from .neural import ParamGroup
 from .simmat import FIRSTK, KWINDOW, MODES, DistilledInput, build_sim_matrix, distill
@@ -268,60 +268,49 @@ class Scorer:
 
     Each query and each document becomes model input here, and only here.
     A query is truncated to the model's l_q (the checkpoint's when scoring,
-    the run config's when training) and given its token ids and IDF vector
-    once, at construction; a document is given its token ids the first
-    time it is read. A pair's distilled input is kept only when the pair is
-    in `keep`, the (query id, doc id) pairs the caller will score again, so
-    the cache never outgrows that set; every other pair is distilled each
-    time it is scored and kept nowhere. Scoring is read-only over the
-    parameters, so training may interleave updates with fresh scoring
-    passes.
+    the run config's when training) and given its row ids and IDF vector
+    once, at construction. A token's row id is its row of `embeddings.units`
+    if it has a vector; every other corpus token, then every other query
+    token, gets a distinct id past those rows. A document's row ids are
+    gathered each time it is distilled, and its distilled input is kept only
+    for the pairs in `keep`, which the caller will score again, so the cache
+    never outgrows that set. Scoring is read-only over the parameters, so
+    training may interleave updates with fresh scoring passes.
     """
 
     def __init__(self, config: PacrrConfig, params: PacrrParams,
-                 queries, docs, embeddings: EmbeddingTable, idf: IdfTable,
+                 queries, docs: Corpus, embeddings: EmbeddingTable, idf: np.ndarray,
                  keep=frozenset()):
+        if len(idf) != len(docs.vocab):
+            raise ValueError(f"IDF of {len(idf)} tokens for a vocabulary of {len(docs.vocab)}")
         self.config = config
         self.params = params
         self.embeddings = embeddings
-        self._token_ids = defaultdict(itertools.count(len(embeddings)).__next__,
-                                      zip(embeddings.vectors, range(len(embeddings))))
-        self.queries: dict[str, Query] = {}
-        self._query_ids: dict[str, np.ndarray] = {}
-        self._query_idf: dict[str, np.ndarray] = {}
+        self.docs = docs
+        row = defaultdict(itertools.count(len(embeddings)).__next__,
+                          zip(embeddings.vectors, range(len(embeddings))))
+        self._rows = np.fromiter(map(row.__getitem__, docs.vocab), np.intp, len(docs.vocab))
+        idf = np.append(idf, math.log(len(docs.doc_ids) + 1))  # df 0: outside the vocabulary
+        self.queries: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         truncated: list[str] = []
         for q in queries:
             if len(q.tokens) > config.l_q:
                 truncated.append(q.query_id)
             tokens = q.tokens[: config.l_q]
-            self.queries[q.query_id] = Query(q.query_id, tokens)
-            self._query_ids[q.query_id] = self.token_ids(tokens)
-            self._query_idf[q.query_id] = np.array([idf.idf(t) for t in tokens],
-                                                   dtype=np.float64)
+            self.queries[q.query_id] = (np.fromiter(map(row.__getitem__, tokens), np.intp),
+                                        idf[[docs.vocab.get(t, -1) for t in tokens]])
         if truncated:
             logger.warning("truncated %d queries to l_q=%d tokens: %s",
                            len(truncated), config.l_q, " ".join(truncated))
-        self.docs: dict[str, TokenizedDocument] = {d.doc_id: d for d in docs}
-        self._doc_ids: dict[str, np.ndarray] = {}
         self._keep = frozenset(keep)
         self._distilled: dict[tuple[str, str], DistilledInput] = {}
-
-    def token_ids(self, tokens) -> np.ndarray:
-        """Each token's id: its row of `embeddings.units` when it has a
-        vector; otherwise the next unused id past those rows, given in
-        first-seen order by the id table's `defaultdict`, whose factory
-        draws from a counter, so the lookup runs at C level."""
-        return np.fromiter(map(self._token_ids.__getitem__, tokens), dtype=np.intp,
-                           count=len(tokens))
 
     def distilled(self, query_id: str, doc_id: str) -> DistilledInput:
         key = (query_id, doc_id)
         cached = self._distilled.get(key)
         if cached is None:
-            d_ids = self._doc_ids.get(doc_id)
-            if d_ids is None:
-                d_ids = self._doc_ids[doc_id] = self.token_ids(self.docs[doc_id].tokens)
-            sim = build_sim_matrix(self._query_ids[query_id], d_ids, self.embeddings.units)
+            sim = build_sim_matrix(self.queries[query_id][0], self._rows[self.docs.doc(doc_id)],
+                                   self.embeddings.units)
             cached = distill(sim, self.config.mode, self.config.l_d, self.config.l_g)
             if key in self._keep:
                 self._distilled[key] = cached
@@ -329,7 +318,7 @@ class Scorer:
 
     def score_with_cache(self, query_id: str, doc_id: str) -> tuple[float, ScoreCache]:
         return score(self.params, self.config, self.distilled(query_id, doc_id),
-                     self._query_idf[query_id])
+                     self.queries[query_id][1])
 
     def score_docs(self, query_id: str, doc_ids) -> tuple[dict[str, float], list[str]]:
         """Scores for the given documents; unknown doc ids are skipped and
@@ -337,7 +326,7 @@ class Scorer:
         scores: dict[str, float] = {}
         missing: list[str] = []
         for did in doc_ids:
-            if did in self.docs:
+            if did in self.docs.doc_ids:
                 scores[did] = self.score_with_cache(query_id, did)[0]
             else:
                 missing.append(did)

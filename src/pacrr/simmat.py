@@ -1,6 +1,6 @@
 """Query-document cosine-similarity matrices and fixed-size distillation.
 
-Raw matrices are |q| x |d|, built from token ids (assigned by
+Raw matrices are |q| x |d|, built from embedding-row ids (assigned by
 `model.Scorer`) and the embedding table's unit-vector matrix; the two
 distillation strategies reduce them to |q| x l_d model inputs: `firstk`
 truncates/pads the document axis, while `kwindow` keeps only the
@@ -42,7 +42,7 @@ def build_sim_matrix(q_ids: np.ndarray, d_ids: np.ndarray, units: np.ndarray) ->
     """The (|q|, |d|) cosine similarity between every query and document
     term, with entries in [-1, 1].
 
-    Token ids index the rows of `units` (`EmbeddingTable.units`); an id past
+    Row ids index the rows of `units` (`EmbeddingTable.units`); an id past
     its last row reads that zero row, so a pair where either token lacks a
     vector (or has a zero one) scores 0.0. Equal ids, i.e. equal tokens,
     score exactly 1.0 even without a vector.

@@ -14,9 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import (EmbeddingTable, JudgmentSet, Query, RunRanking,
-                     TokenizedDocument, save_corpus, save_embeddings,
-                     save_qrels, save_queries, save_run, write_atomic)
+from .corpus import (Corpus, EmbeddingTable, JudgmentSet, Query, RunRanking, save_corpus,
+                     save_embeddings, save_qrels, save_queries, save_run, write_atomic)
 
 
 @dataclass(frozen=True)
@@ -51,7 +50,7 @@ class SynthSpec:
 
 @dataclass
 class SynthData:
-    docs: list[TokenizedDocument]
+    docs: Corpus
     queries: list[Query]
     qrels: JudgmentSet
     runs: dict[str, RunRanking]
@@ -118,15 +117,15 @@ def generate(spec: SynthSpec) -> SynthData:
             tokens[p1] = target.tokens[int(t1)]
             tokens[p2] = target.tokens[int(t2)]
         planted.append(cls)
-        docs.append(TokenizedDocument(f"d{di:04d}", tuple(tokens)))
+        docs.append((f"d{di:04d}", tokens))
 
-    qrels = JudgmentSet({q.query_id: {d.doc_id: planted_grade(q.tokens, d.tokens)
-                                      for d in docs} for q in queries})
+    qrels = JudgmentSet({q.query_id: {did: planted_grade(q.tokens, tokens)
+                                      for did, tokens in docs} for q in queries})
 
     runs = {}
     for q in queries:
         q_set = set(q.tokens)
-        overlaps = [(len(q_set & set(d.tokens)), d.doc_id) for d in docs]
+        overlaps = [(len(q_set & set(tokens)), did) for did, tokens in docs]
         overlaps.sort(key=lambda t: (-t[0], t[1]))
         top = overlaps[: spec.run_depth]
         runs[q.query_id] = RunRanking(
@@ -136,7 +135,7 @@ def generate(spec: SynthSpec) -> SynthData:
 
     query_ids = [q.query_id for q in queries]
     return SynthData(
-        docs=docs,
+        docs=Corpus.build(docs),
         queries=queries,
         qrels=qrels,
         runs=runs,

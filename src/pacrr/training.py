@@ -180,9 +180,8 @@ def train(config: PacrrConfig, docs, queries, qrels: JudgmentSet,
         raise ConfigError(f"output directory {out_dir} already holds a training run "
                           f"({used}); train into a new directory")
 
-    doc_ids = {d.doc_id for d in docs}
     train_ids = set(train_query_ids)
-    val_docs = {qid: [did for did, _, _ in val_runs[qid].entries if did in doc_ids]
+    val_docs = {qid: [did for did, _, _ in val_runs[qid].entries if did in docs.doc_ids]
                 for qid in val_query_ids}
     # Batches score judged training pairs and validation passes score
     # `val_docs`: the only pairs scored again, and so the only ones whose
@@ -193,7 +192,7 @@ def train(config: PacrrConfig, docs, queries, qrels: JudgmentSet,
     absent = 0
     for qid in train_ids:
         judged[qid] = {did: grade for did, grade in qrels.for_query(qid).items()
-                       if did in doc_ids}
+                       if did in docs.doc_ids}
         absent += len(qrels.for_query(qid)) - len(judged[qid])
         keep.update((qid, did) for did in judged[qid])
     n_judged = sum(map(len, judged.values()))

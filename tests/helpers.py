@@ -346,6 +346,12 @@ _REFERENCE_PAIR_TYPES = (
 _REFERENCE_MERGED_RANK = {"NRel": 0, "Rel": 1, "HRel": 2, "Nav": 3}
 
 
+def corpus_records(corpus):
+    """(doc id, tokens) of each document of a `Corpus`, in order."""
+    words = list(corpus.vocab)
+    return [(doc_id, tuple(words[i] for i in corpus.doc(doc_id))) for doc_id in corpus.doc_ids]
+
+
 def _reference_merge(grade):
     if grade == 4:
         return "Nav"

@@ -7,14 +7,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from helpers import corpus_records
 from pacrr import synth
 from pacrr.config import RunConfig, write_run_config
 from pacrr.corpus import (compute_idf, load_corpus, load_embeddings,
                           load_qrels, load_queries, load_run, save_corpus,
                           save_embeddings, save_qrels, save_queries, save_run,
-                          EmbeddingTable, JudgmentSet, Query, RunRanking,
-                          TokenizedDocument)
+                          Corpus, EmbeddingTable, JudgmentSet, Query, RunRanking)
 from pacrr.errors import DataError
+from pacrr.model import PacrrConfig, Scorer, init_params
 
 
 def write(tmp_path, name, text):
@@ -27,16 +28,22 @@ class TestLoadCorpus:
     def test_parses_records(self, tmp_path):
         path = write(tmp_path, "c.jsonl", '{"doc_id":"d1","tokens":["dog","adoption"]}\n')
         docs = load_corpus(path)
-        assert docs == [TokenizedDocument("d1", ("dog", "adoption"))]
+        assert corpus_records(docs) == [("d1", ("dog", "adoption"))]
+        assert docs.vocab == {"dog": 0, "adoption": 1}
+        assert docs.ids.dtype == np.int32
 
     def test_empty_file(self, tmp_path):
-        assert load_corpus(write(tmp_path, "c.jsonl", "")) == []
+        assert corpus_records(load_corpus(write(tmp_path, "c.jsonl", ""))) == []
 
     def test_duplicate_doc_id(self, tmp_path):
         path = write(tmp_path, "c.jsonl",
                      '{"doc_id":"d1","tokens":["a"]}\n{"doc_id":"d1","tokens":["b"]}\n')
         with pytest.raises(DataError, match="2.*duplicate|duplicate"):
             load_corpus(path)
+
+    def test_corpus_built_with_a_repeated_doc_id_is_refused(self):
+        with pytest.raises(ValueError, match="doc id 'd1' is listed twice"):
+            Corpus.build([("d1", ["a"]), ("d2", []), ("d1", ["b"])])
 
     def test_malformed_line_names_line_number(self, tmp_path):
         path = write(tmp_path, "c.jsonl", '{"doc_id":"d1","tokens":["a"]}\nnot json\n')
@@ -45,7 +52,7 @@ class TestLoadCorpus:
 
     def test_empty_tokens_tolerated(self, tmp_path):
         docs = load_corpus(write(tmp_path, "c.jsonl", '{"doc_id":"d1","tokens":[]}\n'))
-        assert docs[0].tokens == ()
+        assert corpus_records(docs) == [("d1", ())]
 
 
 class TestLoadQueries:
@@ -118,17 +125,13 @@ class TestLoadQrels:
 class TestSharedStrings:
     """Each loader holds one `str` per distinct token or id of its file."""
 
-    def test_equal_tokens_are_one_object(self, tmp_path):
-        # json.loads gives each occurrence its own string.
+    def test_equal_tokens_get_equal_ids(self, tmp_path):
         path = write(tmp_path, "c.jsonl", '{"doc_id":"d1","tokens":["dog","cat","dog"]}\n'
                                           '{"doc_id":"d2","tokens":["cat","dog"]}\n')
-        (d1, d2) = load_corpus(path)
-        assert d1.tokens[0] is d1.tokens[2] is d2.tokens[1]
-        assert d1.tokens[1] is d2.tokens[0]
-        (q1, q2) = load_queries(write(tmp_path, "q.jsonl",
-                                      '{"query_id":"q1","tokens":["dog","cat"]}\n'
-                                      '{"query_id":"q2","tokens":["cat"]}\n'))
-        assert q1.tokens[1] is q2.tokens[0]
+        docs = load_corpus(path)
+        assert docs.vocab == {"dog": 0, "cat": 1}
+        assert docs.doc("d1").tolist() == [0, 1, 0]
+        assert docs.doc("d2").tolist() == [1, 0]
 
     def test_equal_ids_are_one_object(self, tmp_path):
         qrels = load_qrels(write(tmp_path, "qrels.txt", "q1 0 d1 1\nq1 0 d2 0\nq2 0 d1 2\n"))
@@ -140,12 +143,13 @@ class TestSharedStrings:
 
     def test_a_loaded_token_costs_at_most_16_bytes(self, tmp_path):
         # 120 documents of 400 tokens over 50 distinct words: a `str` per
-        # token would take over 50 bytes each, a shared one 8 per tuple slot.
+        # token would take over 50 bytes each, an int32 id takes 4, and a
+        # bound of 6 leaves room for the vocabulary and the doc ids.
         rng = np.random.default_rng(0)
         vocab = [f"word{i}" for i in range(50)]
-        docs = [TokenizedDocument(f"d{i}", tuple(vocab[j] for j in rng.integers(50, size=400)))
+        docs = [(f"d{i}", tuple(vocab[j] for j in rng.integers(50, size=400)))
                 for i in range(120)]
-        save_corpus(docs, tmp_path / "c.jsonl")
+        save_corpus(Corpus.build(docs), tmp_path / "c.jsonl")
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -153,8 +157,8 @@ class TestSharedStrings:
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert loaded == docs
-        assert held <= 16 * 120 * 400, held / (120 * 400)
+        assert corpus_records(loaded) == docs
+        assert held <= 6 * 120 * 400, held / (120 * 400)
 
     def test_a_loaded_judgment_costs_at_most_40_bytes(self, tmp_path):
         # 40 queries judging the same 300 documents: a judgment is a slot of
@@ -340,36 +344,54 @@ def test_deeply_nested_json_is_data_error(tmp_path):
         load_corpus(path)
 
 
+def query_idf(docs, tokens):
+    """The IDF vector a `Scorer` over these (doc id, tokens) pairs gives a query."""
+    corpus = Corpus.build(docs)
+    config = PacrrConfig(l_q=len(tokens), l_d=3)
+    scorer = Scorer(config, init_params(config), [Query("q", tuple(tokens))], corpus,
+                    EmbeddingTable(dim=1, vectors={}), compute_idf(corpus))
+    return scorer.queries["q"][1].tolist()
+
+
 class TestComputeIdf:
     def test_token_in_single_doc(self):
-        idf = compute_idf([TokenizedDocument("d1", ("a",))])
-        assert idf.idf("a") == 0.0
+        idf = compute_idf(Corpus.build([("d1", ("a",))]))
+        assert idf.tolist() == [0.0]
+        assert idf.dtype == np.float64
 
     def test_rare_token(self):
-        docs = [TokenizedDocument(f"d{i}", ("common",)) for i in range(99)]
-        docs.append(TokenizedDocument("d99", ("common", "rare")))
-        idf = compute_idf(docs)
-        assert idf.idf("rare") == pytest.approx(math.log(101 / 2), abs=1e-12)
+        docs = [(f"d{i}", ("common",)) for i in range(99)]
+        docs.append(("d99", ("common", "rare")))
+        assert query_idf(docs, ["rare"]) == pytest.approx([math.log(101 / 2)], abs=1e-12)
 
     def test_unseen_token(self):
-        docs = [TokenizedDocument(f"d{i}", ("x",)) for i in range(9)]
-        idf = compute_idf(docs)
-        assert idf.idf("never-seen") == pytest.approx(math.log(10), abs=1e-12)
+        docs = [(f"d{i}", ("x",)) for i in range(9)]
+        assert query_idf(docs, ["x", "never-seen"]) == [math.log(10 / 10), math.log(10)]
+
+    def test_takes_the_bits_of_math_log(self):
+        # n = 20, df = 19 is the first pair where np.log's last bit differs.
+        docs = [(f"d{i}", ("w", "w") if i < 19 else ("v",)) for i in range(20)]
+        idf = compute_idf(Corpus.build(docs))
+        assert idf[0] == math.log(21 / 20)
+        assert idf[1] == math.log(21 / 2)
+        assert query_idf(docs, ["w", "unseen"]) == [math.log(21 / 20), math.log(21)]
 
     def test_empty_corpus(self):
         with pytest.raises(DataError):
-            compute_idf([])
+            compute_idf(Corpus.build([]))
 
     def test_monotone_in_df_and_nonnegative(self):
         # idf never increases as df grows, and stays >= 0
         docs = []
         for i in range(50):
             tokens = ["everywhere"] + [f"tok{j}" for j in range(i % 7)]
-            docs.append(TokenizedDocument(f"d{i}", tuple(tokens)))
-        idf = compute_idf(docs)
-        df = Counter(t for doc in docs for t in set(doc.tokens))
+            docs.append((f"d{i}", tuple(tokens)))
+        corpus = Corpus.build(docs)
+        idf = compute_idf(corpus)
+        df = Counter(t for _, tokens in docs for t in set(tokens))
+        assert idf.tolist() == [math.log(51 / (df[t] + 1)) for t in corpus.vocab]
         by_df = sorted(df.items(), key=lambda kv: kv[1])
-        values = [idf.idf(t) for t, _ in by_df]
+        values = [idf[corpus.vocab[t]] for t, _ in by_df]
         assert all(v >= 0.0 for v in values)
         assert all(a >= b for a, b in zip(values, values[1:]))
 
@@ -386,9 +408,9 @@ class TestRunRanking:
 
 class TestRoundTrips:
     def test_corpus(self, tmp_path):
-        docs = [TokenizedDocument("d1", ("a", "b")), TokenizedDocument("d2", ())]
-        save_corpus(docs, tmp_path / "c.jsonl")
-        assert load_corpus(tmp_path / "c.jsonl") == docs
+        docs = [("d1", ("a", "b")), ("d2", ())]
+        save_corpus(Corpus.build(docs), tmp_path / "c.jsonl")
+        assert corpus_records(load_corpus(tmp_path / "c.jsonl")) == docs
 
     def test_queries(self, tmp_path):
         queries = [Query("q1", ("x", "y"))]
@@ -423,7 +445,7 @@ def write_synth(out):
 
 
 WRITERS = {
-    "corpus.jsonl": lambda out: save_corpus([TokenizedDocument("d1", ("a",))],
+    "corpus.jsonl": lambda out: save_corpus(Corpus.build([("d1", ("a",))]),
                                             out / "corpus.jsonl"),
     "queries.jsonl": lambda out: save_queries([Query("q1", ("a",))], out / "queries.jsonl"),
     "qrels.txt": lambda out: save_qrels(JudgmentSet({"q1": {"d1": 1}}), out / "qrels.txt"),

@@ -8,7 +8,7 @@ import pytest
 
 from helpers import all_rows_score, checkpoint_with_header, run_bounded
 from pacrr import neural
-from pacrr.corpus import EmbeddingTable, IdfTable, Query, TokenizedDocument
+from pacrr.corpus import Corpus, EmbeddingTable, Query, compute_idf
 from pacrr.errors import CheckpointError
 from pacrr.gradcheck import check_pipeline, check_pipeline_gradients
 from pacrr.model import (PacrrConfig, Scorer, init_params, load_params, save_params, score,
@@ -260,14 +260,12 @@ class TestPipelineInvariants:
         params = init_params(config)
         emb = EmbeddingTable(dim=4, vectors={f"t{i}": rng.standard_normal(4)
                                              for i in range(40)})
-        idf = IdfTable(doc_count=10, values={})
         query = Query("q", ("t1", "t2", "t3"))
         base_tokens = tuple(f"t{i}" for i in range(20))
         mutated = base_tokens[: config.l_d] + tuple(f"t{i}" for i in range(25, 33))
-        scorer_a = Scorer(config, params, [query],
-                          [TokenizedDocument("d", base_tokens)], emb, idf)
-        scorer_b = Scorer(config, params, [query],
-                          [TokenizedDocument("d", mutated)], emb, idf)
+        docs_a, docs_b = Corpus.build([("d", base_tokens)]), Corpus.build([("d", mutated)])
+        scorer_a = Scorer(config, params, [query], docs_a, emb, compute_idf(docs_a))
+        scorer_b = Scorer(config, params, [query], docs_b, emb, compute_idf(docs_b))
         assert (scorer_a.score_with_cache("q", "d")[0]
                 == scorer_b.score_with_cache("q", "d")[0])
 
@@ -453,10 +451,9 @@ class TestScorer:
         rng = np.random.default_rng(10)
         emb = EmbeddingTable(dim=4, vectors={f"t{i}": rng.standard_normal(4)
                                              for i in range(10)})
-        docs = [TokenizedDocument("d1", ("t1", "t2", "t3")),
-                TokenizedDocument("d2", ("t4", "t5"))]
+        docs = Corpus.build([("d1", ("t1", "t2", "t3")), ("d2", ("t4", "t5"))])
         queries = [Query("q1", ("t1", "t9"))]
-        idf = IdfTable(doc_count=2, values={"t1": 0.5})
+        idf = np.array([0.5, 0.0, 0.0, 0.0, 0.0])
         return Scorer(config, init_params(config), queries, docs, emb, idf, keep)
 
     @pytest.mark.parametrize("mode", ["firstk", "kwindow"])
@@ -552,11 +549,9 @@ class TestScorer:
     def test_token_without_vector_matches_itself_across_pairs(self):
         config = tiny_config()
         emb = EmbeddingTable(dim=2, vectors={"a": np.array([1.0, 0.0])})
-        docs = [TokenizedDocument("d1", ("oov", "a", "other")),
-                TokenizedDocument("d2", ("a", "other", "oov"))]
+        docs = Corpus.build([("d1", ("oov", "a", "other")), ("d2", ("a", "other", "oov"))])
         queries = [Query("q1", ("oov", "a")), Query("q2", ("a", "oov"))]
-        idf = IdfTable(doc_count=2, values={})
-        scorer = Scorer(config, init_params(config), queries, docs, emb, idf)
+        scorer = Scorer(config, init_params(config), queries, docs, emb, compute_idf(docs))
         expected = {("q1", "d1"): [[1, 0, 0], [0, 1, 0]],
                     ("q1", "d2"): [[0, 0, 1], [1, 0, 0]],
                     ("q2", "d1"): [[0, 1, 0], [1, 0, 0]],
@@ -565,29 +560,22 @@ class TestScorer:
             got = scorer.distilled(qid, did).per_n[1][:, :3]
             np.testing.assert_array_equal(got, sim)
 
-    def test_document_tokens_mapped_once_across_queries(self):
+    def test_idf_of_another_vocabulary_is_refused(self):
         config = tiny_config()
-        emb = EmbeddingTable(dim=2, vectors={"a": np.array([1.0, 0.0])})
-        doc = TokenizedDocument("d", ("a", "b", "c"))
-        queries = [Query("q1", ("a",)), Query("q2", ("b", "a"))]
-        scorer = Scorer(config, init_params(config), queries, [doc], emb,
-                        IdfTable(doc_count=1, values={}))
-        mapped = []
-        token_ids = scorer.token_ids
-        scorer.token_ids = lambda tokens: mapped.append(tuple(tokens)) or token_ids(tokens)
-        scorer.score_with_cache("q1", "d")
-        scorer.score_with_cache("q2", "d")
-        assert mapped == [doc.tokens]
+        docs = Corpus.build([("d", ("a", "b", "c"))])
+        with pytest.raises(ValueError, match="IDF of 2 tokens for a vocabulary of 3"):
+            Scorer(config, init_params(config), [], docs, EmbeddingTable(dim=1, vectors={}),
+                   compute_idf(Corpus.build([("d", ("a", "b"))])))
 
     def test_query_truncated_to_l_q(self):
         config = tiny_config()
         rng = np.random.default_rng(11)
         emb = EmbeddingTable(dim=4, vectors={})
-        idf = IdfTable(doc_count=1, values={})
+        docs = Corpus.build([("d", ("t0",))])
         long_query = Query("q", tuple(f"t{i}" for i in range(9)))
-        scorer = Scorer(config, init_params(config), [long_query],
-                        [TokenizedDocument("d", ("t0",))], emb, idf)
-        assert len(scorer.queries["q"].tokens) == config.l_q
+        scorer = Scorer(config, init_params(config), [long_query], docs, emb, compute_idf(docs))
+        row_ids, idf = scorer.queries["q"]
+        assert len(row_ids) == len(idf) == config.l_q
         assert np.isfinite(scorer.score_with_cache("q", "d")[0])
 
     def test_truncation_warned_once_with_ids(self, caplog):
@@ -596,9 +584,8 @@ class TestScorer:
                    Query("fits", ("t0", "t1")),
                    Query("long-b", tuple(f"t{i}" for i in range(5)))]
         with caplog.at_level("WARNING", logger="pacrr.model"):
-            scorer = Scorer(config, init_params(config), queries, [],
-                            EmbeddingTable(dim=4, vectors={}),
-                            IdfTable(doc_count=1, values={}))
+            scorer = Scorer(config, init_params(config), queries, Corpus.build([]),
+                            EmbeddingTable(dim=4, vectors={}), np.zeros(0))
         [record] = caplog.records
         assert record.getMessage() == "truncated 2 queries to l_q=4 tokens: long-a long-b"
-        assert [len(scorer.queries[q].tokens) for q in ("long-a", "fits", "long-b")] == [4, 2, 4]
+        assert [len(scorer.queries[q][0]) for q in ("long-a", "fits", "long-b")] == [4, 2, 4]

@@ -26,13 +26,13 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from helpers import (checkpoint_with_header, kmax_oracle, kmax_reference,  # noqa: E402
-                     kwindow_reference, pair_accuracy_reference, pooling_routes_reference,
-                     recurrent_backward_reference, reference_groups,
+from helpers import (checkpoint_with_header, corpus_records, kmax_oracle,  # noqa: E402
+                     kmax_reference, kwindow_reference, pair_accuracy_reference,
+                     pooling_routes_reference, recurrent_backward_reference, reference_groups,
                      reference_sample_triple, score_reference)
-from pacrr.corpus import (CANONICAL_GRADES, JudgmentSet, Query,  # noqa: E402
-                          TokenizedDocument, load_corpus, load_embeddings, load_qrels,
-                          load_queries, load_run, save_corpus, save_queries)
+from pacrr.corpus import (CANONICAL_GRADES, Corpus, JudgmentSet, Query,  # noqa: E402
+                          load_corpus, load_embeddings, load_qrels, load_queries, load_run,
+                          save_corpus, save_queries)
 from pacrr.errors import DataError  # noqa: E402
 from pacrr.evaluation import pair_accuracy  # noqa: E402
 from pacrr.model import (PacrrConfig, init_params, load_params, save_params,  # noqa: E402
@@ -103,24 +103,29 @@ def test_any_bytes_load_or_raise_data_error(loader, data):
             pass
 
 
-# Tokens of two or more characters: CPython keeps one object per one-character
-# string anyway. Two letters make most tokens repeat.
+# Two letters make most tokens repeat.
 ROUND_TRIP_TOKENS = st.lists(st.text(alphabet="aé", min_size=2, max_size=3), max_size=8)
 
 
-@pytest.mark.parametrize("record, save, load", [
-    (TokenizedDocument, save_corpus, load_corpus), (Query, save_queries, load_queries)],
-    ids=["corpus", "queries"])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(token_lists=st.lists(ROUND_TRIP_TOKENS, max_size=6))
+def test_corpus_round_trip_gives_equal_tokens_one_id(token_lists):
+    docs = [(f"r{i}", tuple(tokens)) for i, tokens in enumerate(token_lists)]
+    with tempfile.TemporaryDirectory() as tmp:
+        save_corpus(Corpus.build(docs), Path(tmp) / "records.jsonl")
+        loaded = load_corpus(Path(tmp) / "records.jsonl")
+    assert corpus_records(loaded) == docs
+    first_seen = list(dict.fromkeys(t for tokens in token_lists for t in tokens))
+    assert loaded.vocab == {t: i for i, t in enumerate(first_seen)}
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(token_lists=st.lists(ROUND_TRIP_TOKENS.filter(bool), max_size=6))
-def test_save_load_round_trip_shares_equal_tokens(record, save, load, token_lists):
-    records = [record(f"r{i}", tuple(tokens)) for i, tokens in enumerate(token_lists)]
+def test_queries_round_trip(token_lists):
+    queries = [Query(f"r{i}", tuple(tokens)) for i, tokens in enumerate(token_lists)]
     with tempfile.TemporaryDirectory() as tmp:
-        save(records, Path(tmp) / "records.jsonl")
-        loaded = load(Path(tmp) / "records.jsonl")
-    assert loaded == records
-    tokens = [t for r in loaded for t in r.tokens]
-    assert len({id(t) for t in tokens}) == len(set(tokens))
+        save_queries(queries, Path(tmp) / "records.jsonl")
+        assert load_queries(Path(tmp) / "records.jsonl") == queries
 
 
 EMBEDDINGS_TEXT = b"2 2\nb 0.5 -1.25\na 3 4\n"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import kwindow_oracle, per_pair_sim_matrix
-from pacrr.corpus import EmbeddingTable, IdfTable
+from pacrr.corpus import Corpus, EmbeddingTable, Query, compute_idf
 from pacrr.model import PacrrConfig, Scorer, init_params
 from pacrr.simmat import FIRSTK, KWINDOW, build_sim_matrix, distill
 
@@ -14,16 +14,15 @@ def table(**vectors):
     return EmbeddingTable(dim=dim, vectors={k: np.array(v, float) for k, v in vectors.items()})
 
 
-def interner(emb):
-    """A Scorer used only for its token ids."""
-    config = PacrrConfig(l_q=4, l_d=3)
-    return Scorer(config, init_params(config), [], [], emb, IdfTable(1, {}))
-
-
-def build(q_tokens, d_tokens, emb, scorer=None):
-    """The similarity matrix of two token lists, as `Scorer.distilled` builds it."""
-    scorer = scorer or interner(emb)
-    return build_sim_matrix(scorer.token_ids(q_tokens), scorer.token_ids(d_tokens), emb.units)
+def build(q_tokens, d_tokens, emb):
+    """The similarity matrix of two token lists, with ids as `Scorer` gives
+    them: a token's row of `emb.units`, else a distinct id past those rows."""
+    ids = dict(zip(emb.vectors, range(len(emb))))
+    for token in q_tokens + d_tokens:
+        ids.setdefault(token, len(ids))
+    q_ids, d_ids = ([ids[t] for t in tokens] for tokens in (q_tokens, d_tokens))
+    return build_sim_matrix(np.array(q_ids, dtype=np.intp), np.array(d_ids, dtype=np.intp),
+                            emb.units)
 
 
 class TestBuildSimMatrix:
@@ -62,15 +61,14 @@ class TestBuildSimMatrix:
         vecs = {f"t{i}": rng.standard_normal(6) * rng.uniform(0.1, 5.0) for i in range(30)}
         vecs["t0"] = np.zeros(6)
         emb = EmbeddingTable(dim=6, vectors=vecs)
-        scorer = interner(emb)
         # t0 has a zero vector and o* have none; shared tokens hit the
-        # exact-match override, and repeats reuse the ids of earlier pairs.
+        # exact-match override.
         pool = [f"t{i}" for i in range(30)] + ["o1", "o2"]
         queries = [("t0", "o1", "t3"), ("o2",), tuple(rng.choice(pool, 5))]
         docs = [tuple(rng.choice(pool, size)) for size in (1, 7, 60)] + [()]
         for q in queries:
             for d in docs + docs:
-                got = build(q, d, emb, scorer)
+                got = build(q, d, emb)
                 want = per_pair_sim_matrix(q, d, emb)
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
@@ -81,6 +79,29 @@ class TestBuildSimMatrix:
         emb = EmbeddingTable(dim=8, vectors=vecs)
         sim = build(tuple(f"t{i}" for i in range(4)), tuple(f"t{i}" for i in range(20)), emb)
         assert np.all(sim >= -1.0) and np.all(sim <= 1.0)
+
+
+class TestScorerRowIds:
+    """`Scorer.distilled` reads each token's row, or a distinct id past the table."""
+
+    def distilled(self, query):
+        emb = table(a=[1.0, 0.0], b=[0.6, 0.8], q=[0.8, 0.6])
+        docs = Corpus.build([("d", ("a", "doc-only", "b", "doc-only"))])
+        config = PacrrConfig(l_q=len(query), l_d=4)
+        scorer = Scorer(config, init_params(config), [Query("q", query)], docs, emb,
+                        compute_idf(docs))
+        return scorer.distilled("q", "d").per_n[1]
+
+    def test_query_only_token_with_a_vector_reads_it(self):
+        np.testing.assert_array_equal(self.distilled(("q",)),
+                                      np.float32([[0.8, 0.0, 0.96, 0.0]]))
+
+    def test_query_only_token_without_a_vector_scores_zero(self):
+        np.testing.assert_array_equal(self.distilled(("query-only",)), np.zeros((1, 4)))
+
+    def test_document_token_without_a_vector_matches_only_itself(self):
+        np.testing.assert_array_equal(self.distilled(("doc-only", "a")),
+                                      np.float32([[0, 1, 0, 1], [1, 0, 0.6, 0]]))
 
 
 def firstk(sim, l_d):

@@ -3,6 +3,7 @@ import collections
 import numpy as np
 import pytest
 
+from helpers import corpus_records
 from pacrr import synth
 from pacrr.synth import SynthSpec, generate, planted_grade
 
@@ -38,18 +39,18 @@ class TestGenerate:
         spec = SynthSpec(n_docs=120, n_train_queries=8, n_val_queries=4, seed=5)
         data = generate(spec)
         n_queries = len(data.queries)
-        for i, doc in enumerate(data.docs):
+        for i, doc_id in enumerate(data.docs.doc_ids):
             target = data.queries[i % n_queries]
-            assert data.qrels.for_query(target.query_id)[doc.doc_id] == \
+            assert data.qrels.for_query(target.query_id)[doc_id] == \
                 data.planted_classes[i]
 
     def test_qrels_follow_rule_for_every_pair(self):
         spec = SynthSpec(n_docs=30, n_train_queries=3, n_val_queries=2, seed=9)
         data = generate(spec)
         for q in data.queries:
-            for d in data.docs:
-                assert data.qrels.for_query(q.query_id)[d.doc_id] == \
-                    planted_grade(q.tokens, d.tokens)
+            for doc_id, tokens in corpus_records(data.docs):
+                assert data.qrels.for_query(q.query_id)[doc_id] == \
+                    planted_grade(q.tokens, tokens)
 
     def test_class_distribution_matches_proportions(self):
         spec = SynthSpec(n_docs=10000, n_train_queries=8, n_val_queries=2,
@@ -63,10 +64,10 @@ class TestGenerate:
     def test_run_ranked_by_unigram_overlap(self):
         spec = SynthSpec(n_docs=50, n_train_queries=4, n_val_queries=2, seed=21)
         data = generate(spec)
-        docs = {d.doc_id: d for d in data.docs}
+        docs = dict(corpus_records(data.docs))
         for q in data.queries:
             run = data.runs[q.query_id]
-            overlaps = [len(set(q.tokens) & set(docs[d].tokens))
+            overlaps = [len(set(q.tokens) & set(docs[d]))
                         for d in run.doc_ids()]
             assert overlaps == sorted(overlaps, reverse=True)
             assert all(score == float(ov)
