@@ -11,11 +11,11 @@ entry of its `OP_CHECKS` table per differentiable forward function.
 conv2d folds its bias into the im2col matmul as the last kernel column
 (against a last im2col row of ones) and returns the pre-activation; the
 rectifier runs after the filter max, once per cell rather than once per
-filter, since relu(max_f z) = max_f relu(z). conv2d also skips the zero
-tail that distillation pads a short document with: every output cell whose
-receptive field lies wholly in it holds the same values (the bias), and
-k-max keeps the earliest of equal values, so only the first few such
-columns are computed.
+filter, since relu(max_f z) = max_f relu(z). conv2d also takes an input
+narrower than the width it stands for, whose missing columns are zero: every
+output cell whose receptive field lies wholly in that zero tail holds the
+same values (the bias), and k-max keeps the earliest of equal values, so
+only the first few such columns are computed.
 
 Pooling is exact and lazy: conv2d's output is filter-major, so filter-max
 is one reduction, and k-max is a few argmax passes, one per kept value. Each
@@ -69,29 +69,32 @@ def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, stride: int = 1
            width: int | None = None, tail: int = 0):
     """Same-padded 2-D cross-correlation with n_f square kernels, not rectified.
 
-    x: (H, W); kernels: (n_f, n, n); bias: (n_f,); stride: along columns only.
-    Output shape (n_f, H, ceil(W/stride)), filter-major and C-contiguous.
+    x: (H, w); kernels: (n_f, n, n); bias: (n_f,); stride: along columns only.
+    x stands for an (H, W) input, W = `width` (default w), that is zero from
+    column w on. Output shape (n_f, H, ceil(W/stride)), filter-major and
+    C-contiguous: the padding is that of the full width W.
 
-    When x is zero from column `width` on, the output columns whose
-    receptive field lies wholly in that zero tail all hold the bias; only
-    the first `tail` of them are computed, and the output ends there, with
-    fewer columns. The padding is that of the full width W either way.
+    The output columns whose receptive field lies wholly in the zero tail
+    all hold the bias; when w < W only the first `tail` of them are
+    computed, and the output ends there, with fewer columns.
     """
-    H, W = x.shape
+    H, w = x.shape
     n_f, n, n2 = kernels.shape
+    W = w if width is None else width
     if n != n2:
         raise ValueError("kernels must be square")
     if H == 0 or W == 0:
         raise ValueError("conv2d input must be non-empty")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    width = W if width is None else min(width, W)
+    if w > W:
+        raise ValueError(f"conv2d input of {w} columns is wider than its width {W}")
     out_h, pad_top, pad_bot = _same_pad(H, n, 1)
     out_w, pad_left, _ = _same_pad(W, n, stride)
-    out_w = min(out_w, -(-(width + pad_left) // stride) + tail)
+    out_w = min(out_w, -(-(w + pad_left) // stride) + tail)
     padded_w = max(out_w - 1, 0) * stride + n
     padded = np.zeros((H + pad_top + pad_bot, padded_w), dtype=x.dtype)
-    copied = min(width, padded_w - pad_left)
+    copied = min(w, padded_w - pad_left)
     padded[pad_top : pad_top + H, pad_left : pad_left + copied] = x[:, :copied]
     # Patch (a, b) of every cell, read through one strided view of padded.
     rows, step = padded.strides

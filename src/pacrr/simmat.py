@@ -2,8 +2,8 @@
 
 Raw matrices are |q| x |d|, built from embedding-row ids (assigned by
 `model.Scorer`) and the embedding table's unit-vector matrix; the two
-distillation strategies reduce them to |q| x l_d model inputs: `firstk`
-truncates/pads the document axis, while `kwindow` keeps only the
+distillation strategies reduce them to at most l_d document columns:
+`firstk` truncates the document axis, while `kwindow` keeps only the
 highest-scoring disjoint n-term windows, ranked by one partition per n.
 """
 
@@ -20,18 +20,17 @@ MODES = (FIRSTK, KWINDOW)
 
 @dataclass
 class DistilledInput:
-    """query_len x l_d inputs, one matrix per n-gram size.
+    """The document columns distill kept, one float32 matrix per n-gram
+    size: query_len rows and at most l_d columns.
 
     Under firstk every per_n entry is the same matrix object. Under kwindow
     the n that keep every window of the document share that same matrix,
     and each other n has its own window-selected one. A matrix may thus
-    serve several n, so no reader may write into it. widths[n] counts the
-    leading columns of per_n[n] that distill wrote; the rest are zero.
+    serve several n, so no reader may write into it.
     """
 
     mode: str
     per_n: dict[int, np.ndarray]
-    widths: dict[int, int]
 
     @property
     def query_len(self) -> int:
@@ -62,8 +61,8 @@ def distill(sim: np.ndarray, mode: str, l_d: int, l_g: int) -> DistilledInput:
     Only the |q| real query rows are kept, as float32: the model's input
     dtype, so the cast is made once here and never per score.
 
-    `firstk` keeps the first l_d document columns, zero-padded to l_d; every
-    n shares that one matrix. `kwindow` keeps, for each n, the top
+    `firstk` keeps the first min(|d|, l_d) document columns; every n shares
+    that one matrix. `kwindow` keeps, for each n, the top
     k = floor(l_d/n) disjoint n-term windows. Candidate windows start at
     positions 0, n, 2n, ...; a final partial window is zero-padded to length
     n. A window's score is the mean over its columns of the per-column
@@ -73,23 +72,20 @@ def distill(sim: np.ndarray, mode: str, l_d: int, l_g: int) -> DistilledInput:
     one partition. The window means are summed column by column with strided
     adds, which equal numpy's mean up to the sign of a zero, and `>`, `==`
     and the partition treat both zeros alike. The kept windows are
-    concatenated in document order and zero-padded to l_d. An n with at most
-    k windows keeps them all, which is the `firstk` matrix, so those n share
-    it.
+    concatenated in document order, a partial last window with only its real
+    columns: at most l_d columns. An n with at most k windows keeps them
+    all, which is the `firstk` matrix, so those n share it.
     """
     if l_g > l_d:
         raise ValueError(f"l_g={l_g} exceeds l_d={l_d}")
     if mode not in MODES:
         raise ValueError(f"unknown distillation mode {mode!r}")
-    rows, cols = sim.shape
+    _, cols = sim.shape
     sizes = range(1, l_g + 1)
     ranked = [n for n in sizes if -(-cols // n) > l_d // n] if mode == KWINDOW else []
-    per_n, widths = {}, {}
+    per_n = {}
     if len(ranked) < l_g:
-        matrix = np.zeros((rows, l_d), dtype=np.float32)
-        width = min(cols, l_d)
-        matrix[:, :width] = sim[:, :width]
-        per_n, widths = dict.fromkeys(sizes, matrix), dict.fromkeys(sizes, width)
+        per_n = dict.fromkeys(sizes, sim[:, :l_d].astype(np.float32))
     if ranked:
         # The column max does not depend on n: a prefix of one zero-padded
         # copy serves every window length up to l_g.
@@ -104,9 +100,5 @@ def distill(sim: np.ndarray, mode: str, l_d: int, l_g: int) -> DistilledInput:
         t = np.partition(scores, n_windows - k)[n_windows - k]
         keep = scores > t
         keep[np.flatnonzero(scores == t)[: k - np.count_nonzero(keep)]] = True
-        # A kept partial last window's padding is the zeros `out` starts with.
-        kept = np.compress(np.repeat(keep, n)[:cols], sim, axis=1)
-        out = per_n[n] = np.zeros((rows, l_d), dtype=np.float32)
-        out[:, : kept.shape[1]] = kept
-        widths[n] = kept.shape[1]
-    return DistilledInput(mode, per_n, widths)
+        per_n[n] = np.compress(np.repeat(keep, n)[:cols], sim, axis=1).astype(np.float32)
+    return DistilledInput(mode, per_n)

@@ -149,6 +149,23 @@ def conv_oracle(x, kernels, bias, stride):
     return pre.reshape(n_f, out_h, out_w), cols
 
 
+def zero_padded(matrix, shape, dtype=None):
+    """matrix, as distill keeps it, written into a zero array of `shape`."""
+    out = np.zeros(shape, dtype=matrix.dtype if dtype is None else dtype)
+    out[: matrix.shape[0], : matrix.shape[1]] = matrix
+    return out
+
+
+def assert_kept_columns(got, want):
+    """The columns distill kept, `got`, equal the l_d-wide float32 reference
+    `want` byte for byte in every kept column, and `want` is zero past them."""
+    assert got.dtype == want.dtype == np.float32 and got.shape[0] == want.shape[0]
+    assert got.shape[1] <= want.shape[1], (got.shape, want.shape)
+    np.testing.assert_array_equal(got, want[:, : got.shape[1]])
+    assert got.tobytes() == np.ascontiguousarray(want[:, : got.shape[1]]).tobytes()
+    assert not np.any(want[:, got.shape[1] :]), "reference is nonzero past the kept columns"
+
+
 def dense_conv_param_grads(d_out, cols, mask):
     """Kernel and bias gradients of a rectified conv summed over every output
     cell: d_pre.T @ cols with d_pre = d_out (as cells x filters) * mask."""
@@ -159,7 +176,7 @@ def dense_conv_param_grads(d_out, cols, mask):
 
 def all_rows_score(params, config, distilled, idf_vector):
     """rel and the parameter gradients of rel for the PACRR pipeline run over
-    all l_q rows, the distilled real rows zero-padded to l_q, with its own
+    all l_q rows, the distilled real rows zero-padded to l_q x l_d, with its own
     convolution (`conv_oracle`, rectified per filter) and pooling (a dense
     filter argmax at every cell, `kmax_reference`), the pooling routes undone
     by loops and dense conv gradient sums."""
@@ -167,9 +184,7 @@ def all_rows_score(params, config, distilled, idf_vector):
     t_len, n_s = distilled.query_len, config.n_s
 
     def padded(n):
-        out = np.zeros((config.l_q, config.l_d), dtype=dtype)
-        out[:t_len] = distilled.per_n[n]
-        return out
+        return zero_padded(distilled.per_n[n], (config.l_q, config.l_d), dtype)
 
     signals = [kmax_reference(padded(1), n_s)[0]]
     routes = []
@@ -229,7 +244,8 @@ def conv2d_reference(x, kernels, bias, stride=1):
 def score_reference(params, config, distilled, idf_vector):
     """rel and the parameter gradients of rel for one pair, computed the way
     `model.score` and `score_gradients` did with a rectifier per filter and
-    no zero tail skipped: `conv2d_reference` over all l_d columns, the max
+    no zero tail skipped: each distilled matrix zero-padded to l_d columns,
+    `conv2d_reference` over all of them, the max
     of its rectified output, `kmax_reference` over whole rows, each k-max
     survivor routed to the first maximal filter of the rectified output,
     and conv gradients summed over the distinct cells with a nonzero
@@ -238,11 +254,12 @@ def score_reference(params, config, distilled, idf_vector):
     n_s = config.n_s
     t_len = distilled.query_len
     xs = np.empty((t_len, config.rnn_input_dim), dtype=dtype)
-    xs[:, :n_s] = kmax_reference(distilled.per_n[1], n_s)[0]
+    per_n = {n: zero_padded(m, (t_len, config.l_d)) for n, m in distilled.per_n.items()}
+    xs[:, :n_s] = kmax_reference(per_n[1], n_s)[0]
     convs = {}
     for n in range(2, config.l_g + 1):
         stride = n if config.mode == "kwindow" else 1
-        out, cols = conv2d_reference(distilled.per_n[n], params[f"conv{n}_kernels"].value,
+        out, cols = conv2d_reference(per_n[n], params[f"conv{n}_kernels"].value,
                                      params[f"conv{n}_bias"].value, stride)
         xs[:, (n - 1) * n_s : n * n_s], src = kmax_reference(out.max(axis=0), n_s)
         convs[n] = out, cols, src

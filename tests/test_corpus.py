@@ -380,6 +380,25 @@ class TestComputeIdf:
         with pytest.raises(DataError):
             compute_idf(Corpus.build([]))
 
+    def test_counting_holds_at_most_12_bytes_per_token(self):
+        # 240 documents of 500 tokens over 2000 words: the sorted int64 keys
+        # and one bool per token are 9 bytes; a shifted copy of the keys
+        # and a mask beside them would be 17.
+        rng = np.random.default_rng(0)
+        vocab = [f"w{i}" for i in range(2000)]
+        docs = [(f"d{i}", tuple(vocab[j] for j in rng.zipf(1.3, 500) % 2000))
+                for i in range(240)]
+        corpus = Corpus.build(docs)
+        tracemalloc.start()
+        try:
+            idf = compute_idf(corpus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        df = Counter(t for _, tokens in docs for t in set(tokens))
+        assert idf.tolist() == [math.log(241 / (df[t] + 1)) for t in corpus.vocab]
+        assert peak <= 12 * 120_000, peak / 120_000
+
     def test_monotone_in_df_and_nonnegative(self):
         # idf never increases as df grows, and stays >= 0
         docs = []

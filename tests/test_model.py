@@ -6,7 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import all_rows_score, checkpoint_with_header, run_bounded
+from helpers import (all_rows_score, checkpoint_with_header, kmax_oracle, kwindow_oracle,
+                     run_bounded)
 from pacrr import neural
 from pacrr.corpus import Corpus, EmbeddingTable, Query, compute_idf
 from pacrr.errors import CheckpointError
@@ -144,6 +145,64 @@ class TestScore:
             rels.append(rel)
         assert rels[0] == rels[1]
         assert {n: m.tobytes() for n, m in distilled.per_n.items()} == before
+
+    @pytest.mark.parametrize("mode", ["firstk", "kwindow"])
+    def test_unigram_signals_read_n_s_columns_of_the_zero_tail(self, mode):
+        # One query row whose similarities are all negative: its unigram
+        # k-max is that of the row zero-padded to l_d, so a document at
+        # least n_s short of l_d gives n_s zeros, one a column short gives a
+        # zero and then the row's largest value, and one of l_d or more
+        # tokens gives the row's two largest values.
+        config = tiny_config(mode=mode, l_d=6, l_g=2, n_s=2)
+        params = init_params(config)
+        rng = np.random.default_rng(9)
+        for doc_len, first_zeros in ((0, 2), (3, 2), (4, 2), (5, 1), (6, 0), (9, 0)):
+            row = -rng.uniform(0.1, 1.0, doc_len)
+            if mode == "firstk":
+                padded = list(row[: config.l_d]) + [0.0] * (config.l_d - doc_len)
+            else:
+                padded = kwindow_oracle([list(row)], 1, 1, config.l_d)[0]
+            want = kmax_oracle(np.float32(padded).tolist(), config.n_s)
+            distilled = distill(row[None], mode, config.l_d, config.l_g)
+            _, cache = score(params, config, distilled, np.ones(1))
+            signals = cache.rnn_cache.xs[0, : config.n_s]
+            assert signals.tolist() == want, doc_len
+            assert np.count_nonzero(signals == 0.0) == first_zeros, doc_len
+            assert signals[first_zeros:].tolist() == sorted(np.float32(row))[::-1][
+                : config.n_s - first_zeros], doc_len
+
+    @pytest.mark.parametrize("mode", ["firstk", "kwindow"])
+    def test_empty_document_scores_as_an_all_zero_l_d_input(self, mode):
+        # A document with no tokens distills to no columns and scores as the
+        # dense reference scores the all-zero l_d-wide matrix.
+        config = tiny_config(mode=mode)
+        docs = Corpus.build([("empty", ())])
+        emb = EmbeddingTable(dim=2, vectors={"a": np.array([1.0, 0.0])})
+        params = init_params(config)
+        for group in params:
+            group.value = np.random.default_rng(2).uniform(-0.6, 0.6, group.value.shape
+                                                           ).astype(np.float32)
+        scorer = Scorer(config, params, [Query("q", ("a", "b"))], docs, emb, compute_idf(docs))
+        distilled = scorer.distilled("q", "empty")
+        assert {m.shape for m in distilled.per_n.values()} == {(2, 0)}
+        rel, cache = scorer.score_with_cache("q", "empty")
+        assert not cache.rnn_cache.xs[:, : config.n_s].any()
+        ref_rel, ref_grads = all_rows_score(params, config, distilled, scorer.queries["q"][1])
+        assert rel == ref_rel
+        for name, grad in score_gradients(params, config, cache, 1.0).items():
+            np.testing.assert_allclose(grad, ref_grads[name], rtol=1e-12, atol=1e-15,
+                                       err_msg=name)
+
+    def test_input_wider_than_l_d_or_of_other_rows_rejected(self):
+        config = tiny_config()
+        params = init_params(config)
+        wide = distill(np.zeros((2, 20)), config.mode, config.l_d + 1, config.l_g)
+        with pytest.raises(ValueError, match="config dimensions"):
+            score(params, config, wide, np.ones(2))
+        distilled = random_distilled(config, np.random.default_rng(3))
+        distilled.per_n[2] = distilled.per_n[2][:2]
+        with pytest.raises(ValueError, match="config dimensions"):
+            score(params, config, distilled, np.ones(3))
 
     def test_idf_length_must_match(self):
         config = tiny_config()

@@ -33,6 +33,12 @@ class TestConv2d:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             conv2d(np.zeros((0, 3)), np.ones((1, 2, 2)), np.zeros(1))
+        with pytest.raises(ValueError):
+            conv2d(np.zeros((3, 0)), np.ones((1, 2, 2)), np.zeros(1))
+
+    def test_input_wider_than_its_width_rejected(self):
+        with pytest.raises(ValueError, match="wider than its width 3"):
+            conv2d(np.zeros((2, 4)), np.ones((1, 2, 2)), np.zeros(1), width=3)
 
     @pytest.mark.parametrize("density", [1.0, 0.05, 0.0])
     def test_param_gradients_equal_dense_sums(self, density):
@@ -79,8 +85,9 @@ class TestConv2d:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("strided", [False, True])
     def test_zero_tail_is_cut_after_tail_columns(self, dtype, n, strided):
-        # Every output column whose receptive field lies wholly past the
-        # written width holds the bias, so only `tail` of them are computed.
+        # x's first `width` columns stand for the W-wide x. Every output
+        # column whose receptive field lies wholly past them holds the bias,
+        # so only `tail` of them are computed.
         rng = np.random.default_rng(n + 10 * strided)
         stride = n if strided else 1
         kernels = rng.uniform(-1, 1, (5, n, n)).astype(dtype)
@@ -92,7 +99,8 @@ class TestConv2d:
                 x[:, :width] = rng.uniform(-1, 1, (3, width))
                 full, _ = conv2d(x, kernels, bias, stride)
                 for tail in (1, 2, 4):
-                    out, cache = conv2d(x, kernels, bias, stride, width, tail)
+                    assert not x[:, width:].any()
+                    out, cache = conv2d(x[:, :width], kernels, bias, stride, W, tail)
                     cut = out.shape[2]
                     assert out.shape[:2] == full.shape[:2] and cut <= full_w
                     assert out.tobytes() == full[:, :, :cut].tobytes(), (W, width, tail)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import kwindow_oracle, per_pair_sim_matrix
+from helpers import assert_kept_columns, kwindow_oracle, per_pair_sim_matrix
 from pacrr.corpus import Corpus, EmbeddingTable, Query, compute_idf
 from pacrr.model import PacrrConfig, Scorer, init_params
 from pacrr.simmat import FIRSTK, KWINDOW, build_sim_matrix, distill
@@ -117,11 +117,11 @@ def f32(values):
 
 
 class TestDistillFirstk:
-    def test_padding(self):
+    def test_short_document_keeps_its_columns_unpadded(self):
         sim = np.arange(6, dtype=float).reshape(2, 3) / 10
         out = firstk(sim, l_d=4)
-        np.testing.assert_array_equal(out[:2, :3], f32(sim))
-        assert np.all(out[:, 3] == 0.0)
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out, f32(sim))
 
     def test_truncation(self):
         sim = np.linspace(-1, 1, 1000).reshape(1, 1000)
@@ -161,7 +161,8 @@ class TestDistillKwindow:
         out = kwindow(sim, n=3, l_d=6)
         expected = np.zeros((1, 6))
         expected[0, :2] = [0.4, 0.6]
-        np.testing.assert_array_equal(out, f32(expected))
+        assert out.shape == (1, 2)
+        assert_kept_columns(out, f32(expected))
 
     def test_window_longer_than_l_d(self):
         sim = np.zeros((1, 5))
@@ -171,7 +172,8 @@ class TestDistillKwindow:
     def test_empty_document(self):
         sim = np.zeros((2, 0))
         out = kwindow(sim, n=2, l_d=4)
-        np.testing.assert_array_equal(out, np.zeros((2, 4)))
+        assert out.shape == (2, 0)
+        assert_kept_columns(out, f32(np.zeros((2, 4))))
 
     def test_matches_brute_force_enumeration(self):
         rng = np.random.default_rng(1234)
@@ -191,7 +193,7 @@ class TestDistillKwindow:
             distilled = distill(values, KWINDOW, l_d=l_d, l_g=l_g)
             for n in range(1, l_g + 1):
                 want = kwindow_oracle(values.tolist(), n, n_q, l_d)
-                np.testing.assert_array_equal(distilled.per_n[n], f32(want))
+                assert_kept_columns(distilled.per_n[n], f32(want))
 
     @pytest.mark.parametrize("l_d, l_g", [(768, 3), (64, 4)])
     def test_tie_heavy_documents_around_l_d(self, l_d, l_g):
@@ -203,9 +205,8 @@ class TestDistillKwindow:
             values = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], (3, n_d))
             distilled = distill(values, KWINDOW, l_d=l_d, l_g=l_g)
             for n in range(1, l_g + 1):
-                got = distilled.per_n[n]
-                assert got.dtype == np.float32
-                np.testing.assert_array_equal(got, f32(kwindow_oracle(values.tolist(), n, 3, l_d)))
+                assert_kept_columns(distilled.per_n[n],
+                                    f32(kwindow_oracle(values.tolist(), n, 3, l_d)))
             # The sizes that keep every window share one matrix; each other
             # size has its own.
             keep_all = [n for n in range(1, l_g + 1) if math.ceil(n_d / n) <= l_d // n]
@@ -244,7 +245,7 @@ class TestDistillKwindow:
         sim = np.array([[-0.0, -0.0, 0.5, 0.5, 0.0, -0.0, -0.0, -0.0, 0.0, 0.0]])
         distilled = distill(sim, KWINDOW, l_d=6, l_g=2)
         assert distilled.per_n[2].tobytes() == f32(sim[:, :6]).tobytes()
-        assert distilled.widths == {1: 6, 2: 6}
+        assert distilled.per_n[1].tobytes() == f32(sim[:, :6]).tobytes()
 
     def test_unselected_column_permutation_invariance(self):
         # permuting columns strictly outside the n=1 selection changes nothing
