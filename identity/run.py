@@ -1,6 +1,6 @@
 """Compare every artifact of one recipe run in two checkouts of pacrr.
 
-    python3 identity/run.py --base REV [--declared FILE] [--work DIR]
+    python3 identity/run.py --base REV [--declared FILE] [--small]
 
 REV is a git revision of the repository holding this script, exported with
 `git archive` into a temporary directory, or a directory path, used as it
@@ -9,10 +9,12 @@ runs the same recipe through `python -m pacrr.cli` with its own `src/`, in
 its own working directory and with relative paths, so every file the
 commands write, `config.txt` included, can be compared:
 
-    per seed (0 and 42): synth, gradcheck;
+    per seed (0 and 42): synth (200 documents), gradcheck;
     per seed, mode (firstk, kwindow) and l_d (12, synth's, and 48, above
-    the longest synthetic document): train, rerank, score, pairacc, and
-    eval of the re-ranked run.
+    the longest synthetic document): train (2 x 8 batches), rerank, score,
+    pairacc, and eval of the re-ranked run.
+
+--small runs the same steps on 40 documents and 2 x 2 batches.
 
 Every command's stdout and stderr is an artifact too (`<step>.log`),
 ending in an `[exit N]` line when the command fails; the recipe goes on
@@ -23,6 +25,9 @@ after a failure. The script prints one line per artifact, `same` or
     scores.jsonl, reranked runs   max |delta score|, queries whose order changed
     gradcheck.log                 the lines that differ
     logs, metrics, other files    the changed records (lines)
+
+Checkpoints and runs are read with the working tree's `pacrr` loaders; a
+file they refuse is measured by its changed records.
 
 It exits 0 when every artifact is `same` or matches a pattern (fnmatch, one
 per line, `#` comments) in the --declared file, 1 when another differs, and
@@ -37,7 +42,6 @@ import fnmatch
 import io
 import json
 import os
-import struct
 import subprocess
 import sys
 import tarfile
@@ -47,9 +51,17 @@ from pathlib import Path
 import numpy as np
 
 REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))
+from pacrr.corpus import load_run  # noqa: E402
+from pacrr.errors import DataError  # noqa: E402
+from pacrr.model import load_params  # noqa: E402
+
 SEEDS = (0, 42)
 MODES = ("firstk", "kwindow")
 WIDTHS = (12, 48)
+# (synth documents, training iterations, batches per iteration)
+RECIPE = (200, 2, 8)
+SMALL_RECIPE = (40, 2, 2)
 
 
 def export(repo: Path, rev: str, into: Path) -> str:
@@ -117,36 +129,13 @@ def run_recipe(checkout: Path, work: Path, docs: int, iterations: int,
 # ---------------------------------------------------------------------------
 # Measures of a difference, one per artifact kind
 
-def read_checkpoint(raw: bytes) -> tuple[str, dict[str, np.ndarray]]:
-    """(config JSON, {tensor name: float32 values}) of a PACRR1 checkpoint."""
-    pos = 6
-    (n_config,) = struct.unpack_from("<Q", raw, pos)
-    config = raw[pos + 8 : pos + 8 + n_config].decode("utf-8")
-    pos += 8 + n_config
-    (count,) = struct.unpack_from("<Q", raw, pos)
-    pos += 8
-    table = []
-    for _ in range(count):
-        (n_name,) = struct.unpack_from("<Q", raw, pos)
-        name = raw[pos + 8 : pos + 8 + n_name].decode("utf-8")
-        pos += 8 + n_name
-        (ndim,) = struct.unpack_from("<Q", raw, pos)
-        shape = struct.unpack_from(f"<{ndim}Q", raw, pos + 8)
-        pos += 8 + 8 * ndim + 8
-        table.append((name, shape))
-    tensors = {}
-    for name, shape in table:
-        size = int(np.prod(shape))
-        tensors[name] = np.frombuffer(raw, "<f4", size, pos).reshape(shape)
-        pos += 4 * size
-    return config, tensors
-
-
-def checkpoint_delta(a: bytes, b: bytes) -> str:
+def checkpoint_delta(a: Path, b: Path) -> str:
     try:
-        (config_a, ta), (config_b, tb) = read_checkpoint(a), read_checkpoint(b)
-    except (struct.error, ValueError, UnicodeDecodeError):
-        return "unreadable checkpoint bytes"
+        (params_a, config_a), (params_b, config_b) = load_params(a), load_params(b)
+    except DataError:
+        return records_delta(a, b)
+    ta = {name: group.value for name, group in params_a.groups.items()}
+    tb = {name: group.value for name, group in params_b.groups.items()}
     parts = [] if config_a == config_b else ["config header"]
     for name in sorted(set(ta) | set(tb)):
         if name not in ta or name not in tb or ta[name].shape != tb[name].shape:
@@ -157,23 +146,22 @@ def checkpoint_delta(a: bytes, b: bytes) -> str:
     return "max |delta| " + ", ".join(parts) if parts else "same tensors, other bytes"
 
 
-def scores_of(raw: bytes, trec: bool) -> dict[str, dict[str, float]]:
+def scores_of(path: Path) -> dict[str, dict[str, float]]:
     """{query id: {doc id: score}} of scores.jsonl or a TREC run."""
+    if path.suffix == ".txt":
+        return {qid: {did: score for did, _, score in run.entries}
+                for qid, run in load_run(path).items()}
     scores: dict[str, dict[str, float]] = {}
-    for line in raw.decode("utf-8").splitlines():
-        if trec:
-            qid, _, did, _, score, _ = line.split()
-        else:
-            record = json.loads(line)
-            qid, did, score = record["query_id"], record["doc_id"], record["score"]
-        scores.setdefault(qid, {})[did] = float(score)
+    for line in path.read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        scores.setdefault(record["query_id"], {})[record["doc_id"]] = float(record["score"])
     return scores
 
 
-def scores_delta(a: bytes, b: bytes, trec: bool) -> str:
+def scores_delta(a: Path, b: Path) -> str:
     try:
-        sa, sb = scores_of(a, trec), scores_of(b, trec)
-    except (ValueError, KeyError, UnicodeDecodeError):
+        sa, sb = scores_of(a), scores_of(b)
+    except (DataError, ValueError, KeyError, TypeError):
         return records_delta(a, b)
     if {q: set(d) for q, d in sa.items()} != {q: set(d) for q, d in sb.items()}:
         return "other (query, document) pairs; " + records_delta(a, b)
@@ -186,8 +174,8 @@ def scores_delta(a: bytes, b: bytes, trec: bool) -> str:
     return f"max |delta score| {delta:.3g}, {reordered} of {len(sa)} queries reordered"
 
 
-def records_delta(a: bytes, b: bytes, show: int = 3) -> str:
-    la, lb = a.splitlines(), b.splitlines()
+def records_delta(a: Path, b: Path, show: int = 3) -> str:
+    la, lb = a.read_bytes().splitlines(), b.read_bytes().splitlines()
     changed = [i + 1 for i in range(max(len(la), len(lb)))
                if i >= len(la) or i >= len(lb) or la[i] != lb[i]]
     if not changed:
@@ -196,19 +184,19 @@ def records_delta(a: bytes, b: bytes, show: int = 3) -> str:
     return f"{len(changed)} of {max(len(la), len(lb))} records changed (line {listed})"
 
 
-def lines_delta(a: bytes, b: bytes) -> str:
-    la, lb = a.decode("utf-8", "replace").splitlines(), b.decode("utf-8", "replace").splitlines()
+def lines_delta(a: Path, b: Path) -> str:
+    la, lb = (p.read_text(encoding="utf-8", errors="replace").splitlines() for p in (a, b))
     pairs = [(x, y) for x, y in zip(la, lb) if x != y]
     pairs += [(x, "") for x in la[len(lb):]] + [("", y) for y in lb[len(la):]]
     return " | ".join(f"{x!r} -> {y!r}" for x, y in pairs)
 
 
-def measure(path: str, a: bytes, b: bytes) -> str:
-    name = Path(path).name
+def measure(a: Path, b: Path) -> str:
+    name = a.name
     if name.endswith(".pacrr"):
         return checkpoint_delta(a, b)
     if name in ("scores.jsonl", "reranked_run.txt"):
-        return scores_delta(a, b, trec=name.endswith(".txt"))
+        return scores_delta(a, b)
     if name == "gradcheck.log":
         return lines_delta(a, b)
     return records_delta(a, b)
@@ -228,7 +216,7 @@ def compare(base: Path, head: Path, declared: list[str]) -> tuple[list[str], int
             if not a.is_file() or not b.is_file():
                 measure_text = f"only in {'head' if b.is_file() else 'base'}"
             else:
-                measure_text = measure(path, a.read_bytes(), b.read_bytes())
+                measure_text = measure(a, b)
             is_declared = any(fnmatch.fnmatchcase(path, pattern) for pattern in declared)
             undeclared += not is_declared
             verdict = f"differs{' (declared)' if is_declared else ''}: {measure_text}"
@@ -240,20 +228,17 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision or checkout directory")
     parser.add_argument("--declared", help="file of artifact patterns allowed to differ")
-    parser.add_argument("--docs", type=int, default=200, help="synth documents (default 200)")
-    parser.add_argument("--iterations", type=int, default=2)
-    parser.add_argument("--batches", type=int, default=8, help="batches per iteration")
-    parser.add_argument("--work", help="keep both runs under this new directory")
+    parser.add_argument("--small", action="store_true",
+                        help="40 synth documents and 2 x 2 batches instead of 200 and 2 x 8")
     args = parser.parse_args(argv)
+    docs, iterations, batches = SMALL_RECIPE if args.small else RECIPE
 
     declared = []
     if args.declared:
         declared = [line.strip() for line in Path(args.declared).read_text().splitlines()
                     if line.strip() and not line.lstrip().startswith("#")]
     with tempfile.TemporaryDirectory(prefix="pacrr-identity-") as scratch:
-        work = Path(args.work) if args.work else Path(scratch)
-        if args.work:
-            work.mkdir(parents=True)
+        work = Path(scratch)
         base = Path(args.base)
         if base.is_dir():
             label = str(base.resolve())
@@ -261,14 +246,13 @@ def main(argv=None) -> int:
             base = work / "base-tree"
             label = f"{args.base} ({export(REPO, args.base, base)})"
         print(f"base: {label}\nhead: {REPO}")
-        print(f"recipe: seeds {SEEDS}, modes {MODES}, l_d {WIDTHS}, synth --docs {args.docs}, "
-              f"{args.iterations} x {args.batches} batches")
+        print(f"recipe: seeds {SEEDS}, modes {MODES}, l_d {WIDTHS}, synth --docs {docs}, "
+              f"{iterations} x {batches} batches")
         runs = {"base": work / "base-run", "head": work / "head-run"}
         failed = {}
         for side, checkout in (("base", base), ("head", REPO)):
             runs[side].mkdir()
-            failed[side] = run_recipe(checkout.resolve(), runs[side], args.docs,
-                                      args.iterations, args.batches)
+            failed[side] = run_recipe(checkout.resolve(), runs[side], docs, iterations, batches)
         lines, undeclared = compare(runs["base"], runs["head"], declared)
     print("\n".join(lines))
     differing = sum("  differs" in line for line in lines)

@@ -8,7 +8,6 @@ from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent / "run.py"
 REPO = TOOL.parent.parent
-SMALL = ("--docs", "40", "--iterations", "2", "--batches", "2")
 
 
 def verdicts(stdout: str) -> dict[str, str]:
@@ -32,7 +31,7 @@ def test_identity_against_itself_and_a_negated_score_copy(tmp_path):
     model.write_text(text.replace(old, "return -float(rel), ScoreCache("), encoding="utf-8")
 
     # Both comparisons run at once; each takes about half a minute.
-    runs = {base: subprocess.Popen([sys.executable, str(TOOL), "--base", str(base), *SMALL],
+    runs = {base: subprocess.Popen([sys.executable, str(TOOL), "--base", str(base), "--small"],
                                    stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
             for base in (REPO, mutant)}
     try:

@@ -162,8 +162,9 @@ def score(params: PacrrParams, config: PacrrConfig, distilled: DistilledInput,
     xs = np.empty((t_len, config.rnn_input_dim), dtype=params["rnn_w"].value.dtype)
     conv_caches: dict[int, neural.Conv2dCache] = {}
     kmax_srcs: dict[int, np.ndarray] = {}
-    tail = np.zeros((t_len, min(n_s, config.l_d - shapes[0][1])), per_n[1].dtype)
-    xs[:, :n_s] = neural.kmax_per_row(np.hstack((per_n[1], tail)), n_s)[0]
+    tail = min(n_s, config.l_d - shapes[0][1])
+    unigrams = np.hstack((per_n[1], np.zeros((t_len, tail), per_n[1].dtype))) if tail else per_n[1]
+    xs[:, :n_s] = neural.kmax_per_row(unigrams, n_s)[0]
     for n in conv_sizes(config):
         conv_out, conv_caches[n] = neural.conv2d(
             per_n[n], params[f"conv{n}_kernels"].value, params[f"conv{n}_bias"].value,
