@@ -14,7 +14,8 @@ commands write, `config.txt` included, can be compared:
     the longest synthetic document): train (2 x 8 batches), rerank, score,
     pairacc, and eval of the re-ranked run.
 
---small runs the same steps on 40 documents and 2 x 2 batches.
+--small runs the same steps at seed 42 and l_d 48 alone, on 40 documents
+and 2 x 2 batches.
 
 Every command's stdout and stderr is an artifact too (`<step>.log`),
 ending in an `[exit N]` line when the command fails; the recipe goes on
@@ -56,12 +57,10 @@ from pacrr.corpus import load_run  # noqa: E402
 from pacrr.errors import DataError  # noqa: E402
 from pacrr.model import load_params  # noqa: E402
 
-SEEDS = (0, 42)
 MODES = ("firstk", "kwindow")
-WIDTHS = (12, 48)
-# (synth documents, training iterations, batches per iteration)
-RECIPE = (200, 2, 8)
-SMALL_RECIPE = (40, 2, 2)
+# (seeds, l_d values, synth documents, training iterations, batches per iteration)
+RECIPE = ((0, 42), (12, 48), 200, 2, 8)
+SMALL_RECIPE = ((42,), (48,), 40, 2, 2)
 
 
 def export(repo: Path, rev: str, into: Path) -> str:
@@ -82,7 +81,7 @@ def with_keys(config_text: str, **keys) -> str:
     return "\n".join(lines + [f"{key} = {value}" for key, value in keys.items()]) + "\n"
 
 
-def run_recipe(checkout: Path, work: Path, docs: int, iterations: int,
+def run_recipe(checkout: Path, work: Path, seeds, widths, docs: int, iterations: int,
                batches: int) -> list[str]:
     """Run the recipe with `checkout`'s sources inside `work`; returns the
     logs of the commands that failed."""
@@ -99,7 +98,7 @@ def run_recipe(checkout: Path, work: Path, docs: int, iterations: int,
         if done.returncode:
             failed.append(log)
 
-    for seed in SEEDS:
+    for seed in seeds:
         data = f"s{seed}/data"
         (work / f"s{seed}").mkdir()
         pacrr(f"s{seed}/synth.log", "--seed", str(seed), "--out", data, "synth",
@@ -107,7 +106,7 @@ def run_recipe(checkout: Path, work: Path, docs: int, iterations: int,
         pacrr(f"s{seed}/gradcheck.log", "--seed", str(seed), "gradcheck")
         synth_config = (work / data / "config.txt").read_text(encoding="utf-8")
         for mode in MODES:
-            for l_d in WIDTHS:
+            for l_d in widths:
                 case = f"s{seed}/{mode}-{l_d}"
                 (work / case).mkdir()
                 config = f"{case}/config.txt"
@@ -229,9 +228,10 @@ def main(argv=None) -> int:
     parser.add_argument("--base", required=True, help="git revision or checkout directory")
     parser.add_argument("--declared", help="file of artifact patterns allowed to differ")
     parser.add_argument("--small", action="store_true",
-                        help="40 synth documents and 2 x 2 batches instead of 200 and 2 x 8")
+                        help="seed 42, l_d 48, 40 synth documents and 2 x 2 batches")
     args = parser.parse_args(argv)
-    docs, iterations, batches = SMALL_RECIPE if args.small else RECIPE
+    recipe = SMALL_RECIPE if args.small else RECIPE
+    seeds, widths, docs, iterations, batches = recipe
 
     declared = []
     if args.declared:
@@ -246,13 +246,13 @@ def main(argv=None) -> int:
             base = work / "base-tree"
             label = f"{args.base} ({export(REPO, args.base, base)})"
         print(f"base: {label}\nhead: {REPO}")
-        print(f"recipe: seeds {SEEDS}, modes {MODES}, l_d {WIDTHS}, synth --docs {docs}, "
+        print(f"recipe: seeds {seeds}, modes {MODES}, l_d {widths}, synth --docs {docs}, "
               f"{iterations} x {batches} batches")
         runs = {"base": work / "base-run", "head": work / "head-run"}
         failed = {}
         for side, checkout in (("base", base), ("head", REPO)):
             runs[side].mkdir()
-            failed[side] = run_recipe(checkout.resolve(), runs[side], docs, iterations, batches)
+            failed[side] = run_recipe(checkout.resolve(), runs[side], *recipe)
         lines, undeclared = compare(runs["base"], runs["head"], declared)
     print("\n".join(lines))
     differing = sum("  differs" in line for line in lines)

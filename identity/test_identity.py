@@ -30,7 +30,7 @@ def test_identity_against_itself_and_a_negated_score_copy(tmp_path):
     assert text.count(old) == 1
     model.write_text(text.replace(old, "return -float(rel), ScoreCache("), encoding="utf-8")
 
-    # Both comparisons run at once; each takes about half a minute.
+    # Both comparisons run at once; each takes about ten seconds.
     runs = {base: subprocess.Popen([sys.executable, str(TOOL), "--base", str(base), "--small"],
                                    stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
             for base in (REPO, mutant)}
@@ -44,7 +44,7 @@ def test_identity_against_itself_and_a_negated_score_copy(tmp_path):
     stdout, code = done[REPO]
     same = verdicts(stdout)
     assert code == 0, stdout
-    assert len(same) > 100 and set(same.values()) == {"same"}, stdout
+    assert len(same) > 40 and set(same.values()) == {"same"}, stdout
     assert any(p.endswith("/config.txt") for p in same)
     assert any(p.endswith(".pacrr") for p in same)
 
@@ -57,5 +57,5 @@ def test_identity_against_itself_and_a_negated_score_copy(tmp_path):
             assert verdict.startswith("differs: max |delta score|"), (path, verdict)
     assert all(verdict == "same" for path, verdict in negated.items() if "/data/" in path)
     # gradcheck fails against the negated score; the recipe goes on.
-    assert "'[exit 3]'" in negated["s0/gradcheck.log"], negated["s0/gradcheck.log"]
-    assert "failed in base: s0/gradcheck.log, s42/gradcheck.log" in stdout, stdout
+    assert "'[exit 3]'" in negated["s42/gradcheck.log"], negated["s42/gradcheck.log"]
+    assert "failed in base: s42/gradcheck.log" in stdout, stdout

@@ -1,9 +1,10 @@
 """Ingestion of corpora, queries, judgments, run files, and word embeddings.
 
 Each loader returns what its input file holds, and the returned structures
-are treated as immutable once built. Of the loaders, only `load_embeddings`
-writes: it keeps a binary sidecar of the table it parsed beside the text,
-so a later load of the unchanged text reads that in place of parsing it.
+are treated as immutable once built. Of the loaders, `load_corpus`,
+`load_qrels` and `load_embeddings` also write: each keeps a binary sidecar
+of what it parsed beside the text, so a later load of the unchanged text
+reads that in place of parsing it.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ CANONICAL_GRADES = {-2: "Junk", 0: "NRel", 1: "Rel", 2: "HRel", 3: "Key", 4: "Na
 
 @dataclass(frozen=True, eq=False)
 class Corpus:
-    """Documents as token ids over one vocabulary, made by `build` alone:
-    `vocab` gives each token its id in first-seen order, `doc_ids` each
-    document its position in file order, and document i's int32 ids are
-    `ids[offsets[i]:offsets[i + 1]]`."""
+    """Documents as token ids over one vocabulary, made by `build` or read
+    back from a corpus sidecar: `vocab` gives each token its id in
+    first-seen order, `doc_ids` each document its position in file order,
+    and document i's int32 ids are `ids[offsets[i]:offsets[i + 1]]`."""
 
     doc_ids: dict[str, int]
     vocab: dict[str, int]
@@ -163,7 +164,7 @@ def _read_jsonl(path, id_field):
         tokens = rec["tokens"]
         if not isinstance(rid, str) or not rid:
             raise DataError(f"{path}:{lineno}: '{id_field}' must be a non-empty string")
-        if not isinstance(tokens, list) or not all(map(str.__instancecheck__, tokens)):
+        if not isinstance(tokens, list) or not _all_str(tokens):
             raise DataError(f"{path}:{lineno}: 'tokens' must be a list of strings")
         if rid in seen:
             raise DataError(f"{path}:{lineno}: duplicate {id_field} {rid!r}")
@@ -171,8 +172,22 @@ def _read_jsonl(path, id_field):
         yield lineno, rid, tokens
 
 
+def _all_str(items) -> bool:
+    try:  # `str.join` checks every item in C, three times as fast as isinstance
+        return "".join(items) is not None
+    except TypeError:
+        return False
+
+
 def load_corpus(path) -> Corpus:
-    """Load line-delimited JSON documents ({"doc_id": ..., "tokens": [...]})."""
+    """Load line-delimited JSON documents ({"doc_id": ..., "tokens": [...]}),
+    through the sidecar `.<name>.pacrrcorpus` as `load_embeddings` does."""
+    return _through_sidecar(path, "corpus", _parse_corpus,
+                            lambda c: _ragged_body(c.doc_ids, c.vocab, c.ids, c.offsets),
+                            lambda body: Corpus(*_read_ragged(body, 0)))
+
+
+def _parse_corpus(path) -> Corpus:
     return Corpus.build((doc_id, tokens) for _, doc_id, tokens in _read_jsonl(path, "doc_id"))
 
 
@@ -199,25 +214,38 @@ def _rows(path, n_fields):
 def load_qrels(path, grade_map: dict[int, int] | None = None) -> JudgmentSet:
     """Load TREC qrels (`query_id 0 doc_id grade`), mapping raw grades to the
     canonical scale. The default map is the identity on canonical grades.
-    Equal ids of the file share one `str`."""
-    mapping = {g: g for g in CANONICAL_GRADES}
-    if grade_map:
-        mapping.update(grade_map)
+    Equal ids of the file share one `str`. The raw judgments go through the
+    sidecar `.<name>.pacrrqrels` as in `load_embeddings`, unless it holds a
+    raw grade with no mapping: then the parse names its line."""
+    mapping = {**{g: g for g in CANONICAL_GRADES}, **(grade_map or {})}
+    by_query = _through_sidecar(path, "qrels", lambda p: _parse_qrels(p, mapping),
+                                _encode_qrels, lambda body: _decode_qrels(body, mapping))
+    if any(raw != grade for raw, grade in mapping.items()):
+        by_query = {qid: {did: mapping[raw] for did, raw in judged.items()}
+                    for qid, judged in by_query.items()}
+    return JudgmentSet(by_query)
+
+
+def _parse_qrels(path, mapping) -> dict[str, dict[str, int]]:
+    """Per query, its doc ids and raw grades in file order, with every check;
+    each distinct grade field is read and checked once."""
     shared: dict[str, str] = {}
+    grades: dict[str, int] = {}
     by_query: dict[str, dict[str, int]] = {}
     for lineno, (qid, _, did, raw) in _rows(path, 4):
-        try:
-            raw_grade = int(raw)
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: grade {raw!r} is not an integer") from None
-        if raw_grade not in mapping:
-            raise DataError(f"{path}:{lineno}: raw grade {raw_grade} has no mapping")
+        if raw not in grades:
+            try:
+                grades[raw] = int(raw)
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: grade {raw!r} is not an integer") from None
+            if grades[raw] not in mapping:
+                raise DataError(f"{path}:{lineno}: raw grade {grades[raw]} has no mapping")
         judged = by_query.setdefault(qid, {})
         did = shared.setdefault(did, did)
         if did in judged:
             raise DataError(f"{path}:{lineno}: duplicate judgment for ({qid}, {did})")
-        judged[did] = mapping[raw_grade]
-    return JudgmentSet(by_query)
+        judged[did] = grades[raw]
+    return by_query
 
 
 def load_run(path) -> dict[str, RunRanking]:
@@ -234,16 +262,19 @@ def load_run(path) -> dict[str, RunRanking]:
     return {qid: RunRanking(qid, entries) for qid, entries in grouped.items()}
 
 
-# Embeddings sidecar `.<name>.pacrrvec` (all integers little-endian):
-#   magic "PACRRVEC1"
-#   u64 text length | u32 text CRC-32   (the key of the text it was parsed from)
-#   u64 count | u64 dim
-#   the count tokens in file order, UTF-8, joined by "\n"
-#   count x dim float64 little-endian values, one row per token
-#   u32 CRC-32 of everything above
-SIDECAR_MAGIC = b"PACRRVEC1"
-_SIDECAR_HEAD = struct.Struct("<9sQIQQ")
-_KEY_CHUNK = 1 << 20
+# Sidecars `.<name>.pacrr<kind>`, one container for every kind (integers
+# little-endian): a 9-byte magic | u64 text length | u32 text CRC-32 (the
+# key of the text it was parsed from) | the kind's body | u32 CRC-32 of all
+# before it. The vec body: u64 count | u64 dim | the count tokens in file
+# order, UTF-8, joined by "\n" | count x dim float64 values, a row per token.
+# The corpus and qrels bodies are arrays, each a u64 byte length and its
+# bytes: a table of row strings and one of column strings (each the strings
+# joined, UTF-8 with lone surrogates passed, then int64 offsets in code
+# points), int64 offsets of each row's run of int32 column indexes, the
+# indexes and, for qrels, an int64 raw grade per index. Corpus rows are documents
+# and columns tokens; qrels rows are queries, each run its judged doc ids.
+SIDECAR_MAGIC = {"vec": b"PACRRVEC1", "corpus": b"PACRRDOC1", "qrels": b"PACRRQRL1"}
+_SIDECAR_HEAD = struct.Struct("<9sQI")
 
 
 def load_embeddings(path) -> EmbeddingTable:
@@ -257,18 +288,29 @@ def load_embeddings(path) -> EmbeddingTable:
     from the sidecar `.<name>.pacrrvec` beside it when that holds the same
     key and checks out whole; otherwise the text is parsed and the sidecar
     written, unless the directory refuses it. Both give the same table."""
+    return _through_sidecar(path, "vec", _parse_embeddings, _encode_vectors, _decode_vectors)
+
+
+def _through_sidecar(path, kind, parse, encode, decode):
+    """decode(body) of the sidecar `.<name>.pacrr<kind>` of a regular file if
+    it has the text's key and checks out; else parse(path), saved by encode."""
     key = _text_key(path)
     if key is None:
-        return _parse_embeddings(path)
-    sidecar = Path(path).with_name(f".{Path(path).name}.pacrrvec")
-    table = _read_sidecar(sidecar, key)
-    if table is None:
-        table = _parse_embeddings(path)
+        return parse(path)
+    sidecar = Path(path).with_name(f".{Path(path).name}.pacrr{kind}")
+    head = _SIDECAR_HEAD.pack(SIDECAR_MAGIC[kind], *key)
+    value = _read_sidecar(sidecar, head, decode)
+    if value is None:
+        value = parse(path)
         try:
-            _write_sidecar(sidecar, key, table)
-        except OSError:
+            parts = [head, *encode(value)]
+            crc = 0
+            for part in parts:
+                crc = zlib.crc32(part, crc)
+            write_atomic(sidecar, *parts, struct.pack("<I", crc))
+        except (OSError, OverflowError):  # an unwritable directory, a grade beyond int64
             pass  # the next load parses again
-    return table
+    return value
 
 
 def _text_key(path) -> tuple[int, int] | None:
@@ -278,7 +320,7 @@ def _text_key(path) -> tuple[int, int] | None:
         if not stat.S_ISREG(os.stat(path).st_mode):
             return None
         length = crc = 0
-        chunk = bytearray(_KEY_CHUNK)
+        chunk = bytearray(1 << 20)
         view = memoryview(chunk)
         with open(path, "rb") as f:
             while n := f.readinto(chunk):
@@ -289,41 +331,98 @@ def _text_key(path) -> tuple[int, int] | None:
     return length, crc
 
 
-def _read_sidecar(path, key) -> EmbeddingTable | None:
-    """The table a sidecar holds for text of this key; None unless its magic,
-    key, size and CRC match, its tokens are `count` distinct ones and every
-    value is finite. The rows are views of one (count, dim) matrix."""
+def _read_sidecar(path, head, decode):
+    """decode(body) of a sidecar that starts with `head` and whose CRC
+    matches; None if it does not, or if decode finds a body no parse gives."""
     try:
-        with open(path, "rb") as f:
-            head = f.read(_SIDECAR_HEAD.size)
-            magic, length, text_crc, count, dim = _SIDECAR_HEAD.unpack(head)
-            n_token_bytes = os.fstat(f.fileno()).st_size - len(head) - 8 * count * dim - 4
-            if (magic != SIDECAR_MAGIC or (length, text_crc) != key or n_token_bytes < 0
-                    or not count * dim):
-                return None
-            token_bytes = f.read(n_token_bytes)
-            matrix = np.empty((count, dim), dtype="<f8")
-            f.readinto(matrix)
-            crc = zlib.crc32(matrix, zlib.crc32(token_bytes, zlib.crc32(head)))
-            if f.read() != struct.pack("<I", crc):
-                return None
-        tokens = token_bytes.decode("utf-8").split("\n")
-    except (OSError, struct.error, UnicodeDecodeError):
-        return None
+        data = Path(path).read_bytes()
+        if (data.startswith(head)
+                and zlib.crc32(memoryview(data)[:-4]).to_bytes(4, "little") == data[-4:]):
+            return decode(memoryview(data)[len(head) : -4])
+    except (OSError, ValueError, OverflowError, struct.error):  # incl. UnicodeDecodeError
+        pass
+    return None
+
+
+def _encode_vectors(table: EmbeddingTable) -> list:
+    return [struct.pack("<QQ", len(table), table.dim),
+            "\n".join(table.vectors).encode("utf-8"),
+            *(np.asarray(v, dtype="<f8") for v in table.vectors.values())]
+
+
+def _decode_vectors(body) -> EmbeddingTable:
+    """count distinct tokens and finite rows: read-only views of the body."""
+    count, dim = struct.unpack_from("<QQ", body)
+    n_token_bytes = len(body) - 16 - 8 * count * dim
+    if n_token_bytes < 0 or not count * dim:
+        raise ValueError("sizes")
+    tokens = str(body[16 : 16 + n_token_bytes], "utf-8").split("\n")
+    matrix = np.frombuffer(body, "<f8", count * dim, 16 + n_token_bytes).reshape(count, dim)
     vectors = dict(zip(tokens, matrix))
     if len(tokens) != count or len(vectors) != count or not np.isfinite(matrix).all():
-        return None
+        raise ValueError("tokens or values")
     return EmbeddingTable(dim=dim, vectors=vectors)
 
 
-def _write_sidecar(path, key, table: EmbeddingTable) -> None:
-    parts = [_SIDECAR_HEAD.pack(SIDECAR_MAGIC, *key, len(table), table.dim),
-             "\n".join(table.vectors).encode("utf-8"),
-             *(np.asarray(v, dtype="<f8") for v in table.vectors.values())]
-    crc = 0
-    for part in parts:
-        crc = zlib.crc32(part, crc)
-    write_atomic(path, *parts, struct.pack("<I", crc))
+def _ragged_body(rows, columns, indexes, offsets, *extra) -> list:
+    arrays = [a for t in (list(rows), list(columns)) for a in (
+        "".join(t).encode("utf-8", "surrogatepass"), np.cumsum([0, *map(len, t)], dtype="<i8"))]
+    arrays += [np.asarray(offsets, "<i8"), np.asarray(indexes, "<i4"), *extra]
+    return [part for a in arrays for part in (struct.pack("<Q", memoryview(a).nbytes), a)]
+
+
+def _read_ragged(body, n_extra) -> tuple:
+    """(row positions, column positions, indexes, offsets, *extra): read-only
+    views of a body the arrays fill, with no repeated string or bad index."""
+    arrays, pos = [], 0
+    for dtype in (str, "<i8", str, "<i8", "<i8", "<i4") + ("<i8",) * n_extra:
+        (n,) = struct.unpack_from("<Q", body, pos)
+        pos += 8 + n  # past the end: OverflowError, or a short chunk and pos > len(body)
+        chunk = body[pos - n : pos]
+        arrays.append(str(chunk, "utf-8", "surrogatepass") if dtype is str
+                      else np.frombuffer(chunk, dtype))
+    row_text, row_offsets, column_text, column_offsets, offsets, indexes, *extra = arrays
+    rows, columns = _strings(row_text, row_offsets), _strings(column_text, column_offsets)
+    if (pos != len(body) or len(offsets) != len(rows) + 1
+            or any(len(e) != len(indexes) for e in extra)
+            or len(indexes) and (indexes.min() < 0 or indexes.max() >= len(columns))):
+        raise ValueError("sizes or indexes")
+    return rows, columns, indexes, _check_offsets(offsets, len(indexes)), *extra
+
+
+def _strings(text, offsets) -> dict[str, int]:
+    bounds = _check_offsets(offsets, len(text)).tolist()
+    strings = dict(zip((text[a:b] for a, b in zip(bounds, bounds[1:])), itertools.count()))
+    if len(strings) != len(bounds) - 1:
+        raise ValueError("a repeated string")
+    return strings
+
+
+def _check_offsets(offsets, end):  # from 0 to end, never decreasing
+    if not len(offsets) or offsets[0] or offsets[-1] != end or (np.diff(offsets) < 0).any():
+        raise ValueError("offsets")
+    return offsets
+
+
+def _encode_qrels(by_query: dict[str, dict[str, int]]) -> list:
+    judged = list(by_query.values())
+    index = dict(zip(dict.fromkeys(itertools.chain(*judged)), itertools.count()))
+    return _ragged_body(by_query, index,
+                        np.fromiter(map(index.__getitem__, itertools.chain(*judged)), "<i4"),
+                        np.cumsum([0, *map(len, judged)]),
+                        np.fromiter(itertools.chain(*map(dict.values, judged)), "<i8"))
+
+
+def _decode_qrels(body, mapping) -> dict[str, dict[str, int]]:
+    qids, dids, docs, offsets, grades = _read_ragged(body, 1)
+    bounds, grades = offsets.tolist(), grades.tolist()
+    docs = np.array(list(dids), dtype=object)[docs].tolist()
+    by_query = {qid: dict(zip(docs[a:b], grades[a:b]))
+                for qid, a, b in zip(qids, bounds, bounds[1:])}
+    if (sum(map(len, by_query.values())) != len(grades) or not all(by_query.values())
+            or not mapping.keys() >= set(grades)):
+        raise ValueError("a judgment twice, a query with none, or a raw grade with no mapping")
+    return by_query
 
 
 def _parse_embeddings(path) -> EmbeddingTable:

@@ -5,8 +5,8 @@ with the library paths they check. The dense references at the end do the
 full work that an optimised library path skips (padding rows, dead cells,
 the zero tail of a short document, a rectifier per filter, repeated
 normalisation), so a test can require equal results. The last
-helpers build crafted checkpoints and run a snippet in a child process whose
-memory and time are bounded.
+helpers build crafted checkpoints, run a snippet in a child process whose
+memory and time are bounded, and build sidecar bytes.
 """
 
 import itertools
@@ -482,3 +482,30 @@ def run_bounded(code: str, max_bytes: int, timeout: float) -> subprocess.Complet
              f"resource.setrlimit(resource.RLIMIT_AS, ({max_bytes}, {max_bytes}))\n")
     return subprocess.run([sys.executable, "-c", limit + code], env=env,
                           capture_output=True, text=True, timeout=timeout)
+
+
+def keyed_sidecar(magic: bytes, text: bytes, body: bytes) -> bytes:
+    """Sidecar bytes keyed to `text` (its length and CRC-32) that hold
+    `body`, with the trailing CRC-32 made valid."""
+    data = magic + struct.pack("<QI", len(text), zlib.crc32(text)) + body
+    return data + struct.pack("<I", zlib.crc32(data))
+
+
+def array_body(*arrays) -> bytes:
+    """A corpus or qrels sidecar body. Each array is a list of strings (a
+    table: the joined UTF-8 text and int64 code-point offsets) or a
+    (values, dtype) pair, written after its u64 byte length; bytes are
+    written as they are."""
+    chunks = []
+    for array in arrays:
+        if isinstance(array, bytes):
+            chunks.append(array)
+            continue
+        if isinstance(array, list):
+            parts = ["".join(array).encode("utf-8", "surrogatepass"),
+                     struct.pack(f"<{len(array) + 1}q",
+                                 *itertools.accumulate(map(len, array), initial=0))]
+        else:
+            parts = [np.asarray(array[0], dtype=array[1]).tobytes()]
+        chunks += [struct.pack("<Q", len(part)) + part for part in parts]
+    return b"".join(chunks)

@@ -451,20 +451,26 @@ class TestCliCommands:
 
     def test_second_rerank_reads_the_embeddings_sidecar(self, synth_dir, trained_checkpoint,
                                                         tmp_path, monkeypatch):
+        # And the corpus and qrels sidecars: the second run parses no text.
         cfg = load_run_config(synth_dir / "config.txt")
-        embeddings = tmp_path / "embeddings.txt"
-        embeddings.write_bytes((synth_dir / "embeddings.txt").read_bytes())
-        cfg.embeddings = str(embeddings)
+        sidecars = {"embeddings": ".embeddings.txt.pacrrvec",
+                    "corpus": ".corpus.jsonl.pacrrcorpus", "qrels": ".qrels.txt.pacrrqrels"}
+        for key in sidecars:
+            copy = tmp_path / Path(getattr(cfg, key)).name
+            copy.write_bytes(Path(getattr(cfg, key)).read_bytes())
+            setattr(cfg, key, str(copy))
         config = tmp_path / "run.cfg"
         write_run_config(cfg, config)
         args = ["--config", str(config), "rerank", "--checkpoint", str(trained_checkpoint)]
         assert main(["--out", str(tmp_path / "cold"), *args]) == 0
-        assert (tmp_path / ".embeddings.txt.pacrrvec").is_file()
+        for name in sidecars.values():
+            assert (tmp_path / name).is_file(), name
 
-        def refuse_to_parse(path):
+        def refuse_to_parse(path, *args):
             raise AssertionError(f"{path} was parsed")
 
-        monkeypatch.setattr("pacrr.corpus._parse_embeddings", refuse_to_parse)
+        for parser in ("_parse_embeddings", "_parse_corpus", "_parse_qrels"):
+            monkeypatch.setattr(f"pacrr.corpus.{parser}", refuse_to_parse)
         assert main(["--out", str(tmp_path / "warm"), *args]) == 0
         assert ((tmp_path / "warm" / "reranked_run.txt").read_bytes()
                 == (tmp_path / "cold" / "reranked_run.txt").read_bytes())

@@ -1,13 +1,15 @@
+import json
 import logging
 import math
 import os
+import struct
 import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from helpers import corpus_records
+from helpers import array_body, corpus_records, keyed_sidecar
 from pacrr import synth
 from pacrr.config import RunConfig, write_run_config
 from pacrr.corpus import (compute_idf, load_corpus, load_embeddings,
@@ -123,7 +125,8 @@ class TestLoadQrels:
 
 
 class TestSharedStrings:
-    """Each loader holds one `str` per distinct token or id of its file."""
+    """Each loader holds one `str` per distinct token or id of its file, on
+    the load that parses the text and on the next, from its sidecar."""
 
     def test_equal_tokens_get_equal_ids(self, tmp_path):
         path = write(tmp_path, "c.jsonl", '{"doc_id":"d1","tokens":["dog","cat","dog"]}\n'
@@ -134,9 +137,12 @@ class TestSharedStrings:
         assert docs.doc("d2").tolist() == [1, 0]
 
     def test_equal_ids_are_one_object(self, tmp_path):
-        qrels = load_qrels(write(tmp_path, "qrels.txt", "q1 0 d1 1\nq1 0 d2 0\nq2 0 d1 2\n"))
-        (d1, _), (d1_again,) = qrels.for_query("q1"), qrels.for_query("q2")
-        assert d1 is d1_again
+        path = write(tmp_path, "qrels.txt", "q1 0 d1 1\nq1 0 d2 0\nq2 0 d1 2\n")
+        for _ in ("parse", "sidecar"):
+            qrels = load_qrels(path)
+            (d1, _), (d1_again,) = qrels.for_query("q1"), qrels.for_query("q2")
+            assert d1 is d1_again
+        assert sidecar_of(path, "qrels").is_file()
         runs = load_run(write(tmp_path, "run.txt",
                               "q1 Q0 d1 1 2.0 t\nq1 Q0 d2 2 1.0 t\nq2 Q0 d1 1 3.0 t\n"))
         assert runs["q1"].entries[0][0] is runs["q2"].entries[0][0]
@@ -150,30 +156,34 @@ class TestSharedStrings:
         docs = [(f"d{i}", tuple(vocab[j] for j in rng.integers(50, size=400)))
                 for i in range(120)]
         save_corpus(Corpus.build(docs), tmp_path / "c.jsonl")
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            loaded = load_corpus(tmp_path / "c.jsonl")
-            held = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert corpus_records(loaded) == docs
-        assert held <= 6 * 120 * 400, held / (120 * 400)
+        for _ in ("parse", "sidecar"):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                loaded = load_corpus(tmp_path / "c.jsonl")
+                held = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert corpus_records(loaded) == docs
+            assert held <= 6 * 120 * 400, held / (120 * 400)
+        assert sidecar_of(tmp_path / "c.jsonl", "corpus").is_file()
 
     def test_a_loaded_judgment_costs_at_most_40_bytes(self, tmp_path):
         # 40 queries judging the same 300 documents: a judgment is a slot of
         # its query's dict, not a (query, doc) key of its own (about 128 bytes).
         path = write(tmp_path, "qrels.txt", "".join(
             f"q{q} 0 d{d} {d % 3}\n" for q in range(40) for d in range(300)))
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            loaded = load_qrels(path)
-            held = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert sum(len(loaded.for_query(qid)) for qid in loaded.query_ids()) == 40 * 300
-        assert held <= 40 * 40 * 300, held / (40 * 300)
+        for _ in ("parse", "sidecar"):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                loaded = load_qrels(path)
+                held = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert sum(len(loaded.for_query(qid)) for qid in loaded.query_ids()) == 40 * 300
+            assert held <= 40 * 40 * 300, held / (40 * 300)
+        assert sidecar_of(path, "qrels").is_file()
 
 
 class TestLoadEmbeddings:
@@ -232,8 +242,8 @@ class TestLoadEmbeddings:
         assert table.units is table.units
 
 
-def sidecar_of(path):
-    return path.with_name(f".{path.name}.pacrrvec")
+def sidecar_of(path, kind="vec"):
+    return path.with_name(f".{path.name}.pacrr{kind}")
 
 
 def assert_same_table(a, b):
@@ -244,42 +254,60 @@ def assert_same_table(a, b):
     assert a.units.tobytes() == b.units.tobytes()
 
 
-def refuse_to_parse(path):
+def refuse_to_parse(path, *args):
     raise AssertionError(f"{path} was parsed")
 
 
-class TestEmbeddingsSidecar:
-    """`load_embeddings` keeps a `.<name>.pacrrvec` sidecar of the parsed
-    table, keyed by the text's length and CRC-32, and reads it only when it
-    checks out whole; every other case parses the text as before."""
+def pytest_generate_tests(metafunc):
+    # Each sidecar class lists its own invalid texts.
+    if "invalid_text" in metafunc.fixturenames:
+        metafunc.parametrize("invalid_text", list(metafunc.cls.INVALID.values()),
+                             ids=list(metafunc.cls.INVALID))
 
-    TEXT = "3 2\nb 0.5 -1.25\na 1e-3 2\nzero 0 0\n"
+
+class SidecarCases:
+    """A loader keeps a `.<name>.pacrr<kind>` sidecar of what it parsed,
+    keyed by the text's length and CRC-32, and reads it only when it checks
+    out whole; every other case parses the text as before. A subclass names
+    the loader, its parser, a text and what it loads as, an edit that keeps
+    the text's length, and invalid texts."""
+
+    def assert_same(self, a, b):
+        assert self.records(a) == self.records(b)
+
+    def parsed(self, path):
+        """What a load of the text at `path` gives with no sidecar beside it."""
+        fresh = path.parent / "fresh"
+        fresh.mkdir(exist_ok=True)
+        (fresh / path.name).write_bytes(path.read_bytes())
+        return self.load(fresh / path.name)
 
     def test_warm_load_equals_cold_load_and_does_not_parse(self, tmp_path, monkeypatch):
-        path = write(tmp_path, "e.txt", self.TEXT)
-        cold = load_embeddings(path)
-        assert sidecar_of(path).is_file()
-        monkeypatch.setattr("pacrr.corpus._parse_embeddings", refuse_to_parse)
-        warm = load_embeddings(path)
-        assert_same_table(warm, cold)
-        assert list(warm.vectors) == ["b", "a", "zero"]
+        path = write(tmp_path, self.NAME, self.TEXT)
+        cold = self.load(path)
+        assert sidecar_of(path, self.KIND).is_file()
+        monkeypatch.setattr(f"pacrr.corpus.{self.PARSER}", refuse_to_parse)
+        warm = self.load(path)
+        self.assert_same(warm, cold)
+        assert self.records(warm) == self.EXPECTED
 
     def test_text_of_the_same_length_and_mtime_is_parsed_again(self, tmp_path, monkeypatch):
-        path = write(tmp_path, "e.txt", self.TEXT)
-        load_embeddings(path)
+        path = write(tmp_path, self.NAME, self.TEXT)
+        first = self.load(path)
         before = os.stat(path)
-        write(tmp_path, "e.txt", self.TEXT.replace("0.5", "0.7"))
+        write(tmp_path, self.NAME, self.TEXT.replace(*self.EDIT))
         os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
         assert os.stat(path).st_size == before.st_size
-        table = load_embeddings(path)
-        np.testing.assert_array_equal(table.vectors["b"], [0.7, -1.25])
-        monkeypatch.setattr("pacrr.corpus._parse_embeddings", refuse_to_parse)
-        assert_same_table(load_embeddings(path), table)
+        table = self.load(path)
+        assert self.records(table) != self.records(first)
+        self.assert_same(table, self.parsed(path))
+        monkeypatch.setattr(f"pacrr.corpus.{self.PARSER}", refuse_to_parse)
+        self.assert_same(self.load(path), table)
 
     def test_every_bit_flip_and_truncation_of_the_sidecar_is_rewritten(self, tmp_path):
-        path = write(tmp_path, "e.txt", self.TEXT)
-        parsed = load_embeddings(path)
-        good = sidecar_of(path).read_bytes()
+        path = write(tmp_path, self.NAME, self.TEXT)
+        parsed = self.load(path)
+        good = sidecar_of(path, self.KIND).read_bytes()
         damaged = [good[:n] for n in range(len(good))]
         for pos in range(len(good)):
             for bit in range(8):
@@ -287,46 +315,178 @@ class TestEmbeddingsSidecar:
                 flipped[pos] ^= 1 << bit
                 damaged.append(bytes(flipped))
         for data in damaged:
-            sidecar_of(path).write_bytes(data)
-            assert_same_table(load_embeddings(path), parsed)
-            assert sidecar_of(path).read_bytes() == good
+            sidecar_of(path, self.KIND).write_bytes(data)
+            self.assert_same(self.load(path), parsed)
+            assert sidecar_of(path, self.KIND).read_bytes() == good
 
     def test_failed_sidecar_write_is_silent(self, tmp_path, monkeypatch, caplog, capsys):
-        path = write(tmp_path, "e.txt", self.TEXT)
-        parsed = load_embeddings(path)
-        sidecar_of(path).unlink()
+        path = write(tmp_path, self.NAME, self.TEXT)
+        parsed = self.load(path)
+        sidecar_of(path, self.KIND).unlink()
 
         def fail(src, dst):
             raise OSError("read-only file system")
 
         monkeypatch.setattr("pacrr.corpus.os.replace", fail)
         with caplog.at_level(logging.DEBUG):
-            assert_same_table(load_embeddings(path), parsed)
+            self.assert_same(self.load(path), parsed)
         assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []
         assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
         assert capsys.readouterr() == ("", "")
 
-    @pytest.mark.parametrize("text", ["3 2\nb 0.5 -1.25\na 1e-3\nzero 0 0\n",
-                                      "3 2\nb 0.5 -1.25\na 1e-3 nan\nzero 0 0\n",
-                                      "3 2\nb 0.5 -1.25\nb 1e-3 2\nzero 0 0\n",
-                                      "4 2\nb 0.5 -1.25\na 1e-3 2\nzero 0 0\n",
-                                      "3 2\nb 0.5 -1.25\na 1e-3 2\n\xe9 0 0\n"],
-                             ids=["dim", "non-finite", "listed-again", "header", "utf-8"])
     def test_text_made_invalid_raises_what_it_raises_without_a_sidecar(self, tmp_path,
-                                                                       text):
-        path = write(tmp_path, "e.txt", self.TEXT)
-        load_embeddings(path)
-        if text.isascii():
-            write(tmp_path, "e.txt", text)
-        else:
-            path.write_bytes(text.encode("latin-1"))
+                                                                       invalid_text):
+        path = write(tmp_path, self.NAME, self.TEXT)
+        self.load(path)
+        path.write_bytes(invalid_text)
         with pytest.raises(DataError) as with_sidecar:
-            load_embeddings(path)
-        sidecar_of(path).unlink()
+            self.load(path)
+        sidecar_of(path, self.KIND).unlink()
         with pytest.raises(DataError) as without:
-            load_embeddings(path)
+            self.load(path)
         assert str(with_sidecar.value) == str(without.value)
-        assert not sidecar_of(path).exists()
+        assert not sidecar_of(path, self.KIND).exists()
+
+    def test_forged_sidecar_with_a_valid_crc_is_a_miss(self, tmp_path):
+        # Each forgery is well formed but holds what no parse gives.
+        path = write(tmp_path, self.NAME, self.TEXT)
+        parsed = self.load(path)
+        good = sidecar_of(path, self.KIND).read_bytes()
+        assert good == self.sidecar(**self.FIELDS)
+        for name, fields in self.FORGED.items():
+            sidecar_of(path, self.KIND).write_bytes(self.sidecar(**dict(self.FIELDS, **fields)))
+            self.assert_same(self.load(path), parsed)
+            assert sidecar_of(path, self.KIND).read_bytes() == good, name
+
+
+class TestEmbeddingsSidecar(SidecarCases):
+    KIND, NAME, PARSER = "vec", "e.txt", "_parse_embeddings"
+    load = staticmethod(load_embeddings)
+    TEXT = "3 2\nb 0.5 -1.25\na 1e-3 2\nzero 0 0\n"
+    EDIT = ("0.5", "0.7")
+    INVALID = {"dim": b"3 2\nb 0.5 -1.25\na 1e-3\nzero 0 0\n",
+               "non-finite": b"3 2\nb 0.5 -1.25\na 1e-3 nan\nzero 0 0\n",
+               "listed-again": b"3 2\nb 0.5 -1.25\nb 1e-3 2\nzero 0 0\n",
+               "header": b"4 2\nb 0.5 -1.25\na 1e-3 2\nzero 0 0\n",
+               "utf-8": b"3 2\nb 0.5 -1.25\na 1e-3 2\n\xe9 0 0\n"}
+    EXPECTED = (2, ["b", "a", "zero"], [[0.5, -1.25], [1e-3, 2.0], [0.0, 0.0]])
+    FIELDS = dict(tokens=["b", "a", "zero"], rows=[[0.5, -1.25], [1e-3, 2.0], [0.0, 0.0]])
+    FORGED = {"non-finite": dict(rows=[[0.5, -1.25], [np.inf, 2.0], [0.0, 0.0]]),
+              "repeated token": dict(tokens=["b", "a", "b"]),
+              "count": dict(tokens=["b", "a"])}
+
+    def records(self, table):
+        return table.dim, list(table.vectors), np.array(list(table.vectors.values())).tolist()
+
+    def assert_same(self, a, b):
+        assert_same_table(a, b)
+
+    def sidecar(self, tokens, rows):
+        rows = np.asarray(rows, dtype="<f8")
+        return keyed_sidecar(b"PACRRVEC1", self.TEXT.encode(),
+                             struct.pack("<QQ", 3, 2) + "\n".join(tokens).encode()
+                             + rows.tobytes())
+
+
+class TestCorpusSidecar(SidecarCases):
+    KIND, NAME, PARSER = "corpus", "c.jsonl", "_parse_corpus"
+    load = staticmethod(load_corpus)
+    TEXT = ('{"doc_id": "d1", "tokens": ["a", "b", "a"]}\n\n'
+            '{"doc_id": "d2", "tokens": []}\n{"doc_id": "d3", "tokens": ["c"]}\n')
+    EDIT = ('"b", "a"', '"a", "b"')
+    INVALID = {"json": b'{"doc_id": "d1", "tokens": ["a"]}\n{"doc_id": \n',
+               "duplicate": b'{"doc_id": "d1", "tokens": ["a"]}\n{"doc_id": "d1", "tokens": []}\n',
+               "tokens": b'{"doc_id": "d1", "tokens": ["a", 1]}\n',
+               "utf-8": b'{"doc_id": "d1", "tokens": ["\xe9"]}\n'}
+    EXPECTED = ([("d1", ("a", "b", "a")), ("d2", ()), ("d3", ("c",))],
+                {"a": 0, "b": 1, "c": 2}, "int32", [0, 1, 0, 2], "int64", [0, 3, 3, 4])
+    FIELDS = dict(doc_ids=["d1", "d2", "d3"], words=["a", "b", "c"], offsets=[0, 3, 3, 4],
+                  ids=[0, 1, 0, 2])
+    FORGED = {"id past the vocabulary": dict(ids=[0, 1, 0, 3]),
+              "negative id": dict(ids=[0, -1, 0, 2]),
+              "offsets past the ids": dict(offsets=[0, 3, 3, 5]),
+              "offsets short of the ids": dict(offsets=[0, 3, 3, 3]),
+              "offsets that decrease": dict(offsets=[0, 3, 2, 4]),
+              "offsets not from 0": dict(offsets=[1, 3, 3, 4]),
+              "one offset too few": dict(offsets=[0, 3, 4]),
+              "repeated doc id": dict(doc_ids=["d1", "d2", "d1"]),
+              "repeated token": dict(words=["a", "b", "a"]),
+              "repeated token after the used ones": dict(words=["a", "b", "c", "a"]),
+              "string offsets past the text": dict(words=struct.pack("<Q3sQ4q", 3, b"abc", 32,
+                                                                     0, 1, 2, 4)),
+              "a byte after the arrays": dict(tail=b"\x00")}
+
+    def records(self, corpus):
+        return (corpus_records(corpus), corpus.vocab, corpus.ids.dtype.name, corpus.ids.tolist(),
+                corpus.offsets.dtype.name, corpus.offsets.tolist())
+
+    def sidecar(self, doc_ids, words, offsets, ids, tail=b""):
+        return keyed_sidecar(b"PACRRDOC1", self.TEXT.encode(), array_body(
+            doc_ids, words, (offsets, "<i8"), (ids, "<i4"), tail))
+
+    def test_odd_strings_load_from_the_sidecar_as_parsed(self, tmp_path, monkeypatch):
+        # JSON strings may hold a line break, NUL or a lone surrogate.
+        docs = [("d\n1", ("a\nb", "\u0000", "\ud800", "é", "\ud800")),
+                ("\u0000\ud83d", ("日本", "a\nb")), ("é", ())]
+        path = tmp_path / "c.jsonl"
+        path.write_text("".join(json.dumps({"doc_id": doc_id, "tokens": list(tokens)}) + "\n"
+                                for doc_id, tokens in docs), encoding="utf-8")
+        parsed = load_corpus(path)
+        assert corpus_records(parsed) == docs
+        monkeypatch.setattr("pacrr.corpus._parse_corpus", refuse_to_parse)
+        self.assert_same(load_corpus(path), parsed)
+
+
+class TestQrelsSidecar(SidecarCases):
+    KIND, NAME, PARSER = "qrels", "qrels.txt", "_parse_qrels"
+    load = staticmethod(load_qrels)
+    TEXT = "q2 0 b 1\nq1 0 c 0\n\nq2 0 a -2\nq1 0 a 4\n"
+    EDIT = ("a 4", "a 3")
+    INVALID = {"fields": b"q2 0 b 1\nq1 0 c\n",
+               "grade": b"q2 0 b 1\nq1 0 c x\n",
+               "no-mapping": b"q2 0 b 1\nq1 0 c 5\n",
+               "duplicate": b"q2 0 b 1\nq2 0 b 0\n",
+               "utf-8": b"q2 0 \xe9 1\n"}
+    EXPECTED = [("q2", [("b", 1), ("a", -2)]), ("q1", [("c", 0), ("a", 4)])]
+    FIELDS = dict(qids=["q2", "q1"], dids=["b", "a", "c"], offsets=[0, 2, 4], docs=[0, 1, 2, 1],
+                  grades=[1, -2, 0, 4])
+    FORGED = {"doc index past the table": dict(docs=[0, 1, 3, 1]),
+              "negative doc index": dict(docs=[0, -1, 2, 1]),
+              "offsets past the judgments": dict(offsets=[0, 2, 5]),
+              "offsets that decrease": dict(offsets=[0, 5, 4]),
+              "one offset too few": dict(offsets=[0, 4]),
+              "a query with no judgment": dict(qids=["q2", "q1", "q3"], offsets=[0, 2, 4, 4]),
+              "repeated query id": dict(qids=["q2", "q2"]),
+              "repeated doc id": dict(dids=["b", "a", "b"]),
+              "repeated doc id after the used ones": dict(dids=["b", "a", "c", "b"]),
+              "a judgment twice": dict(docs=[0, 0, 2, 1]),
+              "fewer grades than judgments": dict(grades=[1, -2, 0]),
+              "a raw grade with no mapping": dict(grades=[1, -2, 0, 5]),
+              "a byte after the arrays": dict(tail=b"\x00")}
+
+    def records(self, qrels):
+        return [(qid, list(judged.items())) for qid, judged in qrels.by_query.items()]
+
+    def sidecar(self, qids, dids, offsets, docs, grades, tail=b""):
+        return keyed_sidecar(b"PACRRQRL1", self.TEXT.encode(), array_body(
+            qids, dids, (offsets, "<i8"), (docs, "<i4"), (grades, "<i8"), tail))
+
+    def test_raw_grade_with_no_mapping_is_a_miss_that_names_its_line(self, tmp_path):
+        path = write(tmp_path, "qrels.txt", "q1 0 a 1\nq1 0 b 5\n")
+        assert self.records(load_qrels(path, {5: 4})) == [("q1", [("a", 1), ("b", 4)])]
+        assert sidecar_of(path, "qrels").is_file()
+        with pytest.raises(DataError, match=r"qrels\.txt:2: raw grade 5 has no mapping"):
+            load_qrels(path)
+        # The sidecar holds raw grades: each load maps them its own way.
+        assert self.records(load_qrels(path, {5: 3})) == [("q1", [("a", 1), ("b", 3)])]
+        assert self.records(load_qrels(path, {1: 0, 5: 2})) == [("q1", [("a", 0), ("b", 2)])]
+
+    def test_non_ascii_ids_load_from_the_sidecar_as_parsed(self, tmp_path, monkeypatch):
+        path = write(tmp_path, "qrels.txt", "é 0 日本 1\nq 0 日本 2\né 0 dé 0\n")
+        parsed = load_qrels(path)
+        monkeypatch.setattr("pacrr.corpus._parse_qrels", refuse_to_parse)
+        self.assert_same(load_qrels(path), parsed)
+        assert self.records(parsed)[0] == ("é", [("日本", 1), ("dé", 0)])
 
 
 @pytest.mark.parametrize("loader", [load_corpus, load_queries, load_qrels, load_run,

@@ -1,14 +1,14 @@
 """Properties: any bytes given to a loader either load or raise DataError
 (CheckpointError is a DataError), never another exception; a saved
 corpus or query file loads back equal, with one object per distinct
-token; an embeddings file loads the table its text holds, whatever bytes
-lie in its sidecar; k-max pooling equals its oracles on tie-heavy rows;
-the pooling backward ops route each k-max survivor to the first maximal
-filter, and pass its gradient only where the rectified filter max is
-positive, as a loop reference does; scoring and its gradients equal,
-byte for byte, a full-width reference with a rectifier per filter,
-whatever the width of the zero tail; kwindow distillation equals its
-argsort reference byte for byte; the recurrence's backward pass equals
+token; an embeddings, corpus or qrels file loads what its text holds,
+whatever bytes lie in its sidecar; k-max pooling equals its oracles on
+tie-heavy rows; the pooling backward ops route each k-max survivor to
+the first maximal filter, and pass its gradient only where the rectified
+filter max is positive, as a loop reference does; scoring and its
+gradients equal, byte for byte, a full-width reference with a rectifier
+per filter, whatever the width of the zero tail; kwindow distillation
+equals its argsort reference byte for byte; the recurrence's backward pass equals
 its step-by-step reference byte for byte; pairwise label accuracy equals
 its hand-listed reference exactly; triple sampling draws only pairable
 positives, as the rejection sampler it replaced did whenever every
@@ -26,10 +26,11 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from helpers import (assert_kept_columns, checkpoint_with_header, corpus_records,  # noqa: E402
-                     kmax_oracle, kmax_reference, kwindow_reference, pair_accuracy_reference,
-                     pooling_routes_reference, recurrent_backward_reference, reference_groups,
-                     reference_sample_triple, score_reference)
+from helpers import (array_body, assert_kept_columns, checkpoint_with_header,  # noqa: E402
+                     corpus_records, kmax_oracle, kmax_reference, kwindow_reference,
+                     pair_accuracy_reference, pooling_routes_reference,
+                     recurrent_backward_reference, reference_groups, reference_sample_triple,
+                     score_reference)
 from pacrr.corpus import (CANONICAL_GRADES, Corpus, JudgmentSet, Query,  # noqa: E402
                           load_corpus, load_embeddings, load_qrels, load_queries, load_run,
                           save_corpus, save_queries)
@@ -153,24 +154,61 @@ def test_sidecar_helper_builds_what_load_embeddings_writes():
     assert written == _sidecar(["b", "a"], [[0.5, -1.25], [3.0, 4.0]])
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(data=st.one_of(st.binary(max_size=200),
-                      st.binary(max_size=120).map(lambda b: _with_crc(SIDECAR_KEYED + b)),
-                      st.binary(max_size=120).map(lambda b: SIDECAR_KEYED + b)))
-@example(data=_sidecar(["b", "a"], [[0.5, -1.25], [3.0, 4.0]])[:-1])
-@example(data=_sidecar(["b", "a"], [[0.5, -1.25], [np.nan, 4.0]]))
-@example(data=_sidecar(["b", "b"], [[0.5, -1.25], [3.0, 4.0]]))
-@example(data=_sidecar(["x", "b", "a"], [[0.5, -1.25], [3.0, 4.0]], count=2))
-@example(data=_with_crc(SIDECAR_KEYED + struct.pack("<QQ", 2**63, 0) + b"b\na"))
-def test_any_sidecar_bytes_give_the_parsed_table(data):
+CORPUS_TEXT = b'{"doc_id": "d1", "tokens": ["a", "b", "a"]}\n{"doc_id": "d2", "tokens": []}\n'
+QRELS_TEXT = b"q2 0 b 1\nq1 0 c 0\nq2 0 a -2\n"
+# Per sidecar kind: its loader, the text it is keyed to, and the magic and
+# key of that text.
+SIDECAR_KINDS = {
+    "vec": (load_embeddings, EMBEDDINGS_TEXT, SIDECAR_KEYED),
+    **{kind: (loader, text, magic + struct.pack("<QI", len(text), zlib.crc32(text)))
+       for kind, loader, text, magic in [("corpus", load_corpus, CORPUS_TEXT, b"PACRRDOC1"),
+                                         ("qrels", load_qrels, QRELS_TEXT, b"PACRRQRL1")]},
+}
+
+
+def _loaded(kind, value):
+    """What a loaded value holds, in a form that compares equal."""
+    if kind == "vec":
+        return value.dim, list(value.vectors), np.array(list(value.vectors.values())).tolist()
+    if kind == "corpus":
+        return corpus_records(value), value.vocab, value.ids.dtype, value.offsets.dtype
+    return [(qid, list(judged.items())) for qid, judged in value.by_query.items()]
+
+
+def _sidecar_cases(kind):
+    keyed = SIDECAR_KINDS[kind][2]
+    return st.tuples(st.just(kind), st.one_of(
+        st.binary(max_size=200), st.binary(max_size=120).map(lambda b: _with_crc(keyed + b)),
+        st.binary(max_size=120).map(lambda b: keyed + b)))
+
+
+@settings(max_examples=450, deadline=None, derandomize=True)
+@given(case=st.sampled_from(sorted(SIDECAR_KINDS)).flatmap(_sidecar_cases))
+@example(case=("vec", _sidecar(["b", "a"], [[0.5, -1.25], [3.0, 4.0]])[:-1]))
+@example(case=("vec", _sidecar(["b", "a"], [[0.5, -1.25], [np.nan, 4.0]])))
+@example(case=("vec", _sidecar(["b", "b"], [[0.5, -1.25], [3.0, 4.0]])))
+@example(case=("vec", _sidecar(["x", "b", "a"], [[0.5, -1.25], [3.0, 4.0]], count=2)))
+@example(case=("vec", _with_crc(SIDECAR_KEYED + struct.pack("<QQ", 2**63, 0) + b"b\na")))
+@example(case=("corpus", _with_crc(SIDECAR_KINDS["corpus"][2] + array_body(
+    ["d1", "d2"], ["a", "b"], ([0, 3, 3], "<i8"), ([0, 1, 2], "<i4")))))
+@example(case=("corpus", _with_crc(SIDECAR_KINDS["corpus"][2] + struct.pack("<Q", 2**63))))
+@example(case=("qrels", _with_crc(SIDECAR_KINDS["qrels"][2] + array_body(
+    ["q2", "q1"], ["b", "c", "a"], ([0, 2, 3], "<i8"), ([0, 0, 1], "<i4"),
+    ([1, -2, 0], "<i8")))))
+@example(case=("qrels", _with_crc(SIDECAR_KINDS["qrels"][2] + array_body(
+    ["q2", "q1"], ["b", "c", "a"], ([0, 2, 3], "<i8"), ([0, 2, 1], "<i4"),
+    ([1, -2, 7], "<i8")))))
+def test_any_sidecar_bytes_give_the_parsed_table(case):
+    kind, data = case
+    loader, text, _ = SIDECAR_KINDS[kind]
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "e.txt"
-        path.write_bytes(EMBEDDINGS_TEXT)
-        (Path(tmp) / ".e.txt.pacrrvec").write_bytes(data)
-        table = load_embeddings(path)
-    assert table.dim == 2 and list(table.vectors) == ["b", "a"]
-    np.testing.assert_array_equal(np.array(list(table.vectors.values())),
-                                  [[0.5, -1.25], [3.0, 4.0]])
+        path = Path(tmp) / "input.txt"
+        path.write_bytes(text)
+        parsed = _loaded(kind, loader(path))
+        (Path(tmp) / f".input.txt.pacrr{kind}").write_bytes(data)
+        assert _loaded(kind, loader(path)) == parsed
+    if kind == "vec":
+        assert parsed == (2, ["b", "a"], [[0.5, -1.25], [3.0, 4.0]])
 
 
 # Few distinct values, signed zeros among them, so that most rows hold ties.
